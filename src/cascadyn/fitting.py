@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataError, NumericsError
-from .survival import WeibullParams
+from .survival import _EXP_CLAMP, WeibullParams
 
 __all__ = [
     "Hyperparams",
@@ -48,8 +48,6 @@ __all__ = [
     "read_subcascades_jsonl",
     "write_subcascades_jsonl",
 ]
-
-_EXP_CLAMP = 700.0
 
 SCALE_BOUNDS = (1e-6, 1e9)
 SHAPE_BOUNDS = (1e-2, 50.0)
@@ -242,34 +240,14 @@ class NewerModel:
 # Likelihood and objective
 # ---------------------------------------------------------------------------
 
-def _power_sums(log_delays: np.ndarray, log_scale: float, shape: float):
-    """Sums of (T/scale)^shape weighted by powers of log(T/scale).
-
-    Exponents are clamped at 700 so iterates far from the stationary point
-    (where only the sign of a derivative matters) cannot overflow.
-    """
-    dz = log_delays - log_scale
-    w = np.exp(np.minimum(shape * dz, _EXP_CLAMP))
-    s0 = float(np.sum(w))
-    s1 = float(np.sum(w * dz))
-    s2 = float(np.sum(w * dz * dz))
-    return s0, s1, s2
-
-
 def user_log_likelihood(p: WeibullParams, s: SubcascadeSample) -> float:
     """Log-likelihood of one user's delays under their Weibull law.
 
     m*log(shape) + (shape-1)*sum(log T) - m*shape*log(scale)
     - scale^(-shape) * sum(T^shape)
     """
-    log_t = np.log(s.delays)
-    s0, _, _ = _power_sums(log_t, math.log(p.scale), p.shape)
-    return (
-        s.n * math.log(p.shape)
-        + (p.shape - 1.0) * float(np.sum(log_t))
-        - s.n * p.shape * math.log(p.scale)
-        - s0
-    )
+    seg = _Segments([np.log(s.delays)])
+    return float(seg.log_likelihoods(np.array([math.log(p.scale)]), np.array([p.shape]))[0])
 
 
 def _as_sample_map(samples) -> dict[str, SubcascadeSample]:
@@ -278,32 +256,38 @@ def _as_sample_map(samples) -> dict[str, SubcascadeSample]:
     return {s.user: s for s in samples}
 
 
+def _model_segments(model: NewerModel, samples):
+    """The model's users, a _Segments over their delays, and their scales
+    and shapes as arrays in the same order."""
+    sample_map = _as_sample_map(samples)
+    users = list(model.user_params)
+    for u in users:
+        if u not in sample_map:
+            raise DataError(f"user {u!r} has no subcascade sample")
+    seg = _Segments([np.log(sample_map[u].delays) for u in users])
+    scale = np.array([model.user_params[u].scale for u in users])
+    shape = np.array([model.user_params[u].shape for u in users])
+    return users, seg, scale, shape
+
+
 def newer_objective(model: NewerModel, samples, X: FeatureMatrix | None = None) -> float:
     """Full objective F = G1 + mu*G2 + eta*G3 at the model's parameters.
 
     The sum runs over the model's fitted users; every one must have a sample,
     and a feature row whenever mu or eta is nonzero.
     """
-    sample_map = _as_sample_map(samples)
-    users = list(model.user_params)
-    g1 = 0.0
-    for u in users:
-        if u not in sample_map:
-            raise DataError(f"user {u!r} has no subcascade sample")
-        g1 -= user_log_likelihood(model.user_params[u], sample_map[u])
+    users, seg, scale, shape = _model_segments(model, samples)
+    g1 = _pooled_objective(seg, scale, shape)
     hp = model.hyperparams
     if hp.mu == 0.0 and hp.eta == 0.0:
         return g1
     if X is None:
         raise DataError("feature matrix required when mu or eta is nonzero")
-    sub = X.subset(users)
-    z = sub.log_values
+    z = X.subset(users).log_values
     n = len(users)
-    log_scale = np.log([model.user_params[u].scale for u in users])
-    log_shape = np.log([model.user_params[u].shape for u in users])
-    g2 = float(np.sum((log_scale - z @ model.beta) ** 2)) / (2.0 * n)
+    g2 = float(np.sum((np.log(scale) - z @ model.beta) ** 2)) / (2.0 * n)
     g2 += hp.alpha_beta * float(np.sum(np.abs(model.beta)))
-    g3 = float(np.sum((log_shape - z @ model.gamma) ** 2)) / (2.0 * n)
+    g3 = float(np.sum((np.log(shape) - z @ model.gamma) ** 2)) / (2.0 * n)
     g3 += hp.alpha_gamma * float(np.sum(np.abs(model.gamma)))
     return g1 + hp.mu * g2 + hp.eta * g3
 
@@ -314,29 +298,21 @@ def smooth_partials(model: NewerModel, samples, X: FeatureMatrix | None = None):
 
     Returns (users, d_scale, d_shape).
     """
-    sample_map = _as_sample_map(samples)
-    users = list(model.user_params)
-    n = len(users)
     hp = model.hyperparams
     if (hp.mu > 0 or hp.eta > 0) and X is None:
         raise DataError("feature matrix required when mu or eta is nonzero")
-    z = X.subset(users).log_values if X is not None else np.zeros((n, 1))
-    a = z @ model.beta if X is not None else np.zeros(n)
-    b = z @ model.gamma if X is not None else np.zeros(n)
-    d_scale = np.empty(n)
-    d_shape = np.empty(n)
-    for i, u in enumerate(users):
-        p = model.user_params[u]
-        s = sample_map[u]
-        log_t = np.log(s.delays)
-        log_scale = math.log(p.scale)
-        s0, s1, _ = _power_sums(log_t, log_scale, p.shape)
-        d_scale[i] = (p.shape / p.scale) * (s.n - s0)
-        d_shape[i] = -s.n / p.shape - float(np.sum(log_t)) + s.n * log_scale + s1
+    users, seg, scale, shape = _model_segments(model, samples)
+    log_scale = np.log(scale)
+    s0, s1, _ = seg.power_sums(log_scale, shape)
+    d_scale = (shape / scale) * (seg.m - s0)
+    d_shape = -seg.m / shape - seg.sum_log + seg.m * log_scale + s1
+    if hp.mu > 0 or hp.eta > 0:
+        z = X.subset(users).log_values
+        n = len(users)
         if hp.mu > 0:
-            d_scale[i] += (hp.mu / n) * (log_scale - a[i]) / p.scale
+            d_scale += (hp.mu / n) * (log_scale - z @ model.beta) / scale
         if hp.eta > 0:
-            d_shape[i] += (hp.eta / n) * (math.log(p.shape) - b[i]) / p.shape
+            d_shape += (hp.eta / n) * (np.log(shape) - z @ model.gamma) / shape
     return users, d_scale, d_shape
 
 
@@ -344,35 +320,37 @@ def smooth_partials(model: NewerModel, samples, X: FeatureMatrix | None = None):
 # One-dimensional safeguarded Newton
 # ---------------------------------------------------------------------------
 
-def _newton_bisect_root(df, d2f, x0: float, lo: float, hi: float, max_iter: int) -> float:
-    """Root of df on [lo, hi] given df(lo) < 0 < df(hi).
+def _newton_bisect_root(grad_hess, x0: float, lo: float, hi: float, max_iter: int) -> float:
+    """Minimizer on [lo, hi] of a strictly convex function, given a callable
+    returning its first and second derivatives at a point.
 
-    Newton steps that leave the bracket, or a nonpositive second derivative,
-    fall back to bisection; the bracket shrinks monotonically either way.
+    An end of the interval is returned when the derivative keeps one sign
+    on it; otherwise Newton steps from x0 that leave the bracket, or a
+    nonpositive second derivative, fall back to bisection, and the bracket
+    shrinks monotonically either way.
     """
+    if grad_hess(lo)[0] >= 0.0:
+        return lo
+    if grad_hess(hi)[0] <= 0.0:
+        return hi
     x = min(max(x0, lo), hi)
     for _ in range(max_iter):
-        g = df(x)
+        g, h = grad_hess(x)
         if g < 0.0:
             lo = x
         elif g > 0.0:
             hi = x
         else:
             return x
-        h = d2f(x)
-        if h > 0.0:
-            step = x - g / h
-        else:
-            step = lo  # force bisection
+        step = x - g / h if h > 0.0 else math.nan  # nan forces bisection
+        if step == x:
+            # the Newton correction is below one ulp of x: converged; a
+            # bisection here could jump back across a still-wide bracket
+            return x
         x = step if lo < step < hi else 0.5 * (lo + hi)
         if hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):
             return x
     return x
-
-
-def _logsumexp(z: np.ndarray) -> float:
-    zm = float(np.max(z))
-    return zm + math.log(float(np.sum(np.exp(z - zm))))
 
 
 class _Segments:
@@ -409,6 +387,11 @@ class _Segments:
         s0, _, _ = self.power_sums(log_scale, shape)
         return (self.m * np.log(shape) + (shape - 1.0) * self.sum_log
                 - self.m * shape * log_scale - s0)
+
+
+def _pooled_objective(seg: _Segments, scale: np.ndarray, shape: np.ndarray) -> float:
+    """Negative log-likelihood summed over every user."""
+    return -float(np.sum(seg.log_likelihoods(np.log(scale), shape)))
 
 
 def _scale_block(seg: _Segments, shape: np.ndarray, targets: np.ndarray,
@@ -691,12 +674,55 @@ def median_params(model: NewerModel) -> WeibullParams:
 # Baselines
 # ---------------------------------------------------------------------------
 
-def _fixed_shape_scale(sample: SubcascadeSample, shape: float) -> float:
-    # stationarity of the log-likelihood in scale: scale^shape = mean(T^shape)
-    log_t = np.log(sample.delays)
-    lse = _logsumexp(shape * log_t)
-    u = (lse - math.log(sample.n)) / shape
-    return math.exp(min(max(u, math.log(SCALE_BOUNDS[0])), math.log(SCALE_BOUNDS[1])))
+_FIXED_SHAPES = {"exponential": 1.0, "rayleigh": 2.0}
+
+
+def _kept_samples(samples, opts: FitOptions) -> dict[str, SubcascadeSample]:
+    sample_map = _as_sample_map(samples)
+    kept = {u: s for u, s in sorted(sample_map.items()) if s.n >= opts.min_events}
+    if not kept:
+        raise DataError("no user has enough events to fit")
+    return kept
+
+
+def _fit_restricted(kind: str, kept: dict[str, SubcascadeSample], opts: FitOptions):
+    """Scales and shapes, in ``kept`` order, of a fixed- or shared-shape
+    baseline, with its objective trace and whether the trace settled."""
+    seg = _Segments([np.log(s.delays) for s in kept.values()])
+    if kind == "cox_shared_shape":
+        return _fit_cox(seg, opts)
+    shape = np.full(seg.n_users, _FIXED_SHAPES[kind])
+    scale = _scale_block(seg, shape, np.zeros(seg.n_users), 0.0, opts.newton_max_iter)
+    return scale, shape, [_pooled_objective(seg, scale, shape)], True
+
+
+def _fit_cox(seg: _Segments, opts: FitOptions):
+    """Alternate the closed-form per-user scales at the current shared shape
+    with the pooled likelihood's shared shape at those scales, solved to
+    convergence, until the objective settles to a relative 1e-10 or
+    ``opts.max_outer`` rounds have run."""
+    n = seg.n_users
+    zeros = np.zeros(n)
+    m_total = float(np.sum(seg.m))
+    shape = np.ones(n)
+    scale = _scale_block(seg, shape, zeros, 0.0, opts.newton_max_iter)
+    trace = [_pooled_objective(seg, scale, shape)]
+    for _ in range(opts.max_outer):
+        scale = _scale_block(seg, shape, zeros, 0.0, opts.newton_max_iter)
+        log_scale = np.log(scale)
+        offset = float(np.sum(seg.m * log_scale - seg.sum_log))
+
+        def grad_hess(k):
+            _, s1, s2 = seg.power_sums(log_scale, np.full(n, k))
+            return offset - m_total / k + float(np.sum(s1)), m_total / (k * k) + float(np.sum(s2))
+
+        shared = _newton_bisect_root(grad_hess, float(shape[0]), *SHAPE_BOUNDS,
+                                     opts.newton_max_iter)
+        shape = np.full(n, shared)
+        trace.append(_pooled_objective(seg, scale, shape))
+        if abs(trace[-2] - trace[-1]) <= 1e-10 * max(1.0, abs(trace[-2])):
+            return scale, shape, trace, True
+    return scale, shape, trace, False
 
 
 def fit_baseline(kind: str, samples, X: FeatureMatrix | None = None,
@@ -704,75 +730,19 @@ def fit_baseline(kind: str, samples, X: FeatureMatrix | None = None,
     """Per-user parameters under the restricted baseline families.
 
     exponential and rayleigh fix every shape to 1 or 2 with the closed-form
-    scale; cox_shared_shape alternates one shared-shape Newton step with the
-    per-user closed-form scales; plain_weibull is the unregularized fit.
+    scale; cox_shared_shape alternates the per-user closed-form scales with
+    a shared shape solved to convergence at those scales; plain_weibull is
+    the unregularized fit.
     """
     opts = options or FitOptions()
-    sample_map = _as_sample_map(samples)
-    kept = {u: s for u, s in sorted(sample_map.items()) if s.n >= opts.min_events}
-    if not kept:
-        raise DataError("no user has enough events to fit")
-
-    if kind == "exponential":
-        return {u: WeibullParams(_fixed_shape_scale(s, 1.0), 1.0) for u, s in kept.items()}
-    if kind == "rayleigh":
-        return {u: WeibullParams(_fixed_shape_scale(s, 2.0), 2.0) for u, s in kept.items()}
+    if kind not in BASELINE_KINDS:
+        raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
+    kept = _kept_samples(samples, opts)
     if kind == "plain_weibull":
         model, _ = fit_newer(kept, None, Hyperparams(0.0, 0.0, 0.0, 0.0), opts)
         return dict(model.user_params)
-    if kind == "cox_shared_shape":
-        return _fit_cox(kept, opts)[0]
-    raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
-
-
-def _fit_cox(kept: dict[str, SubcascadeSample], opts: FitOptions):
-    users = list(kept)
-    log_t = [np.log(kept[u].delays) for u in users]
-    m = [kept[u].n for u in users]
-    sum_log_t = [float(np.sum(lt)) for lt in log_t]
-    shared = 1.0
-    scales = [float(np.mean(kept[u].delays)) for u in users]
-
-    def pooled_objective(k, sc):
-        total = 0.0
-        for i in range(len(users)):
-            s0, _, _ = _power_sums(log_t[i], math.log(sc[i]), k)
-            total -= (m[i] * math.log(k) + (k - 1.0) * sum_log_t[i]
-                      - m[i] * k * math.log(sc[i]) - s0)
-        return total
-
-    trace = [pooled_objective(shared, scales)]
-    for _ in range(100):
-        scales = [_fixed_shape_scale(kept[u], shared) for u in users]
-        log_scales = [math.log(s) for s in scales]
-
-        def df(k):
-            g = 0.0
-            for i in range(len(users)):
-                _, s1, _ = _power_sums(log_t[i], log_scales[i], k)
-                g += -m[i] / k - sum_log_t[i] + m[i] * log_scales[i] + s1
-            return g
-
-        def d2f(k):
-            h = 0.0
-            for i in range(len(users)):
-                _, _, s2 = _power_sums(log_t[i], log_scales[i], k)
-                h += m[i] / (k * k) + s2
-            return h
-
-        lo, hi = SHAPE_BOUNDS
-        if df(lo) >= 0.0:
-            new_shared = lo
-        elif df(hi) <= 0.0:
-            new_shared = hi
-        else:
-            new_shared = _newton_bisect_root(df, d2f, shared, lo, hi, opts.newton_max_iter)
-        shared = new_shared
-        trace.append(pooled_objective(shared, scales))
-        if abs(trace[-2] - trace[-1]) <= 1e-10 * max(1.0, abs(trace[-2])):
-            break
-    params = {u: WeibullParams(scales[i], shared) for i, u in enumerate(users)}
-    return params, trace
+    scale, shape, _, _ = _fit_restricted(kind, kept, opts)
+    return {u: WeibullParams(float(scale[i]), float(shape[i])) for i, u in enumerate(kept)}
 
 
 def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
@@ -798,22 +768,15 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
 
     if kind not in ("exponential", "rayleigh", "cox"):
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    baseline_kind = "cox_shared_shape" if kind == "cox" else kind
-    sample_map = _as_sample_map(samples)
-    kept = {u: s for u, s in sorted(sample_map.items()) if s.n >= opts.min_events}
-    if kind == "cox":
-        params, trace = _fit_cox(kept, opts)
-    else:
-        params = fit_baseline(baseline_kind, kept, None, opts)
-        trace = [-sum(user_log_likelihood(params[u], kept[u]) for u in params)]
-    users = list(params)
+    kept = _kept_samples(samples, opts)
+    users = list(kept)
+    scale, shape, trace, converged = _fit_restricted(
+        "cox_shared_shape" if kind == "cox" else kind, kept, opts)
     if X is not None:
         missing = [u for u in users if u not in X]
         if missing:
             raise DataError(f"users without feature rows: {missing[:5]}")
-        z = X.subset(users).log_values
-        y = np.log([params[u].scale for u in users])
-        beta, *_ = np.linalg.lstsq(z, y, rcond=None)
+        beta, *_ = np.linalg.lstsq(X.subset(users).log_values, np.log(scale), rcond=None)
         names = list(X.names)
         gamma = np.zeros(len(names))
     else:
@@ -824,10 +787,11 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
         hyperparams=hyperparams,
         beta=beta,
         gamma=gamma,
-        user_params=params,
+        user_params={u: WeibullParams(float(scale[i]), float(shape[i])) for i, u in enumerate(users)},
         user_events={u: kept[u].n for u in users},
     )
-    return model, FitReport(objective_trace=trace, converged=True, iterations=max(len(trace) - 1, 0))
+    report = FitReport(objective_trace=trace, converged=converged, iterations=len(trace) - 1)
+    return model, report
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,10 @@ class PartialCascade:
         if not self.events:
             raise DataError(f"partial cascade {self.cascade_id!r} has no events")
         Cascade(cascade_id=self.cascade_id, events=self.events)  # reuse tree validation
-        if self.t_limit < self.events[-1].t:
+        if not math.isfinite(self.t_limit) or not self.t_limit >= self.events[-1].t:
             raise DataError(
-                f"partial cascade {self.cascade_id!r}: t_limit precedes the last event"
+                f"partial cascade {self.cascade_id!r}: t_limit {self.t_limit} is not finite "
+                f"or precedes the last event"
             )
 
     @property

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
 from cascadyn.fitting import (
+    SHAPE_BOUNDS,
     FitOptions,
     Hyperparams,
     NewerModel,
@@ -388,6 +391,161 @@ class TestBaselines:
         with pytest.raises(ValueError):
             fit_baseline("cauchy", {"u": make_sample("u", [1, 2])},
                          options=FitOptions(min_events=1))
+
+
+def scalar_cox_oracle(samples, newton_max_iter=100):
+    """The shared-shape fit as a per-user scalar loop: each round sets every
+    scale in closed form for the current shape, then solves the pooled
+    shape equation by bisection-guarded Newton. Returns (scales, shape,
+    objective trace)."""
+    users = list(samples)
+    log_t = [np.log(samples[u].delays) for u in users]
+    m = [samples[u].n for u in users]
+    sum_log_t = [float(np.sum(lt)) for lt in log_t]
+
+    def power_sums(lt, log_scale, k):
+        dz = lt - log_scale
+        w = np.exp(np.minimum(k * dz, 700.0))
+        return float(np.sum(w)), float(np.sum(w * dz)), float(np.sum(w * dz * dz))
+
+    def closed_form_scale(lt, k):
+        z = k * lt
+        zm = float(np.max(z))
+        u = (zm + math.log(float(np.sum(np.exp(z - zm)))) - math.log(lt.size)) / k
+        return math.exp(min(max(u, math.log(1e-6)), math.log(1e9)))
+
+    def pooled_objective(k, scales):
+        total = 0.0
+        for i in range(len(users)):
+            s0, _, _ = power_sums(log_t[i], math.log(scales[i]), k)
+            total -= (m[i] * math.log(k) + (k - 1.0) * sum_log_t[i]
+                      - m[i] * k * math.log(scales[i]) - s0)
+        return total
+
+    shared = 1.0
+    scales = [float(np.mean(samples[u].delays)) for u in users]
+    trace = [pooled_objective(shared, scales)]
+    for _ in range(100):
+        scales = [closed_form_scale(lt, shared) for lt in log_t]
+        log_scales = [math.log(s) for s in scales]
+
+        def df(k):
+            return sum(-m[i] / k - sum_log_t[i] + m[i] * log_scales[i]
+                       + power_sums(log_t[i], log_scales[i], k)[1] for i in range(len(users)))
+
+        def d2f(k):
+            return sum(m[i] / (k * k) + power_sums(log_t[i], log_scales[i], k)[2]
+                       for i in range(len(users)))
+
+        lo, hi = SHAPE_BOUNDS
+        if df(lo) >= 0.0:
+            shared = lo
+        elif df(hi) <= 0.0:
+            shared = hi
+        else:
+            x = min(max(shared, lo), hi)
+            for _ in range(newton_max_iter):
+                g = df(x)
+                if g == 0.0:
+                    break
+                if g < 0.0:
+                    lo = x
+                else:
+                    hi = x
+                h = d2f(x)
+                step = x - g / h if h > 0.0 else lo
+                x = step if lo < step < hi else 0.5 * (lo + hi)
+                if hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):
+                    break
+            shared = x
+        trace.append(pooled_objective(shared, scales))
+        if abs(trace[-2] - trace[-1]) <= 1e-10 * max(1.0, abs(trace[-2])):
+            break
+    return dict(zip(users, scales)), shared, trace
+
+
+def uneven_instance(seed=70):
+    """Users whose shapes differ (so cox takes several rounds) and whose
+    sample sizes differ (so a segment-boundary slip shows)."""
+    X, samples, _ = synthetic_instance(24, 60, seed=seed, beta=[0.5, 0, -0.3, 0],
+                                       gamma=[0.4, 0, 0, 0.3], spread=1.5)
+    for i, u in enumerate(samples):
+        samples[u] = make_sample(u, samples[u].delays[:1 + (7 * i) % 60])
+    return X, samples
+
+
+def pooled_shape_gradient(params, samples):
+    """d/dk of the pooled negative log-likelihood at the fitted scales, and
+    the summed magnitude of its terms."""
+    g = mag = 0.0
+    for u, p in params.items():
+        t = samples[u].delays
+        lw = np.log(t / p.scale)
+        w = np.exp(p.shape * lw)
+        g += -t.size / p.shape + float(np.sum(lw * (w - 1.0)))
+        mag += t.size / p.shape + float(np.sum(np.abs(lw) * (w + 1.0)))
+    return g, mag
+
+
+delay_st = st.sampled_from([1.0, 2.0, 7.0, 60.0]) | st.floats(1.0, 1e4)
+world_st = st.lists(st.lists(delay_st, min_size=1, max_size=8), min_size=1, max_size=6)
+
+
+class TestBaselineKernels:
+    def test_cox_matches_scalar_oracle(self):
+        X, samples = uneven_instance()
+        model, report = fit_model("cox", samples, X, options=FitOptions(min_events=1))
+        scales, shared, trace = scalar_cox_oracle(samples)
+        assert len(trace) > 3  # several rounds, not a one-step fit
+        assert len(report.objective_trace) == len(trace)
+        assert np.allclose(report.objective_trace, trace, rtol=1e-10, atol=0)
+        assert report.converged
+        for u, p in model.user_params.items():
+            assert p.shape == pytest.approx(shared, rel=1e-10)
+            assert p.scale == pytest.approx(scales[u], rel=1e-10)
+        assert set(model.user_params) == set(scales)
+
+    def test_fixed_shape_scales_per_user(self):
+        X, samples = uneven_instance()
+        opts = FitOptions(min_events=1)
+        exp_model, _ = fit_model("exponential", samples, X, options=opts)
+        ray_model, _ = fit_model("rayleigh", samples, X, options=opts)
+        for u, s in samples.items():
+            assert exp_model.user_params[u].scale == pytest.approx(
+                float(np.mean(s.delays)), rel=1e-9)
+            assert ray_model.user_params[u].scale == pytest.approx(
+                float(np.sqrt(np.mean(s.delays ** 2))), rel=1e-9)
+        for kind, model in (("exponential", exp_model), ("rayleigh", ray_model)):
+            assert fit_baseline(kind, samples, options=opts) == model.user_params
+
+    def test_fixed_shape_trace_is_pooled_likelihood(self):
+        X, samples = uneven_instance()
+        model, report = fit_model("rayleigh", samples, X, options=FitOptions(min_events=1))
+        expected = -sum(user_log_likelihood(p, samples[u]) for u, p in model.user_params.items())
+        assert report.objective_trace == [pytest.approx(expected, rel=1e-12)]
+        assert report.converged and report.iterations == 0
+
+    def test_cox_round_cap_reports_not_converged(self):
+        X, samples = uneven_instance()
+        _, capped = fit_model("cox", samples, X, options=FitOptions(min_events=1, max_outer=1))
+        assert capped.converged is False
+        assert capped.iterations == 1
+        _, full = fit_model("cox", samples, X, options=FitOptions(min_events=1))
+        assert full.converged is True
+        assert full.iterations > 1
+
+    @given(world_st)
+    @settings(max_examples=150, deadline=None)
+    def test_cox_descends_to_a_stationary_shape(self, world):
+        samples = {f"u{i}": make_sample(f"u{i}", d) for i, d in enumerate(world)}
+        model, report = fit_model("cox", samples, None, options=FitOptions(min_events=1))
+        trace = report.objective_trace
+        for prev, cur in zip(trace, trace[1:]):
+            assert cur <= prev + 1e-12 * max(1.0, abs(prev))
+        shared = next(iter(model.user_params.values())).shape
+        if shared not in SHAPE_BOUNDS:
+            g, mag = pooled_shape_gradient(model.user_params, samples)
+            assert abs(g) <= 1e-8 * mag
 
 
 class TestOutOfSample:

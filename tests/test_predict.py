@@ -385,6 +385,12 @@ class TestPartialCascade:
         with pytest.raises(DataError):
             PartialCascade("c", events, 3.0, 10)
 
+    @pytest.mark.parametrize("t_limit", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_t_limit_rejected(self, t_limit):
+        events = [CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0)]
+        with pytest.raises(DataError, match="not finite"):
+            PartialCascade("c", events, t_limit, 10)
+
 
 class TestPredictionFiles:
     def test_round_trip(self, tmp_path):
