@@ -9,10 +9,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +51,6 @@ from .predict import (
 from .simulate import SimConfig, gen_cascades, gen_network, gen_user_dynamics, write_true_params_json
 
 __all__ = ["main"]
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CASCADYN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--tol", type=float, default=1e-7)
     p_fit.add_argument("--max-iter", type=int, default=200)
     p_fit.add_argument("--warm-start", help="existing model JSON to start from")
-    p_fit.add_argument("--threads", type=int, default=_default_threads())
 
     p_pred = sub.add_parser("predict", help="predict cascade outcomes from early stages")
     p_pred.add_argument("--model", required=True, help="fitted model JSON")
@@ -130,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--grid-points", type=int, default=20)
     p_pred.add_argument("--min-size", type=int, default=1,
                         help="skip cascades smaller than this")
-    p_pred.add_argument("--threads", type=int, default=_default_threads())
 
     p_eval = sub.add_parser("evaluate", help="score predictions or run a protocol")
     p_eval.add_argument("--out", required=True, help="output directory")
@@ -153,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--eta", type=float, default=10.0)
     p_eval.add_argument("--alpha-beta", type=float, default=6e-5)
     p_eval.add_argument("--alpha-gamma", type=float, default=8e-6)
-    p_eval.add_argument("--threads", type=int, default=_default_threads())
     return parser
 
 
@@ -220,8 +208,7 @@ def _cmd_fit(args) -> int:
     feats = extract_features(net, cascades)
     hyper = Hyperparams(mu=args.mu, eta=args.eta,
                         alpha_beta=args.alpha_beta, alpha_gamma=args.alpha_gamma)
-    opts = FitOptions(tol=args.tol, max_outer=args.max_iter,
-                      min_events=args.min_events, threads=args.threads)
+    opts = FitOptions(tol=args.tol, max_outer=args.max_iter, min_events=args.min_events)
     warm = NewerModel.load(args.warm_start) if args.warm_start else None
     model, report = fit_model(args.model, samples, feats, hyper, opts, warm_start=warm)
 
@@ -299,11 +286,7 @@ def _cmd_predict(args) -> int:
             rec["curve"] = [[t, s] for t, s in zip(curve.times, curve.sizes)]
         return rec
 
-    if args.threads > 1 and len(cascades) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(predict_one, cascades))
-    else:
-        records = [predict_one(c) for c in cascades]
+    records = [predict_one(c) for c in cascades]
     write_predictions_jsonl(args.out, records)
     print(f"wrote {len(records)} predictions to {args.out}")
     return 0
@@ -333,7 +316,6 @@ def _cmd_evaluate(args) -> int:
             outbreak_threshold=args.threshold,
             seed=args.seed,
             hyperparams=hyper,
-            options=FitOptions(threads=args.threads),
         )
         report.write(outdir)
         print(f"wrote {args.protocol} protocol report to {outdir}")

@@ -50,11 +50,21 @@ class PredictionRecord:
     task: str = "size"
 
 
-def rmsle(records: Iterable[PredictionRecord]) -> float:
-    """Root mean squared error of log predictions vs log truth."""
+def _finite_records(records: Iterable[PredictionRecord], metric: str) -> list[PredictionRecord]:
+    """The records as a list; refuses an empty one and a NaN or infinite value."""
     records = list(records)
     if not records:
-        raise DataError("rmsle needs at least one record")
+        raise DataError(f"{metric} needs at least one record")
+    for r in records:
+        if not (math.isfinite(r.truth) and math.isfinite(r.predicted)):
+            raise DataError(f"{metric} requires finite values, got ({r.predicted}, "
+                            f"{r.truth}) for cascade {r.cascade_id!r}")
+    return records
+
+
+def rmsle(records: Iterable[PredictionRecord]) -> float:
+    """Root mean squared error of log predictions vs log truth."""
+    records = _finite_records(records, "rmsle")
     for r in records:
         if r.truth <= 0 or r.predicted <= 0:
             raise DataError(
@@ -69,9 +79,7 @@ def sigma_precision(records: Iterable[PredictionRecord], sigma: float = 0.2) -> 
     """Fraction of predictions within truth * (1 +- sigma)."""
     if not (0.0 < sigma < 1.0):
         raise DataError(f"sigma must lie in (0, 1), got {sigma}")
-    records = list(records)
-    if not records:
-        raise DataError("sigma_precision needs at least one record")
+    records = _finite_records(records, "sigma_precision")
     hits = sum(
         1 for r in records
         if r.truth * (1.0 - sigma) <= r.predicted <= r.truth * (1.0 + sigma)
@@ -196,29 +204,30 @@ class ExperimentReport:
         )
 
 
-def _fit_fold_models(kinds, train_cascades, net, hyper, options):
-    samples = extract_subcascades(train_cascades)
-    feats = extract_features(net, train_cascades)
-    fitted = {}
-    for kind in kinds:
-        if kind == "loglinear":
-            continue
-        model, _ = fit_model(kind, samples, feats, hyper, options)
-        fitted[kind] = ModelDynamics(model, feats)
-    return fitted, feats
+LOGLINEAR_SKIPPED = {
+    "outbreak": "loglinear cannot predict outbreak times; skipped",
+    "process": "loglinear cannot predict process curves; skipped",
+    "out_of_sample": "loglinear is not an out-of-sample dynamics model; skipped",
+}
 
 
 def _aggregate(records: dict[tuple[str, object], list[PredictionRecord]],
-               sigma: float) -> list[dict]:
+               sigma: float, precisions: dict[tuple[str, object], list[float]]) -> list[dict]:
+    """One row per (model, sweep). When ``precisions`` holds one value per
+    process curve, ``n`` counts curves and ``precision`` is their mean."""
     rows = []
-    for (model, sweep) in sorted(records, key=lambda key: (key[0], str(key[1]))):
-        recs = records[(model, sweep)]
+    for key in sorted(records, key=lambda key: (key[0], str(key[1]))):
+        recs = records[key]
+        if precisions:
+            n, precision = len(precisions[key]), float(np.mean(precisions[key]))
+        else:
+            n, precision = len(recs), sigma_precision(recs, sigma)
         rows.append({
-            "model": model,
-            "sweep": sweep,
-            "n": len(recs),
+            "model": key[0],
+            "sweep": key[1],
+            "n": n,
             "rmsle": rmsle(recs),
-            "precision": sigma_precision(recs, sigma),
+            "precision": precision,
         })
     return rows
 
@@ -232,7 +241,13 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                    seed: int = 0, hyperparams: Hyperparams = DEFAULT_HYPERPARAMS,
                    options: FitOptions | None = None) -> ExperimentReport:
     """Run one evaluation protocol and aggregate RMSLE / sigma-precision
-    per model across the protocol's sweep variable."""
+    per model across the protocol's sweep variable.
+
+    ``size``, ``outbreak`` and ``process`` score each ``stratified_folds``
+    fold against models fitted on the others. ``out_of_sample`` fits once on
+    every cascade with some users' samples hidden, and scores the prefixes
+    holding a hidden user. Only ``size`` scores ``loglinear``.
+    """
     if protocol not in PROTOCOLS:
         raise DataError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     for kind in models:
@@ -240,173 +255,96 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             raise DataError(f"unknown model kind {kind!r}")
     opts = options or FitOptions()
     cascades = list(cascades)
-    notes: list[str] = []
+    kinds = [m for m in models if m != "loglinear"]
+    with_loglinear = protocol == "size" and "loglinear" in models
+    notes = [LOGLINEAR_SKIPPED[protocol]] if protocol != "size" and "loglinear" in models else []
 
-    if protocol == "size":
-        rows = _protocol_size(cascades, net, models, folds, prefix_sizes, sigma,
-                              seed, hyperparams, opts)
-    elif protocol == "outbreak":
-        survival_models = [m for m in models if m != "loglinear"]
-        if len(survival_models) < len(models):
-            notes.append("loglinear cannot predict outbreak times; skipped")
-        rows = _protocol_outbreak(cascades, net, survival_models, folds, prefix_sizes,
-                                  sigma, outbreak_threshold, seed, hyperparams, opts)
-    elif protocol == "process":
-        survival_models = [m for m in models if m != "loglinear"]
-        if len(survival_models) < len(models):
-            notes.append("loglinear cannot predict process curves; skipped")
-        rows = _protocol_process(cascades, net, survival_models, folds, early_fractions,
-                                 sigma, grid_points, seed, hyperparams, opts)
+    if protocol == "outbreak":
+        if not any(c.size >= outbreak_threshold for c in cascades):
+            raise DataError(f"no cascade reaches the outbreak threshold {outbreak_threshold}")
+        horizon = max(c.events[-1].t for c in cascades)
+    # each split: training cascades, test cascades, and the training samples
+    # when they are not simply those of the training cascades
+    if protocol == "out_of_sample":
+        all_samples = extract_subcascades(cascades)
+        eligible = sorted(u for u, s in all_samples.items() if s.n >= opts.min_events)
+        if len(eligible) < 2:
+            raise DataError("too few users with samples to hide any")
+        rng = np.random.default_rng([seed, 91])
+        n_hidden = max(1, int(round(hidden_fraction * len(eligible))))
+        hidden = set(rng.choice(eligible, size=n_hidden, replace=False).tolist())
+        visible = {u: s for u, s in all_samples.items() if u not in hidden}
+        splits = [(cascades, cascades, visible)]
     else:
-        survival_models = [m for m in models if m != "loglinear"]
-        if len(survival_models) < len(models):
-            notes.append("loglinear is not an out-of-sample dynamics model; skipped")
-        rows = _protocol_out_of_sample(cascades, net, survival_models, prefix_sizes,
-                                       sigma, hidden_fraction, seed, hyperparams, opts)
-    return ExperimentReport(protocol=protocol, sigma=sigma, rows=rows, notes=notes)
+        held_out = [set(fold) for fold in stratified_folds(cascades, folds, seed)]
+        splits = [([c for i, c in enumerate(cascades) if i not in held],
+                   [c for i, c in enumerate(cascades) if i in held], None) for held in held_out]
 
-
-def _protocol_size(cascades, net, models, folds, prefix_sizes, sigma, seed,
-                   hyper, opts):
-    fold_indices = stratified_folds(cascades, folds, seed)
-    records: dict[tuple[str, object], list[PredictionRecord]] = {}
-    for fold in fold_indices:
-        test_set = set(fold)
-        train = [c for i, c in enumerate(cascades) if i not in test_set]
-        fitted, _ = _fit_fold_models(models, train, net, hyper, opts)
-        loglinear = {}
-        if "loglinear" in models:
-            for s in prefix_sizes:
-                loglinear[s] = LogLinearModel.fit(train, s, net)
-        for i in fold:
-            cascade = cascades[i]
-            for s in prefix_sizes:
-                if cascade.size <= s:
-                    continue
-                pc = PartialCascade.first_events(cascade, s, net.n_nodes)
-                truth = float(cascade.size)
-                for kind, dyn in fitted.items():
-                    pred = BasicPredictor(pc, dyn).final_size()
-                    records.setdefault((kind, s), []).append(
-                        PredictionRecord(cascade.cascade_id, truth, pred))
-                if "loglinear" in models:
-                    pred = loglinear[s].predict_final(cascade, s, net)
-                    records.setdefault(("loglinear", s), []).append(
-                        PredictionRecord(cascade.cascade_id, truth, pred))
-    return _aggregate(records, sigma)
-
-
-def _true_outbreak_time(cascade: Cascade, threshold: int) -> float | None:
-    if cascade.size < threshold:
-        return None
-    return cascade.events[threshold - 1].t
-
-
-def _protocol_outbreak(cascades, net, models, folds, prefix_sizes, sigma,
-                       threshold, seed, hyper, opts):
-    eligible = [c for c in cascades if c.size >= threshold]
-    if not eligible:
-        raise DataError(f"no cascade reaches the outbreak threshold {threshold}")
-    horizon = max(c.events[-1].t for c in cascades)
-    fold_indices = stratified_folds(cascades, folds, seed)
-    records: dict[tuple[str, object], list[PredictionRecord]] = {}
-    for fold in fold_indices:
-        test_set = set(fold)
-        train = [c for i, c in enumerate(cascades) if i not in test_set]
-        fitted, _ = _fit_fold_models(models, train, net, hyper, opts)
-        for i in fold:
-            cascade = cascades[i]
-            truth_t = _true_outbreak_time(cascade, threshold)
-            if truth_t is None:
-                continue
-            t0 = cascade.root.t
-            for s in prefix_sizes:
-                if cascade.size <= s or s >= threshold:
-                    continue
-                pc = PartialCascade.first_events(cascade, s, net.n_nodes)
-                t_max = pc.t_limit + 2.0 * (horizon - t0) + 1.0
-                for kind, dyn in fitted.items():
-                    pred_t = BasicPredictor(pc, dyn).outbreak_time(threshold, t_max)
-                    if pred_t is None:
-                        pred_t = t_max  # "never" capped at the search horizon
-                    records.setdefault((kind, s), []).append(PredictionRecord(
-                        cascade.cascade_id, truth_t - t0 + 1.0, pred_t - t0 + 1.0,
-                        task="outbreak"))
-    return _aggregate(records, sigma)
-
-
-def _protocol_process(cascades, net, models, folds, early_fractions, sigma,
-                      grid_points, seed, hyper, opts):
-    fold_indices = stratified_folds(cascades, folds, seed)
-    precisions: dict[tuple[str, object], list[float]] = {}
-    records: dict[tuple[str, object], list[PredictionRecord]] = {}
-    for fold in fold_indices:
-        test_set = set(fold)
-        train = [c for i, c in enumerate(cascades) if i not in test_set]
-        fitted, _ = _fit_fold_models(models, train, net, hyper, opts)
-        for i in fold:
-            cascade = cascades[i]
-            t0, t_end = cascade.root.t, cascade.events[-1].t
+    def observations(cascade: Cascade):
+        """(sweep, observed part, truth) for each point the protocol scores
+        on one test cascade."""
+        t0, t_end = cascade.root.t, cascade.events[-1].t
+        if protocol == "process":
             if t_end <= t0:
-                continue
+                return
             for frac in early_fractions:
                 t_lim = t0 + frac * (t_end - t0)
-                pc = PartialCascade.from_cascade(cascade, t_lim, net.n_nodes)
                 grid = np.linspace(t_lim, t_end, grid_points).tolist()
-                truth_curve = ProcessCurve(
-                    times=grid, sizes=[float(cascade.size_at(t)) for t in grid])
-                for kind, dyn in fitted.items():
-                    pred_curve = BasicPredictor(pc, dyn).process_curve(grid)
-                    precisions.setdefault((kind, frac), []).append(
-                        process_precision(pred_curve, truth_curve, sigma))
-                    for t, p, tr in zip(grid, pred_curve.sizes, truth_curve.sizes):
-                        records.setdefault((kind, frac), []).append(PredictionRecord(
-                            cascade.cascade_id, tr, p, task="process-point"))
-    rows = []
-    for key in sorted(records, key=lambda key: (key[0], str(key[1]))):
-        kind, frac = key
-        rows.append({
-            "model": kind,
-            "sweep": frac,
-            "n": len(precisions[key]),
-            "rmsle": rmsle(records[key]),
-            "precision": float(np.mean(precisions[key])),
-        })
-    return rows
-
-
-def _protocol_out_of_sample(cascades, net, models, prefix_sizes, sigma,
-                            hidden_fraction, seed, hyper, opts):
-    samples = extract_subcascades(cascades)
-    eligible = sorted(u for u, s in samples.items() if s.n >= opts.min_events)
-    if len(eligible) < 2:
-        raise DataError("too few users with samples to hide any")
-    rng = np.random.default_rng([seed, 91])
-    n_hidden = max(1, int(round(hidden_fraction * len(eligible))))
-    hidden = set(rng.choice(eligible, size=n_hidden, replace=False).tolist())
-    visible_samples = {u: s for u, s in samples.items() if u not in hidden}
-    feats = extract_features(net, cascades)
-    fitted = {}
-    for kind in models:
-        model, _ = fit_model(kind, visible_samples, feats, hyper, opts)
-        fitted[kind] = ModelDynamics(model, feats)
-    records: dict[tuple[str, object], list[PredictionRecord]] = {}
-    for cascade in cascades:
-        for s in prefix_sizes:
-            if cascade.size <= s:
-                continue
-            prefix_users = {e.user for e in cascade.events[:s]}
-            if not (prefix_users & hidden):
-                continue
-            pc = PartialCascade.first_events(cascade, s, net.n_nodes)
+                truth = ProcessCurve(times=grid, sizes=[float(cascade.size_at(t)) for t in grid])
+                yield frac, PartialCascade.from_cascade(cascade, t_lim, net.n_nodes), truth
+            return
+        if protocol == "outbreak":
+            if cascade.size < outbreak_threshold:
+                return
+            truth = cascade.events[outbreak_threshold - 1].t - t0 + 1.0
+        else:
             truth = float(cascade.size)
-            for kind, dyn in fitted.items():
-                pred = BasicPredictor(pc, dyn).final_size()
-                records.setdefault((kind, s), []).append(
-                    PredictionRecord(cascade.cascade_id, truth, pred))
-    if not records:
+        for s in prefix_sizes:
+            if cascade.size <= s or (protocol == "outbreak" and s >= outbreak_threshold):
+                continue
+            if protocol == "out_of_sample" and not ({e.user for e in cascade.events[:s]} & hidden):
+                continue
+            yield s, PartialCascade.first_events(cascade, s, net.n_nodes), truth
+
+    records: dict[tuple[str, object], list[PredictionRecord]] = {}
+    precisions: dict[tuple[str, object], list[float]] = {}
+    for train, test, samples in splits:
+        if samples is None:
+            samples = extract_subcascades(train)
+        feats = extract_features(net, train)
+        fitted = {kind: ModelDynamics(fit_model(kind, samples, feats, hyperparams, opts)[0], feats)
+                  for kind in kinds}
+        loglinear = ({s: LogLinearModel.fit(train, s, net) for s in prefix_sizes}
+                     if with_loglinear else {})
+        for cascade in test:
+            cid = cascade.cascade_id
+            for sweep, pc, truth in observations(cascade):
+                for kind, dyn in fitted.items():
+                    predictor = BasicPredictor(pc, dyn)
+                    recs = records.setdefault((kind, sweep), [])
+                    if protocol == "outbreak":
+                        t0 = cascade.root.t
+                        t_max = pc.t_limit + 2.0 * (horizon - t0) + 1.0
+                        pred_t = predictor.outbreak_time(outbreak_threshold, t_max)
+                        if pred_t is None:
+                            pred_t = t_max  # "never" capped at the search horizon
+                        recs.append(PredictionRecord(cid, truth, pred_t - t0 + 1.0,
+                                                     task="outbreak"))
+                    elif protocol == "process":
+                        curve = predictor.process_curve(truth.times)
+                        precisions.setdefault((kind, sweep), []).append(
+                            process_precision(curve, truth, sigma))
+                        recs.extend(PredictionRecord(cid, tr, p, task="process-point")
+                                    for p, tr in zip(curve.sizes, truth.sizes))
+                    else:
+                        recs.append(PredictionRecord(cid, truth, predictor.final_size()))
+                if with_loglinear:
+                    records.setdefault(("loglinear", sweep), []).append(PredictionRecord(
+                        cid, truth, loglinear[sweep].predict_final(cascade, sweep, net)))
+    if protocol == "out_of_sample" and not records:
         raise DataError("no test cascade contains a hidden user in its prefix")
-    return _aggregate(records, sigma)
+    return ExperimentReport(protocol=protocol, sigma=sigma,
+                            rows=_aggregate(records, sigma, precisions), notes=notes)
 
 
 # ---------------------------------------------------------------------------

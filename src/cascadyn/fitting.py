@@ -148,7 +148,6 @@ class FitOptions:
     newton_max_iter: int = 100
     lasso_tol: float = 1e-12
     lasso_max_iter: int = 10000
-    threads: int = 1
 
 
 @dataclass

@@ -129,6 +129,10 @@ class ModelDynamics:
 
     def __init__(self, model: NewerModel, features: FeatureMatrix | None = None,
                  fallback: WeibullParams | None = None):
+        if (features is not None and features.names and model.feature_names
+                and list(features.names) != list(model.feature_names)):
+            raise DataError(f"feature columns {list(features.names)} do not match the "
+                            f"model's feature names {list(model.feature_names)}")
         self.model = model
         self.features = features
         if fallback is None and model.user_params:

@@ -171,6 +171,18 @@ class TestPredictCommand:
                    "--out", str(tmp_path / "x.jsonl"),
                    "--observe-frac", "0.5", "--observe-count", "3") == 1
 
+    def test_swapped_feature_columns_rejected(self, sim_dir, fit_dir, tmp_path):
+        with open(fit_dir / "features.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        swapped = tmp_path / "swapped.csv"
+        with open(swapped, "w", newline="") as fh:
+            csv.writer(fh).writerows([r[0], r[2], r[1], *r[3:]] for r in rows)
+        assert run("predict", "--model", str(fit_dir / "model.json"),
+                   "--network", str(sim_dir / "network.csv"),
+                   "--cascades", str(sim_dir / "cascades.jsonl"),
+                   "--features", str(swapped),
+                   "--out", str(tmp_path / "x.jsonl")) == 1
+
 
 class TestEvaluateCommand:
     def test_perfect_predictions_score_zero(self, sim_dir, tmp_path):
@@ -190,6 +202,18 @@ class TestEvaluateCommand:
         size_row = next(r for r in rows if r["task"] == "size")
         assert float(size_row["rmsle"]) == 0.0
         assert float(size_row["precision"]) == 1.0
+
+    def test_nan_prediction_rejected(self, sim_dir, tmp_path):
+        cascade = read_cascades_jsonl(sim_dir / "cascades.jsonl")[0]
+        pred_path = tmp_path / "nan.jsonl"
+        pred_path.write_text(json.dumps({"cascade": cascade.cascade_id,
+                                         "t_limit": cascade.root.t,
+                                         "final": float("nan")}) + "\n")
+        out = tmp_path / "report"
+        assert run("evaluate", "--pred", str(pred_path),
+                   "--truth", str(sim_dir / "cascades.jsonl"),
+                   "--out", str(out)) == 1
+        assert not (out / "summary.json").exists()
 
     def test_protocol_mode_writes_report(self, sim_dir, tmp_path):
         out = tmp_path / "proto"

@@ -16,7 +16,7 @@ from cascadyn.evaluate import (
     sigma_precision,
     stratified_folds,
 )
-from cascadyn.features import Cascade, CascadeEvent, Network
+from cascadyn.features import Cascade, CascadeEvent, Network, extract_subcascades
 from cascadyn.predict import ProcessCurve
 from cascadyn.simulate import SimConfig, gen_cascades, gen_network
 
@@ -72,6 +72,12 @@ class TestRmsle:
         with pytest.raises(DataError):
             rmsle([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        for pred, truth in ((bad, 5.0), (5.0, bad)):
+            with pytest.raises(DataError, match="'c7'"):
+                rmsle([rec(5.0, 5.0), rec(pred, truth, cid="c7")])
+
 
 class TestSigmaPrecision:
     def test_perfect(self):
@@ -92,6 +98,12 @@ class TestSigmaPrecision:
     def test_permutation_invariance(self):
         a = [rec(3, 4), rec(10, 2), rec(7, 7)]
         assert sigma_precision(a, 0.5) == sigma_precision(list(reversed(a)), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for pred, truth in ((bad, 5.0), (5.0, bad)):
+            with pytest.raises(DataError, match="'c7'"):
+                sigma_precision([rec(5.0, 5.0), rec(pred, truth, cid="c7")], 0.2)
 
 
 class TestProcessPrecision:
@@ -309,3 +321,62 @@ class TestRunExperiment:
         scores = {(r["model"], r["sweep"]): r["rmsle"] for r in report.rows}
         for s in (5, 10):
             assert scores[("newer", s)] < scores[("weibull", s)]
+
+    def test_size_rows_count_cascades_larger_than_prefix(self, sim_data):
+        net, cascades = sim_data
+        report = run_experiment("size", cascades, net, models=("exponential", "loglinear"),
+                                folds=2, prefix_sizes=(5, 10), seed=0)
+        assert len(report.rows) == 4
+        for row in report.rows:
+            assert row["n"] == sum(1 for c in cascades if c.size > row["sweep"])
+
+    def test_outbreak_rows_count_cascades_reaching_threshold(self, sim_data):
+        net, cascades = sim_data
+        threshold = int(np.quantile([c.size for c in cascades], 0.8))
+        report = run_experiment("outbreak", cascades, net, models=("exponential",),
+                                folds=2, prefix_sizes=(5, 10),
+                                outbreak_threshold=threshold, seed=0)
+        assert len(report.rows) == 2
+        for row in report.rows:
+            assert row["n"] == sum(1 for c in cascades
+                                   if c.size >= threshold and c.size > row["sweep"])
+
+    def test_process_rows_count_curves(self, sim_data):
+        net, cascades = sim_data
+        report = run_experiment("process", cascades, net, models=("exponential",),
+                                folds=2, early_fractions=(0.25, 0.5), grid_points=5, seed=0)
+        assert len(report.rows) == 2
+        for row in report.rows:
+            assert row["n"] == sum(1 for c in cascades if c.events[-1].t > c.root.t)
+
+    @pytest.mark.parametrize("protocol, note", [
+        ("outbreak", "loglinear cannot predict outbreak times; skipped"),
+        ("process", "loglinear cannot predict process curves; skipped"),
+        ("out_of_sample", "loglinear is not an out-of-sample dynamics model; skipped"),
+    ])
+    def test_loglinear_skipped_with_note(self, sim_data, protocol, note):
+        net, cascades = sim_data
+        threshold = int(np.quantile([c.size for c in cascades], 0.8))
+        report = run_experiment(protocol, cascades, net, models=("exponential", "loglinear"),
+                                folds=2, prefix_sizes=(5,), early_fractions=(0.5,),
+                                grid_points=5, outbreak_threshold=threshold,
+                                hidden_fraction=0.2, seed=0)
+        assert report.notes == [note]
+        assert {row["model"] for row in report.rows} == {"exponential"}
+
+    def test_each_fold_trains_on_the_other_folds(self, sim_data, monkeypatch):
+        import cascadyn.evaluate as evaluate
+
+        net, cascades = sim_data
+        trained_on = []
+
+        def spy(train):
+            trained_on.append(sorted(c.cascade_id for c in train))
+            return extract_subcascades(train)
+
+        monkeypatch.setattr(evaluate, "extract_subcascades", spy)
+        run_experiment("size", cascades, net, models=("exponential",),
+                       folds=3, prefix_sizes=(5,), seed=4)
+        expected = [sorted(c.cascade_id for i, c in enumerate(cascades) if i not in fold)
+                    for fold in stratified_folds(cascades, 3, seed=4)]
+        assert trained_on == expected

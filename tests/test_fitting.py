@@ -316,15 +316,6 @@ class TestFitNewer:
         with pytest.raises(DataError):
             fit_newer(samples, X, Hyperparams(), FitOptions(min_events=1))
 
-    def test_threaded_fit_is_bitwise_identical(self):
-        X, samples, _ = synthetic_instance(10, 30, seed=20, beta=[0.3, 0, 0, 0])
-        m1, _ = fit_newer(samples, X, Hyperparams(), FitOptions(min_events=1, threads=1))
-        m4, _ = fit_newer(samples, X, Hyperparams(), FitOptions(min_events=1, threads=4))
-        for u in m1.user_params:
-            assert m1.user_params[u] == m4.user_params[u]
-        assert np.array_equal(m1.beta, m4.beta)
-        assert np.array_equal(m1.gamma, m4.gamma)
-
 
 class TestBaselines:
     def test_exponential_closed_form_is_mean(self):

@@ -360,6 +360,15 @@ class TestModelDynamics:
             assert p.shape == pytest.approx(shape)
             assert p.scale == pytest.approx(4.0)
 
+    def test_mismatched_feature_columns_rejected(self):
+        from cascadyn.fitting import FeatureMatrix
+
+        for names in (["f2", "f1"], ["f1", "g2"]):
+            features = FeatureMatrix(users=["fresh"], names=names,
+                                     values=np.array([[4.0, 9.0]]))
+            with pytest.raises(DataError, match=rf"{names}.*\['f1', 'f2'\]"):
+                ModelDynamics(self.make_model(), features)
+
     def test_no_source_raises_with_user_name(self):
         model = NewerModel(kind="newer", feature_names=[], hyperparams=Hyperparams(),
                            beta=np.zeros(0), gamma=np.zeros(0),
