@@ -216,7 +216,7 @@ def _cmd_fit(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     model.save(outdir / "model.json")
     (outdir / "fit_report.json").write_text(
-        json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
+        json.dumps(report.to_dict(), indent=1, allow_nan=False) + "\n", encoding="utf-8")
     write_features_csv(outdir / "features.csv", feats)
     write_subcascades_jsonl(outdir / "subcascades.jsonl", samples)
     print(f"fitted {args.model} for {len(model.user_params)} users "
@@ -358,7 +358,8 @@ def _cmd_evaluate(args) -> int:
         for row in rows:
             writer.writerow([row["task"], row["n"], repr(row["rmsle"]), repr(row["precision"])])
     (outdir / "summary.json").write_text(
-        json.dumps({"sigma": args.sigma, "rows": rows}, indent=1, sort_keys=True) + "\n",
+        json.dumps({"sigma": args.sigma, "rows": rows}, indent=1, sort_keys=True,
+                   allow_nan=False) + "\n",
         encoding="utf-8")
     print(f"wrote evaluation report to {outdir}")
     return 0

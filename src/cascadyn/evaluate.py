@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -200,7 +201,8 @@ class ExperimentReport:
             "notes": self.notes,
         }
         (outdir / f"{self.protocol}_summary.json").write_text(
-            json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(summary, indent=1, sort_keys=True, allow_nan=False) + "\n",
+            encoding="utf-8"
         )
 
 
@@ -253,6 +255,14 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
     for kind in models:
         if kind not in SURVIVAL_MODEL_KINDS and kind != "loglinear":
             raise DataError(f"unknown model kind {kind!r}")
+    if protocol == "process":
+        for frac in early_fractions:
+            if not 0.0 <= frac <= 1.0:  # also refuses NaN; infinities lie outside
+                raise DataError(f"early fraction {frac} is not a finite value in [0, 1]")
+    else:
+        for s in prefix_sizes:
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1:
+                raise DataError(f"prefix size {s!r} is not an integer >= 1")
     opts = options or FitOptions()
     cascades = list(cascades)
     kinds = [m for m in models if m != "loglinear"]
@@ -341,8 +351,10 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                 if with_loglinear:
                     records.setdefault(("loglinear", sweep), []).append(PredictionRecord(
                         cid, truth, loglinear[sweep].predict_final(cascade, sweep, net)))
-    if protocol == "out_of_sample" and not records:
-        raise DataError("no test cascade contains a hidden user in its prefix")
+    if not records:
+        if protocol == "out_of_sample":
+            raise DataError("no test cascade contains a hidden user in its prefix")
+        raise DataError(f"the {protocol} protocol scored no prediction on these cascades")
     return ExperimentReport(protocol=protocol, sigma=sigma,
                             rows=_aggregate(records, sigma, precisions), notes=notes)
 

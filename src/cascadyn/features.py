@@ -277,7 +277,7 @@ def write_cascades_jsonl(path, cascades: Iterable[Cascade]) -> None:
                 "id": c.cascade_id,
                 "events": [{"u": e.user, "p": e.parent, "t": e.t} for e in c.events],
             }
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 def read_cascades_jsonl(path) -> list[Cascade]:

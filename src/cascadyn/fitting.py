@@ -43,6 +43,7 @@ __all__ = [
     "fit_baseline",
     "fit_model",
     "regress_out_of_sample",
+    "regress_params",
     "mean_params",
     "median_params",
     "read_subcascades_jsonl",
@@ -130,6 +131,11 @@ class FeatureMatrix:
     def __contains__(self, user: str) -> bool:
         return user in self._index
 
+    @property
+    def index(self) -> Mapping[str, int]:
+        """Row of each user; shared, not copied, so callers must not modify it."""
+        return self._index
+
     def subset(self, users: Iterable[str]) -> "FeatureMatrix":
         users = list(users)
         rows = np.stack([self.row(u) for u in users]) if users else np.empty((0, len(self.names)))
@@ -209,7 +215,8 @@ class NewerModel:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=1) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(self.to_json_dict(), indent=1, allow_nan=False) + "\n",
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "NewerModel":
@@ -634,9 +641,16 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
     return model, FitReport(objective_trace=trace, converged=converged, iterations=iterations)
 
 
+def regress_params(model: NewerModel, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regressed scales exp(log x . beta) and shapes exp(log x . gamma) for
+    the rows of ``log_x``, each clipped to its fitting box in log space."""
+    log_scale = np.clip(log_x @ model.beta, math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1]))
+    log_shape = np.clip(log_x @ model.gamma, math.log(SHAPE_BOUNDS[0]), math.log(SHAPE_BOUNDS[1]))
+    return np.exp(log_scale), np.exp(log_shape)
+
+
 def regress_out_of_sample(model: NewerModel, x) -> WeibullParams:
-    """Parameters for a user never fitted: scale = exp(log x . beta),
-    shape = exp(log x . gamma), clipped to the fitting boxes."""
+    """Parameters for a user never fitted: ``regress_params`` on one row."""
     x = np.asarray(x, dtype=float)
     if x.shape != (len(model.feature_names),):
         raise DataError(
@@ -645,12 +659,8 @@ def regress_out_of_sample(model: NewerModel, x) -> WeibullParams:
         )
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise ValueError("feature values must be strictly positive")
-    log_x = np.log(x)
-    scale = math.exp(min(max(float(log_x @ model.beta), math.log(SCALE_BOUNDS[0])),
-                         math.log(SCALE_BOUNDS[1])))
-    shape = math.exp(min(max(float(log_x @ model.gamma), math.log(SHAPE_BOUNDS[0])),
-                         math.log(SHAPE_BOUNDS[1])))
-    return WeibullParams(scale, shape)
+    scale, shape = regress_params(model, np.log(x)[None, :])
+    return WeibullParams(float(scale[0]), float(shape[0]))
 
 
 def mean_params(model: NewerModel) -> WeibullParams:
@@ -803,7 +813,7 @@ def write_subcascades_jsonl(path, samples) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for user in sorted(sample_map):
             rec = {"user": user, "delays": sample_map[user].delays.tolist()}
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
 def read_subcascades_jsonl(path) -> dict[str, SubcascadeSample]:

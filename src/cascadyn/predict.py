@@ -19,13 +19,14 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .features import Cascade, CascadeEvent, DELAY_SHIFT
-from .fitting import FeatureMatrix, NewerModel, mean_params, median_params, regress_out_of_sample
+from .fitting import FeatureMatrix, NewerModel, mean_params, median_params, regress_params
 from .survival import _EXP_CLAMP, WeibullParams, weibull_survival, weibull_survival_inverse
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_WINDOW = 30 * 86400.0  # binary search horizon beyond t_limit
+_CURVE_BLOCK = 1 << 16  # process-curve buffer entries (horizons x replying rows)
 
 
 @dataclass
@@ -71,6 +73,20 @@ class PartialCascade:
     @property
     def size(self) -> int:
         return len(self.events)
+
+    @cached_property
+    def rows(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Users, join times and reply counts of the observed rows, built once
+        and shared, read-only, by every predictor on this cascade."""
+        users = [e.user for e in self.events]
+        position = {u: i for i, u in enumerate(users)}
+        # the tree check in __post_init__ gives every later event a known parent
+        parents = [position[e.parent] for e in self.events[1:]]
+        replynum = np.bincount(parents, minlength=len(users)).astype(float)
+        t_join = np.array([e.t for e in self.events])
+        replynum.flags.writeable = False
+        t_join.flags.writeable = False
+        return users, t_join, replynum
 
     @classmethod
     def from_cascade(cls, cascade: Cascade, t_limit: float, network_size: int) -> "PartialCascade":
@@ -121,15 +137,20 @@ class ModelDynamics:
 
     Out-of-sample policy by model kind:
       newer        scale and shape both regressed from covariates
-      cox          scale regressed, shape set to the shared fitted shape
+      cox          scale regressed, shape set to the mean fitted shape
       exponential  scale regressed, shape 1
       rayleigh     scale regressed, shape 2
       weibull      averaged fitted scale and shape
+
+    The policy is applied once, at construction, into one table of scales
+    and shapes: a row per feature-matrix user (keyed by the matrix's own
+    index), a row per fitted user the matrix lacks, and a last row for every
+    other user. A row no source covers holds NaN and is refused on lookup.
     """
 
     def __init__(self, model: NewerModel, features: FeatureMatrix | None = None,
                  fallback: WeibullParams | None = None):
-        if (features is not None and features.names and model.feature_names
+        if (features is not None and model.feature_names
                 and list(features.names) != list(model.feature_names)):
             raise DataError(f"feature columns {list(features.names)} do not match the "
                             f"model's feature names {list(model.feature_names)}")
@@ -138,42 +159,60 @@ class ModelDynamics:
         if fallback is None and model.user_params:
             fallback = median_params(model)
         self.fallback = fallback
-        self._mean = mean_params(model) if model.user_params else None
-        self._cache: dict[str, WeibullParams] = {}
+        self._build_table()
+
+    def _build_table(self) -> None:
+        model, features = self.model, self.features
+        index = features.index if features is not None else {}
+        n_features = len(index)
+        extra = [u for u in model.user_params if u not in index]
+        if extra:
+            index = dict(index)
+            index.update((u, n_features + i) for i, u in enumerate(extra))
+        self._index = index
+        self._other = len(index)  # the row of users outside the index
+        scales = np.full(len(index) + 1, np.nan)
+        shapes = np.full(len(index) + 1, np.nan)
+        mean = mean_params(model) if model.user_params else None
+        if model.kind == "weibull":
+            if mean is not None:
+                scales[:], shapes[:] = mean.scale, mean.shape
+        elif features is not None and model.feature_names and n_features:
+            scales[:n_features], regressed_shapes = regress_params(model, features.log_values)
+            if model.kind == "cox":
+                shapes[:n_features] = mean.shape if mean is not None else 1.0
+            elif model.kind == "exponential":
+                shapes[:n_features] = 1.0
+            elif model.kind == "rayleigh":
+                shapes[:n_features] = 2.0
+            else:
+                shapes[:n_features] = regressed_shapes
+        if self.fallback is not None:
+            uncovered = np.isnan(scales)
+            scales[uncovered], shapes[uncovered] = self.fallback.scale, self.fallback.shape
+        if model.user_params:
+            rows = [index[u] for u in model.user_params]
+            params = model.user_params.values()
+            scales[rows] = [p.scale for p in params]
+            shapes[rows] = [p.shape for p in params]
+        self._scales, self._shapes = scales, shapes
 
     def __call__(self, user: str) -> WeibullParams:
-        params = self.model.user_params.get(user)
-        if params is not None:
-            return params
-        cached = self._cache.get(user)
-        if cached is not None:
-            return cached
-        params = self._out_of_sample(user)
-        if params is None:
-            params = self.fallback
-        if params is None:
+        row = self._index.get(user, self._other)
+        scale = self._scales[row]
+        if scale != scale:  # NaN: no source covers this user
             raise DataError(f"no behavioral dynamics for observed user {user!r}")
-        self._cache[user] = params
-        return params
+        return WeibullParams(float(scale), float(self._shapes[row]))
 
-    def _out_of_sample(self, user: str) -> WeibullParams | None:
-        kind = self.model.kind
-        if kind == "weibull":
-            return self._mean
-        if self.features is None or user not in self.features or not self.model.feature_names:
-            return None
-        regressed = regress_out_of_sample(self.model, self.features.row(user))
-        if kind == "newer":
-            return regressed
-        if kind == "cox":
-            shape = self._mean.shape if self._mean is not None else 1.0
-        elif kind == "exponential":
-            shape = 1.0
-        elif kind == "rayleigh":
-            shape = 2.0
-        else:
-            return regressed
-        return WeibullParams(regressed.scale, shape)
+    def gather(self, users: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Scales and shapes of ``users``, one table row each."""
+        index, other = self._index, self._other
+        rows = np.fromiter((index.get(u, other) for u in users), dtype=np.intp, count=len(users))
+        scales = self._scales[rows]
+        missing = np.flatnonzero(np.isnan(scales))
+        if missing.size:
+            raise DataError(f"no behavioral dynamics for observed user {users[missing[0]]!r}")
+        return scales, self._shapes[rows]
 
 
 def _rates(t0, shapes, log_scales, floor, t_e, out):
@@ -201,12 +240,15 @@ class BasicPredictor:
     Per-user arrays are built once so repeated horizon queries (process
     curves, outbreak search) stay cheap. The public arrays (``users``,
     ``t_join``, ``replynum``, ``scales``, ``shapes``, ``deathrate``) hold one
-    entry per observed row; ``deathrate`` is computed when read. The sums
-    run over replying rows only: a row with no replies adds an exact zero,
-    and on large cascades most rows have none. For those rows the join time
-    minus ``time_shift``, the shape, the log scale and the reply count are
-    kept contiguous, and every horizon query fills one preallocated buffer
-    in place.
+    entry per observed row; ``deathrate`` is computed when read. ``users``,
+    ``t_join`` and ``replynum`` are the partial cascade's read-only
+    ``rows``, shared by every predictor built on it, and a ``ModelDynamics``
+    fills ``scales`` and ``shapes`` with one table gather. The sums run over
+    replying rows only: a row with no replies adds an exact zero, and on
+    large cascades most rows have none. For those rows the join time minus
+    ``time_shift``, the shape, the log scale and the reply count are kept
+    contiguous, and every horizon query fills one preallocated buffer in
+    place; a process curve fills one buffer row per horizon.
 
     The summed rows' deathrate is the rate the query routine itself returns
     at ``t_limit``, so at ``t_e == t_limit`` each fdrate / deathrate ratio is
@@ -218,17 +260,13 @@ class BasicPredictor:
             raise DataError(f"time shift must be a nonnegative real, got {time_shift}")
         self.pc = pc
         self.time_shift = time_shift
-        replynum: dict[str, int] = {e.user: 0 for e in pc.events}
-        for e in pc.events:
-            if e.parent is not None:
-                replynum[e.parent] += 1
-        users = [e.user for e in pc.events]
-        self.users = users
-        self.t_join = np.array([e.t for e in pc.events])
-        self.replynum = np.array([float(replynum[u]) for u in users])
-        params = [_resolve_dynamics(dynamics, u) for u in users]
-        self.scales = np.array([p.scale for p in params])
-        self.shapes = np.array([p.shape for p in params])
+        self.users, self.t_join, self.replynum = pc.rows
+        if isinstance(dynamics, ModelDynamics):
+            self.scales, self.shapes = dynamics.gather(self.users)
+        else:
+            params = [_resolve_dynamics(dynamics, u) for u in self.users]
+            self.scales = np.array([p.scale for p in params])
+            self.shapes = np.array([p.shape for p in params])
         self.floor = 1.0 / pc.network_size
         replying = self.replynum > 0.0
         self._t0 = self.t_join[replying] - time_shift
@@ -297,13 +335,41 @@ class BasicPredictor:
                 lo = mid + 1
         return t_limit + float(lo)
 
+    def _sizes_at(self, times: np.ndarray) -> np.ndarray:
+        """``size_at`` of every horizon in ``times``, each >= t_limit.
+
+        Rates fill a (horizons x replying rows) buffer, a block of horizons
+        at a time; each buffer row is summed as ``size_at`` sums its vector,
+        so every entry equals the scalar query.
+        """
+        rows = self._t0.size
+        out = np.zeros(len(times))
+        if rows:
+            block = max(1, _CURVE_BLOCK // rows)
+            buf = np.empty((min(block, len(times)), rows))
+            # an elapsed time of 0 can occur at t_e == t_limit only
+            with np.errstate(divide="ignore"):
+                for start in range(0, len(times), block):
+                    t_e = times[start:start + block, None]
+                    ratio = _rates(self._t0, self._shapes, self._log_scales, self.floor, t_e,
+                                   buf[:len(t_e)])
+                    ratio /= self._deathrate
+                    ratio *= self._replynum
+                    out[start:start + len(t_e)] = ratio.sum(axis=1)
+        out += 1.0
+        return out
+
     def process_curve(self, grid: Sequence[float]) -> ProcessCurve:
         grid = [float(t) for t in grid]
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise DataError("prediction grid must be sorted")
+        times = np.array(grid)
+        early = np.flatnonzero(~(times >= self.pc.t_limit))  # also refuses NaN
+        if early.size:
+            raise DataError(f"prediction horizon {grid[early[0]]} precedes "
+                            f"t_limit {self.pc.t_limit}")
         sizes: list[float] = []
-        for t in grid:
-            value = self.size_at(t)
+        for value in self._sizes_at(times).tolist():
             if sizes and value < sizes[-1]:
                 value = sizes[-1]  # guard float wobble; the estimator is monotone
             sizes.append(value)
@@ -465,13 +531,17 @@ def write_predictions_jsonl(path, records: Iterable[dict]) -> None:
     {"cascade", "t_limit", "final", "outbreak_t", "curve"}."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps({
-                "cascade": rec["cascade"],
-                "t_limit": rec["t_limit"],
-                "final": rec["final"],
-                "outbreak_t": rec.get("outbreak_t"),
-                "curve": rec.get("curve", []),
-            }) + "\n")
+            try:
+                line = json.dumps({
+                    "cascade": rec["cascade"],
+                    "t_limit": rec["t_limit"],
+                    "final": rec["final"],
+                    "outbreak_t": rec.get("outbreak_t"),
+                    "curve": rec.get("curve", []),
+                }, allow_nan=False)
+            except ValueError as exc:
+                raise DataError(f"prediction for cascade {rec['cascade']!r}: {exc}") from None
+            fh.write(line + "\n")
 
 
 def read_predictions_jsonl(path) -> list[dict]:

@@ -277,7 +277,7 @@ def write_true_params_json(path, dynamics: dict[str, WeibullParams], seed: int) 
             for u, p in sorted(dynamics.items())
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def read_true_params_json(path) -> dict[str, WeibullParams]:

@@ -28,9 +28,13 @@ __all__ = [
 _EXP_CLAMP = 700.0  # exp(709) is the float64 ceiling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeibullParams:
-    """Scale (seconds) and shape of one user's Weibull response-time law."""
+    """Scale (seconds) and shape of one user's Weibull response-time law.
+
+    Slotted: ``ModelDynamics`` builds one per lookup from its table, and the
+    streaming estimator keeps one per observed user.
+    """
 
     scale: float
     shape: float

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cascadyn.evaluate import (
     stratified_folds,
 )
 from cascadyn.features import Cascade, CascadeEvent, Network, extract_subcascades
+from cascadyn.fitting import FitOptions
 from cascadyn.predict import ProcessCurve
 from cascadyn.simulate import SimConfig, gen_cascades, gen_network
 
@@ -380,3 +382,41 @@ class TestRunExperiment:
         expected = [sorted(c.cascade_id for i, c in enumerate(cascades) if i not in fold)
                     for fold in stratified_folds(cascades, 3, seed=4)]
         assert trained_on == expected
+
+    @pytest.mark.parametrize("protocol, sweep, bad", [
+        ("process", "early_fractions", 1.5),
+        ("process", "early_fractions", -0.5),
+        ("process", "early_fractions", float("nan")),
+        ("process", "early_fractions", float("inf")),
+        ("size", "prefix_sizes", 0),
+        ("outbreak", "prefix_sizes", -3),
+        ("out_of_sample", "prefix_sizes", 2.5),
+        ("size", "prefix_sizes", 5.0),
+    ])
+    def test_bad_sweep_value_refused_before_fitting(self, sim_data, monkeypatch,
+                                                    protocol, sweep, bad):
+        import cascadyn.evaluate as evaluate
+
+        net, cascades = sim_data
+        fits = []
+        monkeypatch.setattr(evaluate, "fit_model", lambda *a, **k: fits.append(a))
+        with pytest.raises(DataError, match=re.escape(str(bad))):
+            run_experiment(protocol, cascades, net, models=("exponential",), folds=2,
+                           **{sweep: (0.5, bad) if sweep == "early_fractions" else (5, bad)})
+        assert fits == []
+
+    @pytest.mark.parametrize("protocol, kwargs", [
+        ("size", {"prefix_sizes": (500,)}),
+        ("outbreak", {"prefix_sizes": (5,), "outbreak_threshold": 5}),  # no prefix < 5
+        ("process", {"early_fractions": (0.5,)}),
+    ])
+    def test_nothing_scored_is_refused(self, protocol, kwargs):
+        net = Network(nodes=[f"u{i}" for i in range(12)], edges=[])
+        # six-event cascades with every event at the root's time: no process
+        # curve spans any time, and no cascade outgrows a 500-event prefix
+        cascades = [Cascade(f"c{j}", [CascadeEvent(f"u{j}", None, 0.0)] + [
+            CascadeEvent(f"u{(j + k) % 12}", f"u{j}", 0.0) for k in range(1, 6)])
+            for j in range(6)]
+        with pytest.raises(DataError, match=f"{protocol} protocol scored no prediction"):
+            run_experiment(protocol, cascades, net, models=("exponential",), folds=2,
+                           options=FitOptions(min_events=1), **kwargs)

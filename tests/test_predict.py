@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
 from cascadyn.features import CascadeEvent, DELAY_SHIFT
-from cascadyn.fitting import Hyperparams, NewerModel
+from cascadyn.fitting import (
+    FeatureMatrix,
+    Hyperparams,
+    NewerModel,
+    median_params,
+    mean_params,
+    regress_out_of_sample,
+)
 from cascadyn.predict import (
     BasicPredictor,
     ModelDynamics,
@@ -377,6 +386,120 @@ class TestModelDynamics:
         with pytest.raises(DataError, match="ghost"):
             dyn("ghost")
 
+    def test_fitted_user_outside_feature_table(self):
+        # "other" is fitted but has no feature row; "nobody" has neither
+        dyn = ModelDynamics(self.make_model(), self.make_features())
+        assert dyn("other") == WeibullParams(10.0, 1.0)
+        assert dyn("nobody") == WeibullParams(26.0, 1.5)
+
+    def test_predictor_without_source_names_user(self):
+        model = NewerModel(kind="newer", feature_names=["f1", "f2"], hyperparams=Hyperparams(),
+                           beta=np.zeros(2), gamma=np.zeros(2), user_params={}, user_events={})
+        dyn = ModelDynamics(model, self.make_features())
+        events = [CascadeEvent("fresh", None, 0.0), CascadeEvent("ghost", "fresh", 1.0)]
+        with pytest.raises(DataError, match="'ghost'"):
+            BasicPredictor(PartialCascade("c", events, 2.0, 10), dyn)
+        assert BasicPredictor(PartialCascade("c", events[:1], 2.0, 10), dyn).final_size() == 1.0
+
+    def test_feature_table_without_model_columns_rejected(self):
+        features = FeatureMatrix(users=["fresh"], names=[], values=np.empty((1, 0)))
+        with pytest.raises(DataError, match="columns"):
+            ModelDynamics(self.make_model(), features)
+
+
+def oracle_params(model, features, user):
+    """The out-of-sample policy written per user, from the one-row regression."""
+    if user in model.user_params:
+        return model.user_params[user]
+    if model.kind == "weibull":
+        return mean_params(model)
+    if user not in features:
+        return median_params(model)
+    regressed = regress_out_of_sample(model, features.row(user))
+    shape = {"newer": regressed.shape, "cox": mean_params(model).shape,
+             "exponential": 1.0, "rayleigh": 2.0}[model.kind]
+    return WeibullParams(regressed.scale, shape)
+
+
+def random_world(seed, kind):
+    """A small cascade over users that are fitted, regressed from a feature
+    row (some with a row and a fit), or served by the fallback."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    users = [f"u{i}" for i in range(n)]
+    role = rng.integers(0, 3, size=n)  # 0 fitted, 1 feature row, 2 neither
+    role[0] = 0
+    with_row = [u for u, r in zip(users, role) if r == 1 or (r == 0 and rng.random() < 0.5)]
+    features = FeatureMatrix(users=with_row, names=["f1", "f2"],
+                             values=np.exp(rng.normal(0.0, 2.0, size=(len(with_row), 2))))
+    shared = float(rng.uniform(0.3, 3.0))
+    fitted = {u: WeibullParams(float(np.exp(rng.uniform(0, 9))),
+                               shared if kind == "cox" else float(rng.uniform(0.3, 3.0)))
+              for u, r in zip(users, role) if r == 0}
+    model = NewerModel(kind=kind, feature_names=["f1", "f2"], hyperparams=Hyperparams(),
+                       beta=rng.normal(3.0, 2.0, size=2), gamma=rng.normal(0.0, 0.5, size=2),
+                       user_params=fitted, user_events={u: 9 for u in fitted})
+    events = [CascadeEvent(users[0], None, 0.0)]
+    t = 0.0
+    for i in range(1, n):
+        t += float(rng.exponential(50.0))
+        events.append(CascadeEvent(users[i], users[int(rng.integers(0, i))], t))
+    pc = PartialCascade("w", events, t + float(rng.uniform(0, 50.0)), int(rng.integers(n, 500)))
+    return pc, model, features
+
+
+KINDS = st.sampled_from(["newer", "weibull", "exponential", "rayleigh", "cox"])
+
+
+class TestTableProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=KINDS)
+    def test_table_matches_per_user_dict(self, seed, kind):
+        pc, model, features = random_world(seed, kind)
+        dyn = ModelDynamics(model, features)
+        plain = {e.user: dyn(e.user) for e in pc.events}
+        for user, params in plain.items():
+            expected = oracle_params(model, features, user)
+            assert params.scale == pytest.approx(expected.scale, rel=1e-12)
+            assert params.shape == pytest.approx(expected.shape, rel=1e-12)
+        table, per_user = BasicPredictor(pc, dyn), BasicPredictor(pc, plain)
+        np.testing.assert_allclose(table.deathrate, per_user.deathrate, rtol=1e-12, atol=0.0)
+        assert table.final_size() == pytest.approx(per_user.final_size(), rel=1e-12)
+        for gap in (0.0, 1.0, 100.0, 1e4, 1e7):
+            t_e = pc.t_limit + gap
+            assert table.size_at(t_e) == pytest.approx(per_user.size_at(t_e), rel=1e-12)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), points=st.integers(0, 400))
+    def test_process_curve_equals_pointwise_queries(self, seed, points):
+        rng = np.random.default_rng(seed)
+        pc, dyn = random_partial_cascade(rng, n_users=int(rng.integers(1, 200)))
+        predictor = BasicPredictor(pc, dyn)
+        gaps = np.sort(rng.exponential(10 ** rng.uniform(0, 6), size=points))
+        if points and rng.random() < 0.5:
+            gaps[: int(rng.integers(1, points + 1))] = 0.0  # horizons at t_limit
+        grid = (pc.t_limit + gaps).tolist()
+        expected: list[float] = []
+        for t in grid:
+            expected.append(max(predictor.size_at(t), expected[-1]) if expected
+                            else predictor.size_at(t))
+        assert predictor.process_curve(grid).sizes == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), share=st.floats(0.0, 1.2))
+    def test_outbreak_matches_integer_second_scan(self, seed, share):
+        rng = np.random.default_rng(seed)
+        pc, dyn = random_partial_cascade(rng, n_users=int(rng.integers(1, 25)),
+                                         network_size=int(rng.integers(30, 300)))
+        predictor = BasicPredictor(pc, dyn)
+        final = predictor.final_size()
+        threshold = max(1, int(pc.size + share * (final - pc.size)))
+        span = int(rng.integers(0, 3000))
+        t_max = pc.t_limit + span
+        scan = next((pc.t_limit + d for d in range(span + 1)
+                     if predictor.size_at(pc.t_limit + d) >= threshold), None)
+        assert predictor.outbreak_time(threshold, t_max) == scan
+
 
 class TestPartialCascade:
     def test_first_events_includes_timestamp_ties(self):
@@ -415,3 +538,11 @@ class TestPredictionFiles:
         assert loaded[0]["curve"] == [[5.0, 4.0], [10.0, 8.0]]
         assert loaded[1]["outbreak_t"] is None
         assert loaded[1]["curve"] == []
+
+    def test_non_finite_value_refused(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        records = [{"cascade": "c1", "t_limit": 5.0, "final": 12.5},
+                   {"cascade": "c2", "t_limit": 1.0, "final": float("nan")}]
+        with pytest.raises(DataError, match="'c2'"):
+            write_predictions_jsonl(path, records)
+        assert "NaN" not in path.read_text(encoding="utf-8")

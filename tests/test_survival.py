@@ -75,6 +75,14 @@ class TestSurvival:
         vals = weibull_survival(p, ts)
         assert np.all(np.diff(vals) < 0)
 
+    def test_python_number_is_one_at_zero_and_refused_when_not_finite(self):
+        p = WeibullParams(3.7, 0.4)
+        assert weibull_survival(p, 0.0) == 1.0
+        assert weibull_survival(p, 0) == 1.0
+        for bad in (-1e-9, -5.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t >= 0"):
+                weibull_survival(p, bad)
+
 
 class TestHazard:
     def test_exponential_constant(self):
