@@ -43,12 +43,9 @@ from .predict import (
     BasicPredictor,
     ModelDynamics,
     PartialCascade,
+    PrefixBatch,
     ProcessCurve,
     SamplingPredictor,
-    predict_final_size,
-    predict_outbreak_time,
-    predict_process,
-    predict_size_basic,
 )
 from .simulate import SimConfig, gen_cascades, gen_network, gen_user_dynamics
 from .survival import (

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericsError
 from .features import Cascade, Network, extract_features, extract_subcascades
 from .fitting import (
     DEFAULT_HYPERPARAMS,
@@ -25,7 +25,7 @@ from .fitting import (
     Hyperparams,
     fit_model,
 )
-from .predict import BasicPredictor, ModelDynamics, PartialCascade, ProcessCurve
+from .predict import BasicPredictor, ModelDynamics, PartialCascade, PrefixBatch, ProcessCurve
 
 __all__ = [
     "PredictionRecord",
@@ -140,41 +140,59 @@ class LogLinearModel:
         self.weights = np.asarray(weights, dtype=float)
 
     @staticmethod
-    def design_row(cascade: Cascade, prefix: int, net: Network) -> np.ndarray:
-        events = cascade.events[:prefix]
-        t0 = events[0].t
-        duration = events[-1].t - t0 + 1.0
-        depth = {events[0].user: 0}
-        followers = []
-        for ev in events:
-            followers.append(net.follower_count(ev.user))
-            if ev.parent is not None:
-                depth[ev.user] = depth[ev.parent] + 1
-        depths = [depth[ev.user] for ev in events[1:]]
-        row = [
-            float(prefix),
+    def design_rows(cascades: Sequence[Cascade], prefix: int, net: Network) -> np.ndarray:
+        """``design_row`` of every cascade, one row each, in one pass over
+        the cascades' cached arrays."""
+        cascades = list(cascades)
+        if not cascades:
+            return np.empty((0, len(LogLinearModel.FEATURES)))
+        lengths = np.array([min(prefix, c.size) for c in cascades], dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        times = np.concatenate([c.times[:prefix] for c in cascades])
+        depths = np.concatenate([c.depths[:prefix] for c in cascades])
+        index = net.index
+        rows = np.array([index[ev.user] for c in cascades for ev in c.events[:prefix]],
+                        dtype=np.intp)
+        followers = net.follower_ptr[rows + 1] - net.follower_ptr[rows]
+        duration = times[starts + lengths - 1] - times[starts] + 1.0
+        # the root has depth 0, so the depth sums and maxima run over the
+        # later events alone; a one-event prefix has neither
+        later = lengths - 1
+        mean_depth = np.divide(np.add.reduceat(depths, starts), later,
+                               out=np.zeros(len(cascades)), where=later > 0)
+        return np.log(np.column_stack([
+            np.full(len(cascades), float(prefix)),
             prefix / duration,
-            net.follower_count(events[0].user) + 1.0,
-            float(np.mean(followers)) + 1.0,
-            (max(depths) if depths else 0) + 1.0,
-            (float(np.mean(depths)) if depths else 0.0) + 1.0,
-        ]
-        return np.log(row)
+            followers[starts] + 1.0,
+            np.add.reduceat(followers, starts) / lengths + 1.0,
+            np.maximum.reduceat(depths, starts) + 1.0,
+            mean_depth + 1.0,
+        ]))
+
+    @staticmethod
+    def design_row(cascade: Cascade, prefix: int, net: Network) -> np.ndarray:
+        """Log features of the cascade's first ``prefix`` events."""
+        return LogLinearModel.design_rows([cascade], prefix, net)[0]
 
     @classmethod
     def fit(cls, cascades: Sequence[Cascade], prefix: int, net: Network) -> "LogLinearModel":
         usable = [c for c in cascades if c.size > prefix]
         if not usable:
             raise DataError(f"no training cascade is larger than prefix {prefix}")
-        rows = np.stack([cls.design_row(c, prefix, net) for c in usable])
-        design = np.column_stack([rows, np.ones(len(usable))])
+        design = np.column_stack([cls.design_rows(usable, prefix, net), np.ones(len(usable))])
         y = np.log([c.size for c in usable])
         w, *_ = np.linalg.lstsq(design, y, rcond=None)
         return cls(w)
 
+    def predict_finals(self, cascades: Sequence[Cascade], prefix: int,
+                       net: Network) -> np.ndarray:
+        """Predicted final size of every cascade, floored at ``prefix``."""
+        rows = self.design_rows(cascades, prefix, net)
+        design = np.column_stack([rows, np.ones(len(rows))])
+        return np.maximum(np.exp(design @ self.weights), float(prefix))
+
     def predict_final(self, cascade: Cascade, prefix: int, net: Network) -> float:
-        row = np.append(self.design_row(cascade, prefix, net), 1.0)
-        return max(float(np.exp(row @ self.weights)), float(prefix))
+        return float(self.predict_finals([cascade], prefix, net)[0])
 
 
 @dataclass
@@ -234,6 +252,23 @@ def _aggregate(records: dict[tuple[str, object], list[PredictionRecord]],
     return rows
 
 
+def _check_against_reference(batch: PrefixBatch, scored: list[tuple[Cascade, int]],
+                             sizes: list[float], dynamics: ModelDynamics,
+                             network_size: int) -> None:
+    """Recompute the batch's longest prefix with ``BasicPredictor``, the
+    per-cascade reference, and refuse a batched final size that differs by
+    more than summation rounding."""
+    if not scored:
+        return
+    j = int(np.argmax(batch.lengths))
+    cascade, count = scored[j]
+    pc = PartialCascade.first_events(cascade, count, network_size)
+    reference = BasicPredictor(pc, dynamics).final_size()
+    if not math.isclose(sizes[j], reference, rel_tol=1e-9):
+        raise NumericsError(f"batched final size {sizes[j]} of cascade {cascade.cascade_id!r} "
+                            f"differs from the predictor's {reference}")
+
+
 def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                    models: Sequence[str] = ("newer", "exponential", "rayleigh", "cox"),
                    *, folds: int = 10, prefix_sizes: Sequence[int] = (5, 10, 25),
@@ -249,6 +284,11 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
     fold against models fitted on the others. ``out_of_sample`` fits once on
     every cascade with some users' samples hidden, and scores the prefixes
     holding a hidden user. Only ``size`` scores ``loglinear``.
+
+    The final-size protocols (``size``, ``out_of_sample``) score each split
+    in array passes: one ``PrefixBatch.final_sizes`` per model and one
+    ``LogLinearModel.predict_finals`` per prefix size. ``outbreak`` and
+    ``process`` build one ``BasicPredictor`` per observation.
     """
     if protocol not in PROTOCOLS:
         raise DataError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -291,8 +331,8 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                    [c for i, c in enumerate(cascades) if i in held], None) for held in held_out]
 
     def observations(cascade: Cascade):
-        """(sweep, observed part, truth) for each point the protocol scores
-        on one test cascade."""
+        """(sweep, observed part, truth) for each point the outbreak or the
+        process protocol scores on one test cascade."""
         t0, t_end = cascade.root.t, cascade.events[-1].t
         if protocol == "process":
             if t_end <= t0:
@@ -303,18 +343,19 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                 truth = ProcessCurve(times=grid, sizes=[float(cascade.size_at(t)) for t in grid])
                 yield frac, PartialCascade.from_cascade(cascade, t_lim, net.n_nodes), truth
             return
-        if protocol == "outbreak":
-            if cascade.size < outbreak_threshold:
-                return
-            truth = cascade.events[outbreak_threshold - 1].t - t0 + 1.0
-        else:
-            truth = float(cascade.size)
+        if cascade.size < outbreak_threshold:
+            return
+        truth = cascade.events[outbreak_threshold - 1].t - t0 + 1.0
         for s in prefix_sizes:
-            if cascade.size <= s or (protocol == "outbreak" and s >= outbreak_threshold):
-                continue
-            if protocol == "out_of_sample" and not ({e.user for e in cascade.events[:s]} & hidden):
-                continue
-            yield s, PartialCascade.first_events(cascade, s, net.n_nodes), truth
+            if cascade.size > s and s < outbreak_threshold:
+                yield s, PartialCascade.first_events(cascade, s, net.n_nodes), truth
+
+    def scored_prefixes(test: list[Cascade]) -> list[tuple[Cascade, int]]:
+        """(cascade, prefix size) of each final size the size or the
+        out_of_sample protocol scores, in cascade then sweep order."""
+        return [(cascade, s) for cascade in test for s in prefix_sizes
+                if cascade.size > s and (protocol == "size"
+                                         or {e.user for e in cascade.events[:s]} & hidden)]
 
     records: dict[tuple[str, object], list[PredictionRecord]] = {}
     precisions: dict[tuple[str, object], list[float]] = {}
@@ -326,6 +367,22 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                   for kind in kinds}
         loglinear = ({s: LogLinearModel.fit(train, s, net) for s in prefix_sizes}
                      if with_loglinear else {})
+        if protocol in ("size", "out_of_sample"):
+            # final sizes: one batched pass per model over every scored prefix
+            scored = scored_prefixes(test)
+            batch = PrefixBatch(scored, net.n_nodes)
+            for kind, dyn in fitted.items():
+                sizes = batch.final_sizes(dyn).tolist()
+                _check_against_reference(batch, scored, sizes, dyn, net.n_nodes)
+                for (cascade, s), size in zip(scored, sizes):
+                    records.setdefault((kind, s), []).append(
+                        PredictionRecord(cascade.cascade_id, float(cascade.size), size))
+            for s, model in loglinear.items():
+                cs = [cascade for cascade, sweep in scored if sweep == s]
+                for cascade, size in zip(cs, model.predict_finals(cs, s, net).tolist()):
+                    records.setdefault(("loglinear", s), []).append(
+                        PredictionRecord(cascade.cascade_id, float(cascade.size), size))
+            continue
         for cascade in test:
             cid = cascade.cascade_id
             for sweep, pc, truth in observations(cascade):
@@ -340,17 +397,12 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                             pred_t = t_max  # "never" capped at the search horizon
                         recs.append(PredictionRecord(cid, truth, pred_t - t0 + 1.0,
                                                      task="outbreak"))
-                    elif protocol == "process":
+                    else:
                         curve = predictor.process_curve(truth.times)
                         precisions.setdefault((kind, sweep), []).append(
                             process_precision(curve, truth, sigma))
                         recs.extend(PredictionRecord(cid, tr, p, task="process-point")
                                     for p, tr in zip(curve.sizes, truth.sizes))
-                    else:
-                        recs.append(PredictionRecord(cid, truth, predictor.final_size()))
-                if with_loglinear:
-                    records.setdefault(("loglinear", sweep), []).append(PredictionRecord(
-                        cid, truth, loglinear[sweep].predict_final(cascade, sweep, net)))
     if not records:
         if protocol == "out_of_sample":
             raise DataError("no test cascade contains a hidden user in its prefix")

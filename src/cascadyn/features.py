@@ -11,7 +11,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "extract_subcascades",
     "extract_features",
     "filter_cascades",
+    "flatten_prefixes",
     "read_network_csv",
     "write_network_csv",
     "read_cascades_jsonl",
@@ -51,7 +53,7 @@ FEATURE_SCHEMA = (
 SECONDS_PER_DAY = 86400.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeEvent:
     user: str
     parent: str | None
@@ -99,6 +101,34 @@ class Cascade:
     def root(self) -> CascadeEvent:
         return self.events[0]
 
+    @cached_property
+    def times(self) -> np.ndarray:
+        """Timestamp of each event, in event order (float64, read-only)."""
+        return _read_only(np.fromiter((ev.t for ev in self.events), dtype=float,
+                                      count=len(self.events)))
+
+    @cached_property
+    def parent_positions(self) -> np.ndarray:
+        """Position in ``events`` of each event's parent, -1 for the root
+        (int32, read-only). A parent always precedes its child."""
+        position = {ev.user: i for i, ev in enumerate(self.events)}
+        out = np.empty(len(self.events), dtype=np.int32)
+        out[0] = -1
+        try:
+            out[1:] = [position[ev.parent] for ev in self.events[1:]]
+        except KeyError:
+            bad = next(ev.parent for ev in self.events[1:] if ev.parent not in position)
+            raise DataError(f"cascade {self.cascade_id!r}: unknown parent {bad!r}") from None
+        return _read_only(out)
+
+    @cached_property
+    def depths(self) -> np.ndarray:
+        """Hops from the root to each event, 0 for the root (int32, read-only)."""
+        depths = [0] * len(self.events)
+        for i, p in enumerate(self.parent_positions.tolist()[1:], start=1):
+            depths[i] = depths[p] + 1
+        return _read_only(np.array(depths, dtype=np.int32))
+
     def size_at(self, t: float) -> int:
         """Number of events with timestamp <= t."""
         count = 0
@@ -111,12 +141,25 @@ class Cascade:
 
 @dataclass
 class Network:
-    """Directed follower graph; an edge (a, b) means a follows b."""
+    """Directed follower graph; an edge (a, b) means a follows b.
+
+    Nodes and deduplicated edges are kept sorted by name. Besides the name
+    lists in ``followers`` and ``followees``, the graph is held as CSR
+    arrays over node rows (the position in ``nodes``, found by ``index``):
+    the followers of node row i are rows ``follower_idx[follower_ptr[i]:
+    follower_ptr[i + 1]]``, ascending, and likewise for ``followee_ptr`` and
+    ``followee_idx``. All four are int32 and read-only.
+    """
 
     nodes: list[str]
     edges: list[tuple[str, str]]
     followers: dict[str, list[str]] = field(init=False)
     followees: dict[str, list[str]] = field(init=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    follower_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    follower_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    followee_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    followee_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         node_set = set(self.nodes)
@@ -127,13 +170,20 @@ class Network:
                 raise DataError(f"edge ({a!r}, {b!r}) references unknown node")
         if not node_set:
             raise DataError("network must have at least one node")
-        self.nodes = sorted(node_set)
-        self.followers = {u: [] for u in self.nodes}
-        self.followees = {u: [] for u in self.nodes}
-        for a, b in sorted(set(self.edges)):
-            self.followers[b].append(a)
-            self.followees[a].append(b)
-        self.edges = sorted(set(self.edges))
+        nodes = self.nodes = sorted(node_set)
+        edges = self.edges = sorted(set(self.edges))
+        index = self.index = {u: i for i, u in enumerate(nodes)}
+        # rows follow name order, so the sorted edges are sorted by
+        # (follower row, followee row): grouped by follower already
+        src = np.fromiter((index[a] for a, _ in edges), dtype=np.int32, count=len(edges))
+        dst = np.fromiter((index[b] for _, b in edges), dtype=np.int32, count=len(edges))
+        by_followee = np.argsort(dst, kind="stable")
+        self.followee_ptr = _offsets(src, len(nodes))
+        self.followee_idx = _read_only(dst)
+        self.follower_ptr = _offsets(dst, len(nodes))
+        self.follower_idx = _read_only(src[by_followee])
+        self.followers = _name_lists(nodes, self.follower_idx, self.follower_ptr)
+        self.followees = _name_lists(nodes, self.followee_idx, self.followee_ptr)
 
     @property
     def n_nodes(self) -> int:
@@ -141,6 +191,30 @@ class Network:
 
     def follower_count(self, user: str) -> int:
         return len(self.followers[user])
+
+    @property
+    def follower_counts(self) -> np.ndarray:
+        """Follower count of every node row."""
+        return np.diff(self.follower_ptr)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of ``rows`` sorted ascending: entries of row i lie at
+    ``[ptr[i], ptr[i + 1])``."""
+    ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return _read_only(ptr)
+
+
+def _name_lists(nodes: list[str], idx: np.ndarray, ptr: np.ndarray) -> dict[str, list[str]]:
+    names = [nodes[j] for j in idx.tolist()]
+    bounds = ptr.tolist()
+    return {u: names[bounds[i]:bounds[i + 1]] for i, u in enumerate(nodes)}
 
 
 def filter_cascades(cascades: Iterable[Cascade], min_size: int = 5) -> list[Cascade]:
@@ -150,25 +224,59 @@ def filter_cascades(cascades: Iterable[Cascade], min_size: int = 5) -> list[Casc
     return [c for c in cascades if c.size >= min_size]
 
 
+def flatten_prefixes(cascades: Sequence[Cascade],
+                     lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Times and parent positions of the first ``lengths[j]`` events of each
+    cascade j (every event by default), laid end to end; parent positions
+    index the concatenation, and -1 marks a root."""
+    if lengths is None:
+        lengths = np.fromiter((c.size for c in cascades), dtype=np.intp, count=len(cascades))
+    if not len(cascades):
+        return np.empty(0), np.empty(0, dtype=np.intp)
+    counts = lengths.tolist()
+    times = np.concatenate([c.times[:k] for c, k in zip(cascades, counts)])
+    parents = np.concatenate([c.parent_positions[:k] for c, k in zip(cascades, counts)])
+    parents = parents.astype(np.intp)
+    child = parents >= 0
+    parents[child] += np.repeat(np.cumsum(lengths) - lengths, lengths)[child]
+    return times, parents
+
+
 def extract_subcascades(cascades: Iterable[Cascade],
                         shift: float = DELAY_SHIFT) -> dict[str, SubcascadeSample]:
     """Per-user response delays: for every non-root event, the gap between
     child and parent timestamps plus the shift, attributed to the parent."""
-    delays: dict[str, list[float]] = {}
-    for cascade in cascades:
-        join_time = {}
-        for ev in cascade.events:
-            if ev.parent is not None:
-                if ev.parent not in join_time:
-                    raise DataError(
-                        f"cascade {cascade.cascade_id!r}: unknown parent {ev.parent!r}"
-                    )
-                delays.setdefault(ev.parent, []).append(ev.t - join_time[ev.parent] + shift)
-            join_time[ev.user] = ev.t
-    return {
-        u: SubcascadeSample(user=u, delays=np.asarray(sorted(ds)))
-        for u, ds in sorted(delays.items())
-    }
+    cascades = list(cascades)
+    times, parents = flatten_prefixes(cascades)
+    child = np.flatnonzero(parents >= 0)
+    if not child.size:
+        return {}
+    owner = parents[child]
+    delays = times[child] - times[owner] + shift
+    owner_rows, owner_of = np.unique(owner, return_inverse=True)
+    users = [ev.user for c in cascades for ev in c.events]
+    owner_names = [users[i] for i in owner_rows.tolist()]
+    names = sorted(set(owner_names))
+    user_id = {u: i for i, u in enumerate(names)}
+    sample_of = np.array([user_id[u] for u in owner_names], dtype=np.intp)[owner_of]
+    # group by user in name order; each sample sorts its own delays
+    delays = delays[np.argsort(sample_of, kind="stable")]
+    bounds = np.cumsum(np.bincount(sample_of, minlength=len(names)))[:-1]
+    return {u: SubcascadeSample(user=u, delays=d)
+            for u, d in zip(names, np.split(delays, bounds))}
+
+
+def _user_rows(net: Network, cascades: Sequence[Cascade]) -> np.ndarray:
+    """Network row of every event's user, cascades concatenated in order."""
+    index = net.index
+    try:
+        return np.fromiter((index[ev.user] for c in cascades for ev in c.events), dtype=np.intp,
+                           count=sum(c.size for c in cascades))
+    except KeyError:
+        cascade, ev = next((c, ev) for c in cascades for ev in c.events if ev.user not in index)
+        raise DataError(
+            f"cascade {cascade.cascade_id!r}: user {ev.user!r} absent from network"
+        ) from None
 
 
 def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix:
@@ -179,54 +287,44 @@ def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix
     more to a user's observed dynamics.
     """
     cascades = list(cascades)
-    posts_made: dict[str, int] = {u: 0 for u in net.nodes}
-    retweets_made: dict[str, int] = {u: 0 for u in net.nodes}
-    children: dict[str, int] = {u: 0 for u in net.nodes}
-    t_min, t_max = math.inf, -math.inf
-    for cascade in cascades:
-        for ev in cascade.events:
-            if ev.user not in posts_made:
-                raise DataError(
-                    f"cascade {cascade.cascade_id!r}: user {ev.user!r} absent from network"
-                )
-            posts_made[ev.user] += 1
-            t_min = min(t_min, ev.t)
-            t_max = max(t_max, ev.t)
-            if ev.parent is not None:
-                retweets_made[ev.user] += 1
-                children[ev.parent] += 1
-    window_days = max((t_max - t_min) / SECONDS_PER_DAY, 1.0) if cascades else 1.0
+    n = net.n_nodes
+    rows = _user_rows(net, cascades)
+    times, parents = flatten_prefixes(cascades)
+    child = parents >= 0
+    posts_made = np.bincount(rows, minlength=n)
+    retweets_made = np.bincount(rows[child], minlength=n)
+    children = np.bincount(rows[parents[child]], minlength=n)
+    window_days = (max((times.max() - times.min()) / SECONDS_PER_DAY, 1.0)
+                   if cascades else 1.0)
 
-    posts_received = {
-        u: float(sum(posts_made[v] for v in net.followees[u])) for u in net.nodes
-    }
-    inflow_rate = {u: posts_received[u] / window_days for u in net.nodes}
-    retweet_rate = {
-        u: retweets_made[u] / max(posts_received[u], 1.0) for u in net.nodes
-    }
+    # a node receives the posts of everyone it follows
+    follower_rows = np.repeat(np.arange(n), np.diff(net.followee_ptr))
+    posts_received = np.bincount(follower_rows, weights=posts_made[net.followee_idx],
+                                 minlength=n)
+    retweet_rate = retweets_made / np.maximum(posts_received, 1.0)
 
-    rows = np.empty((net.n_nodes, len(FEATURE_SCHEMA)))
-    for i, u in enumerate(net.nodes):
-        fol = net.followers[u]
-        if fol:
-            weights = np.array([retweets_made[f] + 1.0 for f in fol])
-            weights /= weights.sum()
-            avg_fol_fol = float(weights @ [float(len(net.followers[f])) for f in fol])
-            avg_inflow = float(weights @ [inflow_rate[f] for f in fol])
-            avg_rt_rate = float(weights @ [retweet_rate[f] for f in fol])
-        else:
-            avg_fol_fol = avg_inflow = avg_rt_rate = 0.0
-        n_sub = posts_made[u]
-        avg_sub_size = children[u] / n_sub if n_sub else 0.0
-        rows[i] = (
-            len(fol) + 1.0,
-            avg_fol_fol + 1.0,
-            avg_inflow + 1.0,
-            avg_rt_rate + 1.0,
-            n_sub + 1.0,
-            avg_sub_size + 1.0,
-        )
-    return FeatureMatrix(users=list(net.nodes), names=list(FEATURE_SCHEMA), values=rows)
+    # follower aggregates: each node's mean over its followers f, weighted by
+    # retweets_made[f] + 1; the integer-valued sums are exact in float64
+    fol = net.follower_idx
+    followee_rows = np.repeat(np.arange(n), np.diff(net.follower_ptr))
+    weights = retweets_made[fol] + 1.0
+    total = np.bincount(followee_rows, weights=weights, minlength=n)
+    total[total == 0.0] = 1.0  # no followers: every weighted sum is 0
+    follower_counts = net.follower_counts
+
+    def weighted(values: np.ndarray) -> np.ndarray:
+        return np.bincount(followee_rows, weights=weights * values[fol], minlength=n) / total
+
+    avg_sub_size = np.divide(children, posts_made, out=np.zeros(n), where=posts_made > 0)
+    values = np.column_stack([
+        follower_counts,
+        weighted(follower_counts),
+        weighted(posts_received) / window_days,
+        weighted(retweet_rate),
+        posts_made,
+        avg_sub_size,
+    ]) + 1.0
+    return FeatureMatrix(users=list(net.nodes), names=list(FEATURE_SCHEMA), values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,8 @@ class SubcascadeSample:
         d = np.sort(np.asarray(self.delays, dtype=float))
         if d.size == 0:
             raise DataError(f"user {self.user!r} has an empty delay sample")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0):
+        # sorted, so the ends decide: NaN and +inf sort last, -inf and 0 first
+        if not (d[0] > 0 and math.isfinite(d[-1])):
             raise DataError(f"user {self.user!r} has nonpositive or non-finite delays")
         self.delays = d
 
@@ -189,6 +190,9 @@ class NewerModel:
         r = len(self.feature_names)
         if self.beta.shape != (r,) or self.gamma.shape != (r,):
             raise DataError("beta/gamma length must equal the feature schema length")
+        for name, coef in (("beta", self.beta), ("gamma", self.gamma)):
+            if not np.all(np.isfinite(coef)):
+                raise DataError(f"{name} must be finite, got {coef.tolist()}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,8 +230,14 @@ class NewerModel:
             raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
         try:
             hp = Hyperparams(**doc["hyperparams"])
-            users = {rec["id"]: WeibullParams(rec["lambda"], rec["k"]) for rec in doc["users"]}
-            events = {rec["id"]: int(rec["n_events"]) for rec in doc["users"]}
+            users, events = {}, {}
+            for rec in doc["users"]:
+                user = rec["id"]
+                try:
+                    users[user] = WeibullParams(rec["lambda"], rec["k"])
+                    events[user] = int(rec["n_events"])
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"bad record for user {user!r}: {exc}") from None
             return cls(
                 kind=doc.get("kind", "newer"),
                 feature_names=list(doc["feature_names"]),
@@ -240,6 +250,8 @@ class NewerModel:
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"model file {path} is missing field: {exc}") from exc
+        except ValueError as exc:  # DataError included
+            raise DataError(f"model file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .features import Cascade, CascadeEvent, DELAY_SHIFT
+from .features import DELAY_SHIFT, Cascade, CascadeEvent, flatten_prefixes
 from .fitting import FeatureMatrix, NewerModel, mean_params, median_params, regress_params
 from .survival import _EXP_CLAMP, WeibullParams, weibull_survival, weibull_survival_inverse
 
@@ -36,10 +36,7 @@ __all__ = [
     "BasicPredictor",
     "SamplingPredictor",
     "ModelDynamics",
-    "predict_size_basic",
-    "predict_final_size",
-    "predict_outbreak_time",
-    "predict_process",
+    "PrefixBatch",
     "write_predictions_jsonl",
     "read_predictions_jsonl",
     "DEFAULT_SEARCH_WINDOW",
@@ -145,7 +142,8 @@ class ModelDynamics:
     The policy is applied once, at construction, into one table of scales
     and shapes: a row per feature-matrix user (keyed by the matrix's own
     index), a row per fitted user the matrix lacks, and a last row for every
-    other user. A row no source covers holds NaN and is refused on lookup.
+    other user. A row no source covers is marked in ``_covered`` and refused
+    on lookup.
     """
 
     def __init__(self, model: NewerModel, features: FeatureMatrix | None = None,
@@ -171,12 +169,14 @@ class ModelDynamics:
             index.update((u, n_features + i) for i, u in enumerate(extra))
         self._index = index
         self._other = len(index)  # the row of users outside the index
-        scales = np.full(len(index) + 1, np.nan)
-        shapes = np.full(len(index) + 1, np.nan)
+        scales = np.ones(len(index) + 1)
+        shapes = np.ones(len(index) + 1)
+        covered = np.zeros(len(index) + 1, dtype=bool)
         mean = mean_params(model) if model.user_params else None
         if model.kind == "weibull":
             if mean is not None:
                 scales[:], shapes[:] = mean.scale, mean.shape
+                covered[:] = True
         elif features is not None and model.feature_names and n_features:
             scales[:n_features], regressed_shapes = regress_params(model, features.log_values)
             if model.kind == "cox":
@@ -187,32 +187,42 @@ class ModelDynamics:
                 shapes[:n_features] = 2.0
             else:
                 shapes[:n_features] = regressed_shapes
+            covered[:n_features] = True
         if self.fallback is not None:
-            uncovered = np.isnan(scales)
-            scales[uncovered], shapes[uncovered] = self.fallback.scale, self.fallback.shape
+            scales[~covered], shapes[~covered] = self.fallback.scale, self.fallback.shape
+            covered[:] = True
         if model.user_params:
             rows = [index[u] for u in model.user_params]
             params = model.user_params.values()
             scales[rows] = [p.scale for p in params]
             shapes[rows] = [p.shape for p in params]
-        self._scales, self._shapes = scales, shapes
+            covered[rows] = True
+        self._scales, self._shapes, self._covered = scales, shapes, covered
+        self._all_covered = bool(covered.all())  # always so when there is a fallback
 
     def __call__(self, user: str) -> WeibullParams:
         row = self._index.get(user, self._other)
-        scale = self._scales[row]
-        if scale != scale:  # NaN: no source covers this user
+        if not self._covered[row]:
             raise DataError(f"no behavioral dynamics for observed user {user!r}")
-        return WeibullParams(float(scale), float(self._shapes[row]))
+        return WeibullParams(float(self._scales[row]), float(self._shapes[row]))
+
+    def _rows(self, users: Sequence[str]) -> np.ndarray:
+        """The table row of each of ``users``."""
+        index, other = self._index, self._other
+        return np.fromiter((index.get(u, other) for u in users), dtype=np.intp, count=len(users))
+
+    def _refuse_uncovered(self, rows: np.ndarray, users: Sequence[str]) -> None:
+        if self._all_covered:
+            return
+        missing = np.flatnonzero(~self._covered[rows])
+        if missing.size:
+            raise DataError(f"no behavioral dynamics for observed user {users[missing[0]]!r}")
 
     def gather(self, users: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Scales and shapes of ``users``, one table row each."""
-        index, other = self._index, self._other
-        rows = np.fromiter((index.get(u, other) for u in users), dtype=np.intp, count=len(users))
-        scales = self._scales[rows]
-        missing = np.flatnonzero(np.isnan(scales))
-        if missing.size:
-            raise DataError(f"no behavioral dynamics for observed user {users[missing[0]]!r}")
-        return scales, self._shapes[rows]
+        rows = self._rows(users)
+        self._refuse_uncovered(rows, users)
+        return self._scales[rows], self._shapes[rows]
 
 
 def _rates(t0, shapes, log_scales, floor, t_e, out):
@@ -376,21 +386,63 @@ class BasicPredictor:
         return ProcessCurve(times=grid, sizes=sizes)
 
 
-def predict_size_basic(pc: PartialCascade, dynamics, t_e: float) -> float:
-    return BasicPredictor(pc, dynamics).size_at(t_e)
+class PrefixBatch:
+    """The observed prefixes of many cascades, flattened so that one pass per
+    model gives every prefix's final size.
 
+    Prefix j is the first ``count`` events of its cascade plus every later
+    event tied with the cut, as ``PartialCascade.first_events`` observes it;
+    ``t_limit`` is the cut's timestamp. The rows of all prefixes are sliced
+    from each cascade's cached arrays and laid end to end: ``users`` (names),
+    and, for the rows with replies only, the join time minus ``time_shift``,
+    the reply count, the prefix's ``t_limit`` and the prefix the row belongs
+    to. ``final_sizes`` resolves ``users`` to table rows once per table index,
+    which every ``ModelDynamics`` built on one feature matrix shares, takes
+    each replying row's deathrate with the kernel ``BasicPredictor`` uses,
+    and sums each prefix with ``np.bincount``. The deathrates are bit for bit
+    those of ``BasicPredictor``; only the order of the final sum differs.
+    """
 
-def predict_final_size(pc: PartialCascade, dynamics) -> float:
-    return BasicPredictor(pc, dynamics).final_size()
+    def __init__(self, prefixes: Sequence[tuple[Cascade, int]], network_size: int, *,
+                 time_shift: float = DELAY_SHIFT):
+        if network_size < 1:
+            raise DataError("network size must be >= 1")
+        self.floor = 1.0 / network_size
+        self.size = len(prefixes)
+        self.lengths = lengths = np.zeros(self.size, dtype=np.intp)  # observed rows
+        t_limits = np.zeros(self.size)
+        for j, (cascade, count) in enumerate(prefixes):
+            if count < 1 or count > cascade.size:
+                raise DataError(f"cannot observe {count} events of a size-{cascade.size} cascade")
+            times = cascade.times
+            t_limits[j] = times[count - 1]
+            lengths[j] = np.searchsorted(times, t_limits[j], side="right")
+        cascades = [cascade for cascade, _ in prefixes]
+        self.users = [ev.user for cascade, k in zip(cascades, lengths.tolist())
+                      for ev in cascade.events[:k]]
+        prefix_of = np.repeat(np.arange(self.size), lengths)
+        t_join, parents = flatten_prefixes(cascades, lengths)
+        replynum = np.bincount(parents[parents >= 0], minlength=len(t_join))
+        self._replying = np.flatnonzero(replynum)
+        self._t0 = t_join[self._replying] - time_shift
+        self._replynum = replynum[self._replying].astype(float)
+        self._t_limit = t_limits[prefix_of[self._replying]]
+        self._prefix_of = prefix_of[self._replying]
+        self._table_index = self._table_rows = None
 
-
-def predict_outbreak_time(pc: PartialCascade, dynamics, threshold_size: int,
-                          t_max: float | None = None) -> float | None:
-    return BasicPredictor(pc, dynamics).outbreak_time(threshold_size, t_max)
-
-
-def predict_process(pc: PartialCascade, dynamics, grid: Sequence[float]) -> ProcessCurve:
-    return BasicPredictor(pc, dynamics).process_curve(grid)
+    def final_sizes(self, dynamics: ModelDynamics) -> np.ndarray:
+        """Each prefix's ``BasicPredictor(pc, dynamics).final_size()``."""
+        if self._table_index is not dynamics._index:
+            self._table_index, self._table_rows = dynamics._index, dynamics._rows(self.users)
+        dynamics._refuse_uncovered(self._table_rows, self.users)
+        rows = self._table_rows[self._replying]
+        deathrate = np.empty_like(self._t0)
+        # a reply at the cut with time_shift 0 gives an elapsed time of 0
+        with np.errstate(divide="ignore"):
+            _rates(self._t0, dynamics._shapes[rows], np.log(dynamics._scales[rows]),
+                   self.floor, self._t_limit, deathrate)
+        return 1.0 + np.bincount(self._prefix_of, weights=self._replynum / deathrate,
+                                 minlength=self.size)
 
 
 # ---------------------------------------------------------------------------

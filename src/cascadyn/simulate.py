@@ -161,11 +161,13 @@ def _generation_features(net: Network) -> "np.ndarray":
     """Network-only covariates aligned to the feature schema; history columns
     sit at their smoothed floor of 1 (log 0 contribution)."""
     rows = np.ones((net.n_nodes, len(FEATURE_SCHEMA)))
-    for i, u in enumerate(net.nodes):
-        fol = net.followers[u]
-        rows[i, 0] = len(fol) + 1.0
-        if fol:
-            rows[i, 1] = float(np.mean([len(net.followers[f]) for f in fol])) + 1.0
+    counts = net.follower_counts
+    followee_rows = np.repeat(np.arange(net.n_nodes), counts)
+    # integer sums are exact in float64, so no mean depends on summation order
+    sums = np.bincount(followee_rows, weights=counts[net.follower_idx], minlength=net.n_nodes)
+    rows[:, 0] = counts + 1.0
+    has = counts > 0
+    rows[has, 1] = sums[has] / counts[has] + 1.0
     return rows
 
 
@@ -201,7 +203,7 @@ def _retweet_probs(net: Network, cfg: SimConfig) -> dict[str, float]:
     if cfg.retweet_prob is not None:
         base = np.full(net.n_nodes, cfg.retweet_prob)
     else:
-        counts = np.array([len(net.followers[u]) for u in net.nodes], dtype=float)
+        counts = net.follower_counts.astype(float)
         base = cfg.retweet_scale / np.sqrt(counts + 1.0)
     if cfg.retweet_noise_sigma > 0:
         rng = np.random.default_rng([cfg.seed, 4])
@@ -220,7 +222,7 @@ def gen_cascades(net: Network, cfg: SimConfig,
     probs = _retweet_probs(net, cfg)
     root_rng = np.random.default_rng([cfg.seed, 1])
     if cfg.root_weighting == "followers":
-        weights = np.array([net.follower_count(u) + 1.0 for u in net.nodes])
+        weights = net.follower_counts + 1.0
         weights /= weights.sum()
         roots = root_rng.choice(net.nodes, size=cfg.n_cascades, replace=True, p=weights)
     else:

@@ -171,6 +171,20 @@ class TestPredictCommand:
                    "--out", str(tmp_path / "x.jsonl"),
                    "--observe-frac", "0.5", "--observe-count", "3") == 1
 
+    def test_bad_user_record_names_model_file_and_user(self, sim_dir, fit_dir, tmp_path,
+                                                       capsys):
+        doc = json.loads((fit_dir / "model.json").read_text(encoding="utf-8"))
+        doc["users"][0]["lambda"] = float("inf")
+        user = doc["users"][0]["id"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")  # writes Infinity
+        assert run("predict", "--model", str(model),
+                   "--network", str(sim_dir / "network.csv"),
+                   "--cascades", str(sim_dir / "cascades.jsonl"),
+                   "--out", str(tmp_path / "x.jsonl")) == 1
+        err = capsys.readouterr().err
+        assert str(model) in err and repr(user) in err and "got inf" in err
+
     def test_swapped_feature_columns_rejected(self, sim_dir, fit_dir, tmp_path):
         with open(fit_dir / "features.csv", newline="") as fh:
             rows = list(csv.reader(fh))

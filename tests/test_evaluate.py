@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadyn.errors import DataError
+import cascadyn.evaluate as evaluate
+from cascadyn.errors import DataError, NumericsError
 from cascadyn.evaluate import (
     LogLinearModel,
     PredictionRecord,
@@ -19,8 +20,9 @@ from cascadyn.evaluate import (
 )
 from cascadyn.features import Cascade, CascadeEvent, Network, extract_subcascades
 from cascadyn.fitting import FitOptions
-from cascadyn.predict import ProcessCurve
+from cascadyn.predict import BasicPredictor, PartialCascade, ProcessCurve
 from cascadyn.simulate import SimConfig, gen_cascades, gen_network
+from worlds import oracle_design_row, worlds
 
 
 def rec(pred, truth, cid="c"):
@@ -234,6 +236,34 @@ class TestLogLinear:
         records = [rec(p, t, cid=str(i)) for i, (p, t) in enumerate(zip(preds, truth))]
         assert rmsle(records) < 0.05
 
+    @settings(max_examples=150, deadline=None)
+    @given(world=worlds(), prefix=st.integers(1, 14))
+    def test_design_rows_match_oracle(self, world, prefix):
+        nodes, edges, cascades = world
+        if not cascades:
+            return
+        net = Network(nodes=nodes, edges=edges)
+        expected = np.stack([oracle_design_row(c, prefix, net) for c in cascades])
+        np.testing.assert_allclose(LogLinearModel.design_rows(cascades, prefix, net), expected,
+                                   rtol=1e-12, atol=0.0)
+        for c, row in zip(cascades, expected):
+            np.testing.assert_allclose(LogLinearModel.design_row(c, prefix, net), row,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_batched_predictions_match_per_cascade(self):
+        rng = np.random.default_rng(5)
+        nodes = ["r"] + [f"u{i}" for i in range(1, 60)]
+        net = Network(nodes=nodes, edges=[(u, "r") for u in nodes[1:]])
+        cascades = [star_cascade(f"c{i}", int(rng.integers(8, 60)), gap=float(rng.uniform(1, 9)))
+                    for i in range(20)]
+        model = LogLinearModel.fit(cascades, prefix=5, net=net)
+        expected = [max(float(np.exp(np.append(oracle_design_row(c, 5, net), 1.0)
+                                     @ model.weights)), 5.0) for c in cascades]
+        np.testing.assert_allclose(model.predict_finals(cascades, 5, net), expected,
+                                   rtol=1e-12, atol=0.0)
+        assert [model.predict_final(c, 5, net) for c in cascades] == pytest.approx(
+            expected, rel=1e-12)
+
     def test_prediction_floored_at_observed(self):
         net = Network(nodes=["r"] + [f"u{i}" for i in range(1, 30)], edges=[])
         cascades = [star_cascade(f"c{i}", 20) for i in range(5)]
@@ -382,6 +412,45 @@ class TestRunExperiment:
         expected = [sorted(c.cascade_id for i, c in enumerate(cascades) if i not in fold)
                     for fold in stratified_folds(cascades, 3, seed=4)]
         assert trained_on == expected
+
+    @pytest.mark.parametrize("protocol", ["size", "out_of_sample"])
+    def test_batched_final_sizes_match_per_prefix_reference(self, sim_data, monkeypatch,
+                                                            protocol):
+        net, cascades = sim_data
+        kwargs = dict(models=("newer", "weibull", "cox", "loglinear"), folds=2,
+                      prefix_sizes=(1, 5, 10), seed=2, hidden_fraction=0.2,
+                      options=FitOptions(tol=1e-6))
+        batched = run_experiment(protocol, cascades, net, **kwargs)
+
+        class PerPrefix:
+            """One BasicPredictor per scored prefix, as the fold loop ran before."""
+
+            def __init__(self, prefixes, network_size):
+                self.pcs = [PartialCascade.first_events(c, s, network_size)
+                            for c, s in prefixes]
+                self.lengths = np.array([pc.size for pc in self.pcs], dtype=np.intp)
+
+            def final_sizes(self, dynamics):
+                return np.array([BasicPredictor(pc, dynamics).final_size() for pc in self.pcs])
+
+        monkeypatch.setattr(evaluate, "PrefixBatch", PerPrefix)
+        reference = run_experiment(protocol, cascades, net, **kwargs)
+        # loglinear scores only in the size protocol
+        assert len(batched.rows) == len(reference.rows) == (12 if protocol == "size" else 9)
+        for got, want in zip(batched.rows, reference.rows):
+            assert (got["model"], got["sweep"], got["n"]) == (want["model"], want["sweep"],
+                                                              want["n"])
+            assert got["rmsle"] == pytest.approx(want["rmsle"], rel=1e-12)
+            assert got["precision"] == pytest.approx(want["precision"], rel=1e-12)
+
+    def test_batch_that_disagrees_with_the_predictor_is_refused(self, sim_data, monkeypatch):
+        net, cascades = sim_data
+        final_sizes = evaluate.PrefixBatch.final_sizes
+        monkeypatch.setattr(evaluate.PrefixBatch, "final_sizes",
+                            lambda self, dyn: final_sizes(self, dyn) * (1.0 + 1e-6))
+        with pytest.raises(NumericsError, match="differs from the predictor's"):
+            run_experiment("size", cascades, net, models=("exponential",), folds=2,
+                           prefix_sizes=(5,), seed=0)
 
     @pytest.mark.parametrize("protocol, sweep, bad", [
         ("process", "early_fractions", 1.5),

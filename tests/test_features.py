@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cascadyn.errors import DataError
 from cascadyn.features import (
@@ -16,6 +17,12 @@ from cascadyn.features import (
     write_cascades_jsonl,
     write_features_csv,
     write_network_csv,
+)
+from worlds import (
+    oracle_adjacency,
+    oracle_extract_features,
+    oracle_extract_subcascades,
+    worlds,
 )
 
 
@@ -66,6 +73,80 @@ class TestNetworkValidation:
                       edges=[("c", "a"), ("b", "a"), ("c", "a")])
         assert net.followers["a"] == ["b", "c"]
         assert net.follower_count("a") == 2
+
+
+class TestNetworkArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(world=worlds())
+    def test_csr_matches_name_lists(self, world):
+        nodes, edges, _ = world
+        net = Network(nodes=nodes, edges=edges)
+        followers, followees = oracle_adjacency(nodes, edges)
+        assert net.followers == followers and net.followees == followees
+        assert net.edges == sorted(set(edges))
+        assert all(net.nodes[i] == u for u, i in net.index.items())
+        for ptr, idx, lists in ((net.follower_ptr, net.follower_idx, followers),
+                                (net.followee_ptr, net.followee_idx, followees)):
+            assert ptr.dtype == idx.dtype == np.int32
+            assert not ptr.flags.writeable and not idx.flags.writeable
+            assert ptr[0] == 0 and ptr[-1] == len(net.edges)
+            for i, u in enumerate(net.nodes):
+                assert [net.nodes[j] for j in idx[ptr[i]:ptr[i + 1]]] == lists[u]
+        assert net.follower_counts.tolist() == [len(followers[u]) for u in net.nodes]
+
+
+class TestCascadeArrays:
+    def test_arrays_of_a_two_level_cascade(self):
+        c = cascade("w", ("p1", None, 0), ("p2", "p1", 1), ("p3", "p1", 4), ("p4", "p2", 4))
+        assert c.parent_positions.tolist() == [-1, 0, 0, 1]
+        assert c.times.tolist() == [0.0, 1.0, 4.0, 4.0]
+        assert c.depths.tolist() == [0, 1, 1, 2]
+        for a in (c.parent_positions, c.times, c.depths):
+            assert not a.flags.writeable
+        assert c.times is c.times  # built once
+
+    def test_events_are_slotted(self):
+        ev = CascadeEvent("a", None, 0.0)
+        assert not hasattr(ev, "__dict__")
+        with pytest.raises(AttributeError):
+            ev.t = 1.0
+
+    def test_unknown_parent_named_by_extraction(self):
+        c = cascade("c", ("a", None, 0), ("b", "a", 1))
+        c.events[1] = CascadeEvent("b", "zzz", 1.0)  # bypasses the tree check
+        with pytest.raises(DataError, match="cascade 'c': unknown parent 'zzz'"):
+            extract_subcascades([c])
+
+
+class TestExtractionMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(world=worlds())
+    def test_subcascades_bit_for_bit(self, world):
+        _, _, cascades = world
+        for shift in (1.0, 2.5):
+            got = extract_subcascades(cascades, shift)
+            expected = oracle_extract_subcascades(cascades, shift)
+            assert list(got) == list(expected)
+            for user, sample in expected.items():
+                assert got[user].user == user
+                assert got[user].delays.tobytes() == sample.delays.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(world=worlds())
+    def test_features_within_rounding(self, world):
+        nodes, edges, cascades = world
+        net = Network(nodes=nodes, edges=edges)
+        got = extract_features(net, cascades)
+        assert got.users == net.nodes and got.names == list(FEATURE_SCHEMA)
+        np.testing.assert_allclose(got.values, oracle_extract_features(net, cascades),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_first_absent_user_named(self):
+        net = Network(nodes=["a", "b"], edges=[])
+        cs = [cascade("c1", ("a", None, 0)), cascade("c2", ("b", None, 0), ("x", "b", 1)),
+              cascade("c3", ("y", None, 0))]
+        with pytest.raises(DataError, match="cascade 'c2': user 'x' absent from network"):
+            extract_features(net, cs)
 
 
 class TestExtractSubcascades:

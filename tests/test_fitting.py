@@ -119,6 +119,15 @@ class TestLogLikelihood:
         with pytest.raises(DataError):
             make_sample("u", [1.0, 0.0])
 
+    @pytest.mark.parametrize("delays", [[-math.inf], [math.nan], [math.inf], [1.0, math.nan],
+                                        [2.0, math.inf, 1.0], [-1.0, 2.0], [3.0, -0.0]])
+    def test_rejects_every_nonpositive_or_non_finite_delay(self, delays):
+        with pytest.raises(DataError, match="nonpositive or non-finite"):
+            make_sample("u", delays)
+
+    def test_accepts_tiny_positive_delays(self):
+        assert make_sample("u", [5.0, 1e-300]).delays.tolist() == [1e-300, 5.0]
+
 
 def straight_line_objective(model, samples, X):
     """Independent reimplementation of the objective, kept deliberately naive."""
@@ -613,6 +622,39 @@ class TestModelFile:
         path = tmp_path / "model.json"
         path.write_text("{not json")
         with pytest.raises(DataError):
+            NewerModel.load(path)
+
+    @pytest.mark.parametrize("name", ["beta", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficients_refused(self, name, bad):
+        coefs = {"beta": np.zeros(2), "gamma": np.zeros(2)}
+        coefs[name][0] = bad
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            NewerModel(kind="newer", feature_names=["f1", "f2"], hyperparams=Hyperparams(),
+                       user_params={}, user_events={}, **coefs)
+
+    def saved_doc(self, tmp_path):
+        X, samples, _ = synthetic_instance(3, 12, seed=51)
+        model, _ = fit_model("newer", samples, X, options=FitOptions(min_events=1))
+        return model.to_json_dict()
+
+    def test_nan_coefficient_in_file_refused(self, tmp_path):
+        doc = self.saved_doc(tmp_path)
+        doc["beta"][0] = math.nan
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))  # json writes NaN unless told not to
+        with pytest.raises(DataError, match=rf"model file {path}: beta must be finite"):
+            NewerModel.load(path)
+
+    @pytest.mark.parametrize("field, value", [("lambda", math.inf), ("k", -1.0),
+                                              ("lambda", "fast"), ("n_events", "many")])
+    def test_bad_user_record_names_file_and_user(self, tmp_path, field, value):
+        doc = self.saved_doc(tmp_path)
+        doc["users"][1][field] = value
+        user = doc["users"][1]["id"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"model file {path}: bad record for user {user!r}"):
             NewerModel.load(path)
 
 

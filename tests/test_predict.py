@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
-from cascadyn.features import CascadeEvent, DELAY_SHIFT
+from cascadyn.features import DELAY_SHIFT, Cascade, CascadeEvent, Network, extract_features
 from cascadyn.fitting import (
     FeatureMatrix,
     Hyperparams,
@@ -19,15 +19,13 @@ from cascadyn.predict import (
     BasicPredictor,
     ModelDynamics,
     PartialCascade,
+    PrefixBatch,
     SamplingPredictor,
-    predict_final_size,
-    predict_outbreak_time,
-    predict_process,
-    predict_size_basic,
     read_predictions_jsonl,
     write_predictions_jsonl,
 )
 from cascadyn.survival import WeibullParams, weibull_survival, weibull_survival_bulk
+from worlds import worlds
 
 
 def random_partial_cascade(rng, n_users=30, network_size=1000, gap_scale=20.0):
@@ -84,11 +82,11 @@ class TestBasicModel:
         rng = np.random.default_rng(1)
         for _ in range(20):
             pc, dyn = random_partial_cascade(rng)
-            assert predict_size_basic(pc, dyn, pc.t_limit) == pytest.approx(float(pc.size))
+            assert BasicPredictor(pc, dyn).size_at(pc.t_limit) == pytest.approx(float(pc.size))
 
     def test_worked_nine_node_example(self):
         pc, dyn = worked_example()
-        assert predict_final_size(pc, dyn) == pytest.approx(9.0, rel=1e-12)
+        assert BasicPredictor(pc, dyn).final_size() == pytest.approx(9.0, rel=1e-12)
 
     def test_deathrate_clamped_at_network_floor(self):
         # enormous scale: essentially no response mass by t_limit
@@ -107,8 +105,8 @@ class TestBasicModel:
         rng = np.random.default_rng(2)
         for _ in range(10):
             pc, dyn = random_partial_cascade(rng)
-            far = predict_size_basic(pc, dyn, 1e18)
-            assert predict_final_size(pc, dyn) == pytest.approx(far, rel=1e-9)
+            far = BasicPredictor(pc, dyn).size_at(1e18)
+            assert BasicPredictor(pc, dyn).final_size() == pytest.approx(far, rel=1e-9)
 
     def test_monotone_in_horizon(self):
         rng = np.random.default_rng(3)
@@ -121,7 +119,7 @@ class TestBasicModel:
     def test_rejects_horizon_before_t_limit(self):
         pc, dyn = worked_example()
         with pytest.raises(DataError):
-            predict_size_basic(pc, dyn, pc.t_limit - 1.0)
+            BasicPredictor(pc, dyn).size_at(pc.t_limit - 1.0)
 
     def test_rejects_nan_horizon(self):
         pc, dyn = worked_example()
@@ -160,22 +158,22 @@ class TestBasicModel:
         pc, dyn = worked_example()
         del dyn["b"]
         with pytest.raises(DataError, match="'b'"):
-            predict_final_size(pc, dyn)
+            BasicPredictor(pc, dyn).final_size()
 
 
 class TestOutbreak:
     def test_threshold_already_reached(self):
         pc, dyn = worked_example()
-        assert predict_outbreak_time(pc, dyn, 2) == pc.t_limit
+        assert BasicPredictor(pc, dyn).outbreak_time(2) == pc.t_limit
 
     def test_unreachable_threshold_is_never(self):
         pc, dyn = worked_example()
-        assert predict_outbreak_time(pc, dyn, 10 ** 7) is None
+        assert BasicPredictor(pc, dyn).outbreak_time(10 ** 7) is None
 
     def test_invalid_threshold(self):
         pc, dyn = worked_example()
         with pytest.raises(DataError):
-            predict_outbreak_time(pc, dyn, 0)
+            BasicPredictor(pc, dyn).outbreak_time(0)
 
     def test_outbreak_and_process_curve_agree(self):
         # the curve reaches the threshold by t iff the outbreak search
@@ -214,7 +212,7 @@ class TestOutbreak:
 class TestProcessCurve:
     def test_single_point_grid_is_observed_size(self):
         pc, dyn = worked_example()
-        curve = predict_process(pc, dyn, [pc.t_limit])
+        curve = BasicPredictor(pc, dyn).process_curve([pc.t_limit])
         assert curve.times == [pc.t_limit]
         assert curve.sizes[0] == pytest.approx(float(pc.size))
 
@@ -222,20 +220,20 @@ class TestProcessCurve:
         rng = np.random.default_rng(5)
         pc, dyn = random_partial_cascade(rng)
         grid = np.linspace(pc.t_limit, pc.t_limit + 5e4, 50).tolist()
-        curve = predict_process(pc, dyn, grid)
+        curve = BasicPredictor(pc, dyn).process_curve(grid)
         assert all(b >= a for a, b in zip(curve.sizes, curve.sizes[1:]))
 
     def test_final_dominates_curve(self):
         rng = np.random.default_rng(6)
         pc, dyn = random_partial_cascade(rng)
         grid = np.linspace(pc.t_limit, pc.t_limit + 1e5, 20).tolist()
-        curve = predict_process(pc, dyn, grid)
-        assert predict_final_size(pc, dyn) >= curve.sizes[-1] - 1e-9
+        curve = BasicPredictor(pc, dyn).process_curve(grid)
+        assert BasicPredictor(pc, dyn).final_size() >= curve.sizes[-1] - 1e-9
 
     def test_rejects_unsorted_grid(self):
         pc, dyn = worked_example()
         with pytest.raises(DataError):
-            predict_process(pc, dyn, [pc.t_limit + 10, pc.t_limit])
+            BasicPredictor(pc, dyn).process_curve([pc.t_limit + 10, pc.t_limit])
 
 
 def replay_stream(events, dynamics, network_size, epsilon, query_times, rng):
@@ -248,13 +246,13 @@ def replay_stream(events, dynamics, network_size, epsilon, query_times, rng):
         sampler.feed_event(ev.user, ev.parent, ev.t)
         seen.append(ev)
         est = sampler.query_size(ev.t)
-        basic = predict_final_size(
-            PartialCascade("replay", list(seen), ev.t, network_size), dynamics)
+        basic = BasicPredictor(
+            PartialCascade("replay", list(seen), ev.t, network_size), dynamics).final_size()
         worst = max(worst, abs(est - basic) / basic)
     for q in query_times:
         est = sampler.query_size(q)
-        basic = predict_final_size(
-            PartialCascade("replay", list(seen), q, network_size), dynamics)
+        basic = BasicPredictor(
+            PartialCascade("replay", list(seen), q, network_size), dynamics).final_size()
         worst = max(worst, abs(est - basic) / basic)
     return sampler, worst
 
@@ -316,8 +314,8 @@ class TestSamplingModel:
         for ev in pc.events:
             sampler.feed_event(ev.user, ev.parent, ev.t)
         est = sampler.query_size()
-        basic = predict_final_size(
-            PartialCascade("x", pc.events, pc.events[-1].t, pc.network_size), dyn)
+        basic = BasicPredictor(
+            PartialCascade("x", pc.events, pc.events[-1].t, pc.network_size), dyn).final_size()
         assert est == pytest.approx(basic, rel=0.25)
 
 
@@ -401,6 +399,17 @@ class TestModelDynamics:
             BasicPredictor(PartialCascade("c", events, 2.0, 10), dyn)
         assert BasicPredictor(PartialCascade("c", events[:1], 2.0, 10), dyn).final_size() == 1.0
 
+    def test_regressed_row_never_served_the_fallback(self):
+        # a non-finite coefficient set after construction regresses to NaN;
+        # the row stays the regression's, so the lookup fails loudly instead
+        # of quietly handing out the median fallback
+        model = self.make_model()
+        model.beta[0] = np.nan
+        dyn = ModelDynamics(model, self.make_features())
+        assert dyn("nobody") == WeibullParams(26.0, 1.5)
+        with pytest.raises(ValueError, match="scale"):
+            dyn("fresh")
+
     def test_feature_table_without_model_columns_rejected(self):
         features = FeatureMatrix(users=["fresh"], names=[], values=np.empty((1, 0)))
         with pytest.raises(DataError, match="columns"):
@@ -449,6 +458,9 @@ def random_world(seed, kind):
 
 
 KINDS = st.sampled_from(["newer", "weibull", "exponential", "rayleigh", "cox"])
+FEATURE_NAMES = ("follower_count", "avg_follower_follower_count", "follower_avg_inflow_rate",
+                 "follower_avg_retweet_rate", "historical_subcascade_count",
+                 "avg_subcascade_size")
 
 
 class TestTableProperties:
@@ -546,3 +558,54 @@ class TestPredictionFiles:
         with pytest.raises(DataError, match="'c2'"):
             write_predictions_jsonl(path, records)
         assert "NaN" not in path.read_text(encoding="utf-8")
+
+
+class TestPrefixBatch:
+    @settings(max_examples=120, deadline=None)
+    @given(world=worlds(), kind=KINDS, seed=st.integers(0, 2 ** 32 - 1),
+           time_shift=st.sampled_from([DELAY_SHIFT, 0.0]))
+    def test_matches_basic_predictor(self, world, kind, seed, time_shift):
+        nodes, edges, cascades = world
+        net = Network(nodes=nodes, edges=edges)
+        rng = np.random.default_rng(seed)
+        fitted = {u: WeibullParams(float(np.exp(rng.uniform(0, 9))), float(rng.uniform(0.3, 3)))
+                  for i, u in enumerate(net.nodes) if i == 0 or rng.random() < 0.4}
+        model = NewerModel(kind=kind, feature_names=list(FEATURE_NAMES),
+                           hyperparams=Hyperparams(), beta=rng.normal(1.0, 1.0, size=6),
+                           gamma=rng.normal(0.0, 0.3, size=6), user_params=fitted,
+                           user_events={u: 9 for u in fitted})
+        dyn = ModelDynamics(model, extract_features(net, cascades))
+        # every prefix count, so ties at the cut and whole cascades occur
+        prefixes = [(c, k) for c in cascades for k in range(1, c.size + 1)]
+        network_size = net.n_nodes + int(rng.integers(0, 50))
+        batch = PrefixBatch(prefixes, network_size, time_shift=time_shift)
+        sizes = batch.final_sizes(dyn)
+        assert sizes.shape == (len(prefixes),)
+        for (c, k), length, size in zip(prefixes, batch.lengths, sizes):
+            pc = PartialCascade.first_events(c, k, network_size)
+            assert length == pc.size
+            expected = BasicPredictor(pc, dyn, time_shift=time_shift).final_size()
+            assert size == pytest.approx(expected, rel=1e-12)
+
+    def test_refuses_a_prefix_it_cannot_observe(self):
+        pc, _ = worked_example()
+        cascade = Cascade("worked", pc.events)
+        for count in (0, 5):
+            with pytest.raises(DataError, match=f"cannot observe {count} events"):
+                PrefixBatch([(cascade, count)], 10)
+
+    def test_uncovered_user_named(self):
+        model = NewerModel(kind="newer", feature_names=["f1", "f2"], hyperparams=Hyperparams(),
+                           beta=np.zeros(2), gamma=np.zeros(2), user_params={}, user_events={})
+        features = FeatureMatrix(users=["fresh"], names=["f1", "f2"], values=np.ones((1, 2)))
+        cascade = Cascade("c", [CascadeEvent("fresh", None, 0.0),
+                                CascadeEvent("ghost", "fresh", 1.0)])
+        with pytest.raises(DataError, match="'ghost'"):
+            PrefixBatch([(cascade, 2)], 10).final_sizes(ModelDynamics(model, features))
+
+    def test_empty_batch(self):
+        model = NewerModel(kind="weibull", feature_names=[], hyperparams=Hyperparams(),
+                           beta=np.zeros(0), gamma=np.zeros(0),
+                           user_params={"a": WeibullParams(1.0, 1.0)}, user_events={"a": 5})
+        sizes = PrefixBatch([], 10).final_sizes(ModelDynamics(model))
+        assert sizes.dtype == float and sizes.shape == (0,)
