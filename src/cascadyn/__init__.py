@@ -43,7 +43,6 @@ from .predict import (
     BasicPredictor,
     ModelDynamics,
     PartialCascade,
-    PrefixBatch,
     ProcessCurve,
     SamplingPredictor,
 )

@@ -141,8 +141,9 @@ class LogLinearModel:
 
     @staticmethod
     def design_rows(cascades: Sequence[Cascade], prefix: int, net: Network) -> np.ndarray:
-        """``design_row`` of every cascade, one row each, in one pass over
-        the cascades' cached arrays."""
+        """Log features of each cascade's first ``prefix`` events, one row
+        per cascade in ``FEATURES`` order, in one pass over the cascades'
+        cached arrays."""
         cascades = list(cascades)
         if not cascades:
             return np.empty((0, len(LogLinearModel.FEATURES)))
@@ -169,11 +170,6 @@ class LogLinearModel:
             mean_depth + 1.0,
         ]))
 
-    @staticmethod
-    def design_row(cascade: Cascade, prefix: int, net: Network) -> np.ndarray:
-        """Log features of the cascade's first ``prefix`` events."""
-        return LogLinearModel.design_rows([cascade], prefix, net)[0]
-
     @classmethod
     def fit(cls, cascades: Sequence[Cascade], prefix: int, net: Network) -> "LogLinearModel":
         usable = [c for c in cascades if c.size > prefix]
@@ -184,15 +180,12 @@ class LogLinearModel:
         w, *_ = np.linalg.lstsq(design, y, rcond=None)
         return cls(w)
 
-    def predict_finals(self, cascades: Sequence[Cascade], prefix: int,
-                       net: Network) -> np.ndarray:
-        """Predicted final size of every cascade, floored at ``prefix``."""
+    def predict_final(self, cascades: Sequence[Cascade], prefix: int,
+                      net: Network) -> np.ndarray:
+        """Predicted final size of each cascade, floored at ``prefix``."""
         rows = self.design_rows(cascades, prefix, net)
         design = np.column_stack([rows, np.ones(len(rows))])
         return np.maximum(np.exp(design @ self.weights), float(prefix))
-
-    def predict_final(self, cascade: Cascade, prefix: int, net: Network) -> float:
-        return float(self.predict_finals([cascade], prefix, net)[0])
 
 
 @dataclass
@@ -257,7 +250,15 @@ def _check_against_reference(batch: PrefixBatch, scored: list[tuple[Cascade, int
                              network_size: int) -> None:
     """Recompute the batch's longest prefix with ``BasicPredictor``, the
     per-cascade reference, and refuse a batched final size that differs by
-    more than summation rounding."""
+    more than summation rounding.
+
+    ``PrefixBatch`` repeats ``BasicPredictor``'s final-size arithmetic (delay
+    shift, rate floor, reply counts, events tied with the cut, table rows)
+    over its own flattened rows, so the two could drift apart without any
+    error, and the property tests compare them on small random worlds only.
+    One reference prediction per split and model, on the prefix with the
+    most rows, checks their agreement on the data each run actually scores.
+    """
     if not scored:
         return
     j = int(np.argmax(batch.lengths))
@@ -287,7 +288,7 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
 
     The final-size protocols (``size``, ``out_of_sample``) score each split
     in array passes: one ``PrefixBatch.final_sizes`` per model and one
-    ``LogLinearModel.predict_finals`` per prefix size. ``outbreak`` and
+    ``LogLinearModel.predict_final`` per prefix size. ``outbreak`` and
     ``process`` build one ``BasicPredictor`` per observation.
     """
     if protocol not in PROTOCOLS:
@@ -379,7 +380,7 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                         PredictionRecord(cascade.cascade_id, float(cascade.size), size))
             for s, model in loglinear.items():
                 cs = [cascade for cascade, sweep in scored if sweep == s]
-                for cascade, size in zip(cs, model.predict_finals(cs, s, net).tolist()):
+                for cascade, size in zip(cs, model.predict_final(cs, s, net).tolist()):
                     records.setdefault(("loglinear", s), []).append(
                         PredictionRecord(cascade.cascade_id, float(cascade.size), size))
             continue

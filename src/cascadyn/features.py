@@ -28,7 +28,6 @@ __all__ = [
     "extract_subcascades",
     "extract_features",
     "filter_cascades",
-    "flatten_prefixes",
     "read_network_csv",
     "write_network_csv",
     "read_cascades_jsonl",
@@ -143,18 +142,17 @@ class Cascade:
 class Network:
     """Directed follower graph; an edge (a, b) means a follows b.
 
-    Nodes and deduplicated edges are kept sorted by name. Besides the name
-    lists in ``followers`` and ``followees``, the graph is held as CSR
-    arrays over node rows (the position in ``nodes``, found by ``index``):
-    the followers of node row i are rows ``follower_idx[follower_ptr[i]:
-    follower_ptr[i + 1]]``, ascending, and likewise for ``followee_ptr`` and
-    ``followee_idx``. All four are int32 and read-only.
+    Nodes and deduplicated edges are kept sorted by name. The graph is held
+    as CSR arrays over node rows (the position in ``nodes``, found by
+    ``index``): the followers of node row i are rows ``follower_idx[
+    follower_ptr[i]:follower_ptr[i + 1]]``, ascending, and likewise for
+    ``followee_ptr`` and ``followee_idx``. All four are int32 and read-only.
+    The name lists ``followers`` and ``followees`` are built from them on
+    first read.
     """
 
     nodes: list[str]
     edges: list[tuple[str, str]]
-    followers: dict[str, list[str]] = field(init=False)
-    followees: dict[str, list[str]] = field(init=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     follower_ptr: np.ndarray = field(init=False, repr=False, compare=False)
     follower_idx: np.ndarray = field(init=False, repr=False, compare=False)
@@ -182,15 +180,24 @@ class Network:
         self.followee_idx = _read_only(dst)
         self.follower_ptr = _offsets(dst, len(nodes))
         self.follower_idx = _read_only(src[by_followee])
-        self.followers = _name_lists(nodes, self.follower_idx, self.follower_ptr)
-        self.followees = _name_lists(nodes, self.followee_idx, self.followee_ptr)
+
+    @cached_property
+    def followers(self) -> dict[str, list[str]]:
+        """Each node's followers, by name, ascending."""
+        return _name_lists(self.nodes, self.follower_idx, self.follower_ptr)
+
+    @cached_property
+    def followees(self) -> dict[str, list[str]]:
+        """The nodes each node follows, by name, ascending."""
+        return _name_lists(self.nodes, self.followee_idx, self.followee_ptr)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     def follower_count(self, user: str) -> int:
-        return len(self.followers[user])
+        i = self.index[user]
+        return int(self.follower_ptr[i + 1] - self.follower_ptr[i])
 
     @property
     def follower_counts(self) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "BasicPredictor",
     "SamplingPredictor",
     "ModelDynamics",
-    "PrefixBatch",
     "write_predictions_jsonl",
     "read_predictions_jsonl",
     "DEFAULT_SEARCH_WINDOW",
@@ -394,7 +393,7 @@ class PrefixBatch:
     event tied with the cut, as ``PartialCascade.first_events`` observes it;
     ``t_limit`` is the cut's timestamp. The rows of all prefixes are sliced
     from each cascade's cached arrays and laid end to end: ``users`` (names),
-    and, for the rows with replies only, the join time minus ``time_shift``,
+    and, for the rows with replies only, the join time minus ``DELAY_SHIFT``,
     the reply count, the prefix's ``t_limit`` and the prefix the row belongs
     to. ``final_sizes`` resolves ``users`` to table rows once per table index,
     which every ``ModelDynamics`` built on one feature matrix shares, takes
@@ -403,8 +402,7 @@ class PrefixBatch:
     those of ``BasicPredictor``; only the order of the final sum differs.
     """
 
-    def __init__(self, prefixes: Sequence[tuple[Cascade, int]], network_size: int, *,
-                 time_shift: float = DELAY_SHIFT):
+    def __init__(self, prefixes: Sequence[tuple[Cascade, int]], network_size: int):
         if network_size < 1:
             raise DataError("network size must be >= 1")
         self.floor = 1.0 / network_size
@@ -424,7 +422,7 @@ class PrefixBatch:
         t_join, parents = flatten_prefixes(cascades, lengths)
         replynum = np.bincount(parents[parents >= 0], minlength=len(t_join))
         self._replying = np.flatnonzero(replynum)
-        self._t0 = t_join[self._replying] - time_shift
+        self._t0 = t_join[self._replying] - DELAY_SHIFT
         self._replynum = replynum[self._replying].astype(float)
         self._t_limit = t_limits[prefix_of[self._replying]]
         self._prefix_of = prefix_of[self._replying]
@@ -437,10 +435,9 @@ class PrefixBatch:
         dynamics._refuse_uncovered(self._table_rows, self.users)
         rows = self._table_rows[self._replying]
         deathrate = np.empty_like(self._t0)
-        # a reply at the cut with time_shift 0 gives an elapsed time of 0
-        with np.errstate(divide="ignore"):
-            _rates(self._t0, dynamics._shapes[rows], np.log(dynamics._scales[rows]),
-                   self.floor, self._t_limit, deathrate)
+        # every elapsed time is at least DELAY_SHIFT, so no log of 0 occurs
+        _rates(self._t0, dynamics._shapes[rows], np.log(dynamics._scales[rows]),
+               self.floor, self._t_limit, deathrate)
         return 1.0 + np.bincount(self._prefix_of, weights=self._replynum / deathrate,
                                  minlength=self.size)
 

@@ -231,7 +231,7 @@ class TestLogLinear:
             # exact linear function of the log growth-speed feature
             cascades.append(star_cascade(f"c{i}", size, gap=100.0 / size))
         model = LogLinearModel.fit(cascades, prefix=5, net=net)
-        preds = [model.predict_final(c, 5, net) for c in cascades]
+        preds = model.predict_final(cascades, 5, net).tolist()
         truth = [float(c.size) for c in cascades]
         records = [rec(p, t, cid=str(i)) for i, (p, t) in enumerate(zip(preds, truth))]
         assert rmsle(records) < 0.05
@@ -247,7 +247,7 @@ class TestLogLinear:
         np.testing.assert_allclose(LogLinearModel.design_rows(cascades, prefix, net), expected,
                                    rtol=1e-12, atol=0.0)
         for c, row in zip(cascades, expected):
-            np.testing.assert_allclose(LogLinearModel.design_row(c, prefix, net), row,
+            np.testing.assert_allclose(LogLinearModel.design_rows([c], prefix, net), [row],
                                        rtol=1e-12, atol=0.0)
 
     def test_batched_predictions_match_per_cascade(self):
@@ -259,16 +259,16 @@ class TestLogLinear:
         model = LogLinearModel.fit(cascades, prefix=5, net=net)
         expected = [max(float(np.exp(np.append(oracle_design_row(c, 5, net), 1.0)
                                      @ model.weights)), 5.0) for c in cascades]
-        np.testing.assert_allclose(model.predict_finals(cascades, 5, net), expected,
+        np.testing.assert_allclose(model.predict_final(cascades, 5, net), expected,
                                    rtol=1e-12, atol=0.0)
-        assert [model.predict_final(c, 5, net) for c in cascades] == pytest.approx(
+        assert [model.predict_final([c], 5, net)[0] for c in cascades] == pytest.approx(
             expected, rel=1e-12)
 
     def test_prediction_floored_at_observed(self):
         net = Network(nodes=["r"] + [f"u{i}" for i in range(1, 30)], edges=[])
         cascades = [star_cascade(f"c{i}", 20) for i in range(5)]
         model = LogLinearModel.fit(cascades, prefix=6, net=net)
-        assert model.predict_final(cascades[0], 6, net) >= 6.0
+        assert model.predict_final(cascades[:1], 6, net)[0] >= 6.0
 
 
 @pytest.fixture(scope="module")

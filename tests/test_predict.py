@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
@@ -562,9 +562,13 @@ class TestPredictionFiles:
 
 class TestPrefixBatch:
     @settings(max_examples=120, deadline=None)
-    @given(world=worlds(), kind=KINDS, seed=st.integers(0, 2 ** 32 - 1),
-           time_shift=st.sampled_from([DELAY_SHIFT, 0.0]))
-    def test_matches_basic_predictor(self, world, kind, seed, time_shift):
+    @given(world=worlds(), kind=KINDS, seed=st.integers(0, 2 ** 32 - 1))
+    # the prefix of two events also observes the third, which shares the
+    # cut's timestamp and replies to the second
+    @example(world=(["r", "a", "b", "c"], [], [Cascade("tied", [
+        CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0),
+        CascadeEvent("b", "a", 5.0), CascadeEvent("c", "r", 9.0)])]), kind="newer", seed=0)
+    def test_matches_basic_predictor(self, world, kind, seed):
         nodes, edges, cascades = world
         net = Network(nodes=nodes, edges=edges)
         rng = np.random.default_rng(seed)
@@ -575,16 +579,17 @@ class TestPrefixBatch:
                            gamma=rng.normal(0.0, 0.3, size=6), user_params=fitted,
                            user_events={u: 9 for u in fitted})
         dyn = ModelDynamics(model, extract_features(net, cascades))
-        # every prefix count, so ties at the cut and whole cascades occur
+        # every prefix count, so ties at the cut (a reply at the cut's own
+        # timestamp included) and whole cascades occur
         prefixes = [(c, k) for c in cascades for k in range(1, c.size + 1)]
         network_size = net.n_nodes + int(rng.integers(0, 50))
-        batch = PrefixBatch(prefixes, network_size, time_shift=time_shift)
+        batch = PrefixBatch(prefixes, network_size)
         sizes = batch.final_sizes(dyn)
         assert sizes.shape == (len(prefixes),)
         for (c, k), length, size in zip(prefixes, batch.lengths, sizes):
             pc = PartialCascade.first_events(c, k, network_size)
             assert length == pc.size
-            expected = BasicPredictor(pc, dyn, time_shift=time_shift).final_size()
+            expected = BasicPredictor(pc, dyn).final_size()
             assert size == pytest.approx(expected, rel=1e-12)
 
     def test_refuses_a_prefix_it_cannot_observe(self):
