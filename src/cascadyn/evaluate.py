@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -51,49 +52,74 @@ class PredictionRecord:
     task: str = "size"
 
 
-def _finite_records(records: Iterable[PredictionRecord], metric: str) -> list[PredictionRecord]:
-    """The records as a list; refuses an empty one and a NaN or infinite value."""
+def _check_sigma(sigma: float) -> None:
+    if not (0.0 < sigma < 1.0):
+        raise DataError(f"sigma must lie in (0, 1), got {sigma}")
+
+
+def _columns(records: Iterable[PredictionRecord]) -> tuple[list, list, list]:
+    """Cascade ids, truths and predictions of the records, as three lists."""
     records = list(records)
-    if not records:
+    return ([r.cascade_id for r in records], [r.truth for r in records],
+            [r.predicted for r in records])
+
+
+def _finite(metric: str, ids: Sequence[str], truth, predicted) -> tuple[np.ndarray, np.ndarray]:
+    """Truths and predictions as float arrays; refuses none at all and a NaN
+    or infinite value, naming the first such record."""
+    t = np.asarray(truth, dtype=float)
+    p = np.asarray(predicted, dtype=float)
+    if t.size == 0:
         raise DataError(f"{metric} needs at least one record")
-    for r in records:
-        if not (math.isfinite(r.truth) and math.isfinite(r.predicted)):
-            raise DataError(f"{metric} requires finite values, got ({r.predicted}, "
-                            f"{r.truth}) for cascade {r.cascade_id!r}")
-    return records
+    bad = ~(np.isfinite(t) & np.isfinite(p))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"{metric} requires finite values, got ({predicted[i]}, "
+                        f"{truth[i]}) for cascade {ids[i]!r}")
+    return t, p
+
+
+def _rmsle(ids: Sequence[str], truth, predicted) -> float:
+    t, p = _finite("rmsle", ids, truth, predicted)
+    bad = (t <= 0) | (p <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(
+            f"rmsle requires positive values, got ({predicted[i]}, {truth[i]}) "
+            f"for cascade {ids[i]!r}"
+        )
+    # libm's log and pow, in record order, as a loop over records takes them:
+    # numpy's vector log and square differ from them in the last bit for
+    # about one value in a few thousand
+    n = t.size
+    d = (np.fromiter(map(math.log, p.tolist()), float, n)
+         - np.fromiter(map(math.log, t.tolist()), float, n))
+    return math.sqrt(sum(map(pow, d.tolist(), repeat(2))) / n)
+
+
+def _sigma_precision(ids: Sequence[str], truth, predicted, sigma: float) -> float:
+    t, p = _finite("sigma_precision", ids, truth, predicted)
+    with np.errstate(over="ignore"):  # a band edge past the largest float is inf
+        hits = np.count_nonzero((t * (1.0 - sigma) <= p) & (p <= t * (1.0 + sigma)))
+    return int(hits) / t.size
 
 
 def rmsle(records: Iterable[PredictionRecord]) -> float:
     """Root mean squared error of log predictions vs log truth."""
-    records = _finite_records(records, "rmsle")
-    for r in records:
-        if r.truth <= 0 or r.predicted <= 0:
-            raise DataError(
-                f"rmsle requires positive values, got ({r.predicted}, {r.truth}) "
-                f"for cascade {r.cascade_id!r}"
-            )
-    sq = [(math.log(r.predicted) - math.log(r.truth)) ** 2 for r in records]
-    return math.sqrt(sum(sq) / len(sq))
+    return _rmsle(*_columns(records))
 
 
 def sigma_precision(records: Iterable[PredictionRecord], sigma: float = 0.2) -> float:
     """Fraction of predictions within truth * (1 +- sigma)."""
-    if not (0.0 < sigma < 1.0):
-        raise DataError(f"sigma must lie in (0, 1), got {sigma}")
-    records = _finite_records(records, "sigma_precision")
-    hits = sum(
-        1 for r in records
-        if r.truth * (1.0 - sigma) <= r.predicted <= r.truth * (1.0 + sigma)
-    )
-    return hits / len(records)
+    _check_sigma(sigma)
+    return _sigma_precision(*_columns(records), sigma)
 
 
 def process_precision(curve_pred: ProcessCurve, curve_truth: ProcessCurve,
                       sigma: float = 0.2) -> float:
     """Fraction of grid points where the predicted size is within the sigma
     band of the true size. Both curves must share the same grid."""
-    if not (0.0 < sigma < 1.0):
-        raise DataError(f"sigma must lie in (0, 1), got {sigma}")
+    _check_sigma(sigma)
     if list(curve_pred.times) != list(curve_truth.times):
         raise DataError("process curves are defined on different time grids")
     hits = sum(
@@ -224,29 +250,50 @@ LOGLINEAR_SKIPPED = {
 }
 
 
-def _aggregate(records: dict[tuple[str, object], list[PredictionRecord]],
-               sigma: float, precisions: dict[tuple[str, object], list[float]]) -> list[dict]:
+class _Scored:
+    """One (model, sweep)'s cascade ids, truths and predictions, gathered a
+    batch at a time and joined into arrays when scored."""
+
+    __slots__ = ("ids", "truth", "predicted")
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.truth: list = []
+        self.predicted: list = []
+
+    def extend(self, ids: Sequence[str], truth, predicted) -> None:
+        self.ids.extend(ids)
+        self.truth.append(truth)
+        self.predicted.append(predicted)
+
+    def columns(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        return self.ids, np.concatenate(self.truth), np.concatenate(self.predicted)
+
+
+def _aggregate(scored: dict[tuple[str, object], _Scored], sigma: float,
+               precisions: dict[tuple[str, object], list[float]]) -> list[dict]:
     """One row per (model, sweep). When ``precisions`` holds one value per
     process curve, ``n`` counts curves and ``precision`` is their mean."""
     rows = []
-    for key in sorted(records, key=lambda key: (key[0], str(key[1]))):
-        recs = records[key]
+    for key in sorted(scored, key=lambda key: (key[0], str(key[1]))):
+        columns = scored[key].columns()
         if precisions:
             n, precision = len(precisions[key]), float(np.mean(precisions[key]))
         else:
-            n, precision = len(recs), sigma_precision(recs, sigma)
+            _check_sigma(sigma)
+            n, precision = len(columns[0]), _sigma_precision(*columns, sigma)
         rows.append({
             "model": key[0],
             "sweep": key[1],
             "n": n,
-            "rmsle": rmsle(recs),
+            "rmsle": _rmsle(*columns),
             "precision": precision,
         })
     return rows
 
 
 def _check_against_reference(batch: PrefixBatch, scored: list[tuple[Cascade, int]],
-                             sizes: list[float], dynamics: ModelDynamics,
+                             sizes: np.ndarray, dynamics: ModelDynamics,
                              network_size: int) -> None:
     """Recompute the batch's longest prefix with ``BasicPredictor``, the
     per-cascade reference, and refuse a batched final size that differs by
@@ -358,8 +405,13 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                 if cascade.size > s and (protocol == "size"
                                          or {e.user for e in cascade.events[:s]} & hidden)]
 
-    records: dict[tuple[str, object], list[PredictionRecord]] = {}
+    scores: dict[tuple[str, object], _Scored] = {}
     precisions: dict[tuple[str, object], list[float]] = {}
+
+    def score(kind: str, sweep, ids: Sequence[str], truth, predicted) -> None:
+        if len(ids):
+            scores.setdefault((kind, sweep), _Scored()).extend(ids, truth, predicted)
+
     for train, test, samples in splits:
         if samples is None:
             samples = extract_subcascades(train)
@@ -369,47 +421,49 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
         loglinear = ({s: LogLinearModel.fit(train, s, net) for s in prefix_sizes}
                      if with_loglinear else {})
         if protocol in ("size", "out_of_sample"):
-            # final sizes: one batched pass per model over every scored prefix
+            # final sizes: one batched pass per model over every scored
+            # prefix, scored per sweep in the prefixes' order
             scored = scored_prefixes(test)
             batch = PrefixBatch(scored, net.n_nodes)
+            sweeps = np.array([s for _, s in scored])
+            truths = np.array([cascade.size for cascade, _ in scored], dtype=float)
+            by_sweep = {}
+            for s in dict.fromkeys(prefix_sizes):
+                at = np.flatnonzero(sweeps == s)
+                by_sweep[s] = at, [scored[j][0] for j in at.tolist()]
             for kind, dyn in fitted.items():
-                sizes = batch.final_sizes(dyn).tolist()
+                sizes = batch.final_sizes(dyn)
                 _check_against_reference(batch, scored, sizes, dyn, net.n_nodes)
-                for (cascade, s), size in zip(scored, sizes):
-                    records.setdefault((kind, s), []).append(
-                        PredictionRecord(cascade.cascade_id, float(cascade.size), size))
+                for s, (at, cs) in by_sweep.items():
+                    score(kind, s, [c.cascade_id for c in cs], truths[at], sizes[at])
             for s, model in loglinear.items():
-                cs = [cascade for cascade, sweep in scored if sweep == s]
-                for cascade, size in zip(cs, model.predict_final(cs, s, net).tolist()):
-                    records.setdefault(("loglinear", s), []).append(
-                        PredictionRecord(cascade.cascade_id, float(cascade.size), size))
+                at, cs = by_sweep[s]
+                score("loglinear", s, [c.cascade_id for c in cs], truths[at],
+                      model.predict_final(cs, s, net))
             continue
         for cascade in test:
             cid = cascade.cascade_id
             for sweep, pc, truth in observations(cascade):
                 for kind, dyn in fitted.items():
                     predictor = BasicPredictor(pc, dyn)
-                    recs = records.setdefault((kind, sweep), [])
                     if protocol == "outbreak":
                         t0 = cascade.root.t
                         t_max = pc.t_limit + 2.0 * (horizon - t0) + 1.0
                         pred_t = predictor.outbreak_time(outbreak_threshold, t_max)
                         if pred_t is None:
                             pred_t = t_max  # "never" capped at the search horizon
-                        recs.append(PredictionRecord(cid, truth, pred_t - t0 + 1.0,
-                                                     task="outbreak"))
+                        score(kind, sweep, [cid], [truth], [pred_t - t0 + 1.0])
                     else:
                         curve = predictor.process_curve(truth.times)
                         precisions.setdefault((kind, sweep), []).append(
                             process_precision(curve, truth, sigma))
-                        recs.extend(PredictionRecord(cid, tr, p, task="process-point")
-                                    for p, tr in zip(curve.sizes, truth.sizes))
-    if not records:
+                        score(kind, sweep, [cid] * len(curve.sizes), truth.sizes, curve.sizes)
+    if not scores:
         if protocol == "out_of_sample":
             raise DataError("no test cascade contains a hidden user in its prefix")
         raise DataError(f"the {protocol} protocol scored no prediction on these cascades")
     return ExperimentReport(protocol=protocol, sigma=sigma,
-                            rows=_aggregate(records, sigma, precisions), notes=notes)
+                            rows=_aggregate(scores, sigma, precisions), notes=notes)
 
 
 # ---------------------------------------------------------------------------

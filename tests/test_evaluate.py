@@ -22,7 +22,7 @@ from cascadyn.features import Cascade, CascadeEvent, Network, extract_subcascade
 from cascadyn.fitting import FitOptions
 from cascadyn.predict import BasicPredictor, PartialCascade, ProcessCurve
 from cascadyn.simulate import SimConfig, gen_cascades, gen_network
-from worlds import oracle_design_row, worlds
+from worlds import oracle_design_row, oracle_rmsle, oracle_sigma_precision, worlds
 
 
 def rec(pred, truth, cid="c"):
@@ -108,6 +108,50 @@ class TestSigmaPrecision:
         for pred, truth in ((bad, 5.0), (5.0, bad)):
             with pytest.raises(DataError, match="'c7'"):
                 sigma_precision([rec(5.0, 5.0), rec(pred, truth, cid="c7")], 0.2)
+
+
+_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-5, 10**6))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+class TestScoresMatchRecordLoops:
+    """The array kernel behind ``rmsle``, ``sigma_precision`` and the protocol
+    reports gives the record loops' values bit for bit, and their messages."""
+
+    @given(st.lists(st.tuples(_values, _values), max_size=30), st.floats(-0.5, 1.5))
+    @settings(max_examples=300, deadline=None)
+    def test_any_records(self, pairs, sigma):
+        records = [rec(p, t, cid=f"c{i}") for i, (p, t) in enumerate(pairs)]
+        assert _outcome(rmsle, iter(records)) == _outcome(oracle_rmsle, records)
+        assert (_outcome(sigma_precision, iter(records), sigma)
+                == _outcome(oracle_sigma_precision, records, sigma))
+
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e7), st.floats(1.0, 1e5)), min_size=1,
+                    max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_positive_records(self, pairs):
+        records = [rec(p, t) for p, t in pairs]
+        assert rmsle(records) == oracle_rmsle(records)
+        assert sigma_precision(records, 0.2) == oracle_sigma_precision(records, 0.2)
+
+    def test_predictions_near_the_truth(self):
+        # numpy's vector log and square miss libm's in the last bit for about
+        # one value in a few thousand, most often near 1; one record at a
+        # time shows each miss
+        rng = np.random.default_rng(3)
+        for p, t in zip(rng.uniform(0.5, 1.5, 3000).tolist(), rng.uniform(0.9, 1.1, 3000).tolist()):
+            assert rmsle([rec(p, t)]) == oracle_rmsle([rec(p, t)])
+        truth = rng.integers(1, 2000, size=20_000).astype(float)
+        records = [rec(p, t, cid=f"c{i}") for i, (p, t)
+                   in enumerate(zip(truth * rng.lognormal(0.0, 0.8, truth.size), truth))]
+        assert rmsle(records) == oracle_rmsle(records)
+        assert sigma_precision(records, 0.2) == oracle_sigma_precision(records, 0.2)
 
 
 class TestProcessPrecision:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from cascadyn.errors import DataError
 from cascadyn.features import SECONDS_PER_DAY, Cascade, CascadeEvent
 from cascadyn.fitting import SubcascadeSample
 
@@ -113,3 +114,39 @@ def oracle_design_row(cascade, prefix, net) -> np.ndarray:
         (float(np.mean(depths)) if depths else 0.0) + 1.0,
     ]
     return np.log(row)
+
+
+def _oracle_finite(records, metric):
+    records = list(records)
+    if not records:
+        raise DataError(f"{metric} needs at least one record")
+    for r in records:
+        if not (math.isfinite(r.truth) and math.isfinite(r.predicted)):
+            raise DataError(f"{metric} requires finite values, got ({r.predicted}, "
+                            f"{r.truth}) for cascade {r.cascade_id!r}")
+    return records
+
+
+def oracle_rmsle(records) -> float:
+    """``rmsle`` as a loop over records, with its messages."""
+    records = _oracle_finite(records, "rmsle")
+    for r in records:
+        if r.truth <= 0 or r.predicted <= 0:
+            raise DataError(
+                f"rmsle requires positive values, got ({r.predicted}, {r.truth}) "
+                f"for cascade {r.cascade_id!r}"
+            )
+    sq = [(math.log(r.predicted) - math.log(r.truth)) ** 2 for r in records]
+    return math.sqrt(sum(sq) / len(sq))
+
+
+def oracle_sigma_precision(records, sigma) -> float:
+    """``sigma_precision`` as a loop over records, with its messages."""
+    if not (0.0 < sigma < 1.0):
+        raise DataError(f"sigma must lie in (0, 1), got {sigma}")
+    records = _oracle_finite(records, "sigma_precision")
+    hits = sum(
+        1 for r in records
+        if r.truth * (1.0 - sigma) <= r.predicted <= r.truth * (1.0 + sigma)
+    )
+    return hits / len(records)
