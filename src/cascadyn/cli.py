@@ -221,6 +221,9 @@ def _cmd_fit(args) -> int:
     write_subcascades_jsonl(outdir / "subcascades.jsonl", samples)
     print(f"fitted {args.model} for {len(model.user_params)} users "
           f"({report.iterations} iterations, converged={report.converged})")
+    if report.lasso_capped:
+        print(f"{report.lasso_capped} LASSO solves stopped at the {opts.lasso_max_iter}-sweep "
+              f"cap before converging")
     return 0
 
 

@@ -11,7 +11,7 @@ log parameters to log covariates:
 Minimization is block coordinate descent in the order scale, shape, beta,
 gamma. The scale/shape blocks separate per user into one-dimensional smooth
 problems solved by safeguarded Newton; beta/gamma are LASSO problems solved
-by cyclic coordinate descent with soft thresholding.
+by cyclic coordinate descent with soft thresholding, on covariance updates.
 """
 
 from __future__ import annotations
@@ -89,7 +89,10 @@ class SubcascadeSample:
     delays: np.ndarray
 
     def __post_init__(self):
-        d = np.sort(np.asarray(self.delays, dtype=float))
+        d = np.asarray(self.delays, dtype=float)
+        if d.ndim != 1:
+            raise DataError(f"user {self.user!r} has delays that are not a flat list")
+        d = np.sort(d)
         if d.size == 0:
             raise DataError(f"user {self.user!r} has an empty delay sample")
         # sorted, so the ends decide: NaN and +inf sort last, -inf and 0 first
@@ -159,15 +162,21 @@ class FitOptions:
 
 @dataclass
 class FitReport:
+    """The objective after each outer iteration, whether it settled, and how
+    many LASSO solves (NEWER's beta and gamma blocks) stopped at
+    ``FitOptions.lasso_max_iter`` sweeps without meeting ``lasso_tol``."""
+
     objective_trace: list[float]
     converged: bool
     iterations: int
+    lasso_capped: int = 0
 
     def to_dict(self) -> dict:
         return {
             "objective_trace": list(self.objective_trace),
             "converged": self.converged,
             "iterations": self.iterations,
+            "lasso_capped": self.lasso_capped,
         }
 
 
@@ -505,30 +514,41 @@ def _shape_block(seg: _Segments, log_scale: np.ndarray, targets: np.ndarray,
 
 def lasso_cd(Z: np.ndarray, y: np.ndarray, alpha: float, *,
              warm: np.ndarray | None = None, tol: float = 1e-12,
-             max_iter: int = 10000) -> np.ndarray:
+             max_iter: int = 10000) -> tuple[np.ndarray, bool]:
     """Minimize (1/2N)||y - Z b||^2 + alpha*||b||_1 by cyclic coordinate
-    descent with soft thresholding."""
+    descent with soft thresholding, on covariance updates (Friedman, Hastie
+    & Tibshirani 2010): the Gram matrix Z'Z/N is formed once, and the
+    gradient Z'(y - Z b)/N is kept as r values that each changed coordinate
+    updates through its Gram column, so a sweep costs O(r^2), not O(N r).
+
+    Returns the coefficients and whether a sweep moved every coordinate by
+    at most ``tol`` relative to the largest one before ``max_iter`` sweeps.
+    """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     n, r = Z.shape
-    col_sq = np.einsum("ij,ij->j", Z, Z) / n
     b = np.zeros(r) if warm is None else np.array(warm, dtype=float)
-    resid = y - Z @ b
+    gram = (Z.T @ Z / n).tolist()
+    grad = (Z.T @ (y - Z @ b) / n).tolist()
+    coef = b.tolist()
+    # small r: plain floats beat numpy's per-call overhead
     for _ in range(max_iter):
         max_delta = 0.0
-        for j in range(r):
-            if col_sq[j] == 0.0:
+        for j, col in enumerate(gram):
+            g_jj = col[j]
+            if g_jj == 0.0:
                 continue
-            old = b[j]
-            rho = float(Z[:, j] @ resid) / n + col_sq[j] * old
-            new = math.copysign(max(abs(rho) - alpha, 0.0), rho) / col_sq[j]
+            old = coef[j]
+            rho = grad[j] + g_jj * old
+            new = math.copysign(max(abs(rho) - alpha, 0.0), rho) / g_jj
             if new != old:
-                resid += Z[:, j] * (old - new)
-                b[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        if max_delta <= tol * max(1.0, float(np.max(np.abs(b)))):
-            break
-    return b
+                step = old - new
+                grad = [g + c * step for g, c in zip(grad, col)]
+                coef[j] = new
+                max_delta = max(max_delta, abs(step))
+        if max_delta <= tol * max(1.0, max(map(abs, coef), default=0.0)):
+            return np.array(coef), True
+    return np.array(coef), False
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +583,13 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
         raise DataError("no user has enough events to fit")
 
     n = len(users)
-    seg = _Segments([np.log(sample_map[u].delays) for u in users])
+    delays = [sample_map[u].delays for u in users]
+    seg = _Segments([np.log(d) for d in delays])
     m = seg.m
     z = X.subset(users).log_values if X is not None else None
     r = len(X.names) if X is not None else 0
 
-    scale = np.array([float(np.mean(sample_map[u].delays)) for u in users])
+    scale = np.add.reduceat(np.concatenate(delays), seg.starts) / m  # mean delays
     shape = np.ones(n)
     beta = np.zeros(r)
     gamma = np.zeros(r)
@@ -607,7 +628,7 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
 
     trace = [objective()]
     converged = False
-    iterations = 0
+    iterations = lasso_capped = 0
     for _ in range(opts.max_outer):
         iterations += 1
         scale_targets = z @ beta if hyperparams.mu > 0 else np.zeros(n)
@@ -628,11 +649,13 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
             shape = new_shape
 
         if hyperparams.mu > 0:
-            beta = lasso_cd(z, np.log(scale), hyperparams.alpha_beta, warm=beta,
-                            tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
+            beta, settled = lasso_cd(z, np.log(scale), hyperparams.alpha_beta, warm=beta,
+                                     tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
+            lasso_capped += not settled
         if hyperparams.eta > 0:
-            gamma = lasso_cd(z, np.log(shape), hyperparams.alpha_gamma, warm=gamma,
-                             tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
+            gamma, settled = lasso_cd(z, np.log(shape), hyperparams.alpha_gamma, warm=gamma,
+                                      tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
+            lasso_capped += not settled
 
         current = objective()
         previous = trace[-1]
@@ -650,7 +673,8 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
         user_params={u: WeibullParams(float(scale[i]), float(shape[i])) for i, u in enumerate(users)},
         user_events={u: int(m[i]) for i, u in enumerate(users)},
     )
-    return model, FitReport(objective_trace=trace, converged=converged, iterations=iterations)
+    return model, FitReport(objective_trace=trace, converged=converged, iterations=iterations,
+                            lasso_capped=lasso_capped)
 
 
 def regress_params(model: NewerModel, log_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -839,7 +863,7 @@ def read_subcascades_jsonl(path) -> dict[str, SubcascadeSample]:
                 rec = json.loads(line)
                 sample = SubcascadeSample(user=str(rec["user"]),
                                           delays=np.asarray(rec["delays"], dtype=float))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:  # JSON and DataError too
                 raise DataError(f"{path}:{line_no}: bad subcascade record: {exc}") from exc
             if sample.user in out:
                 raise DataError(f"{path}:{line_no}: duplicate user {sample.user!r}")

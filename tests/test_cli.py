@@ -1,9 +1,12 @@
 import csv
 import json
+from functools import partial
 
 import pytest
 
+import cascadyn.cli as cli
 from cascadyn.cli import main
+from cascadyn.fitting import FitOptions
 from cascadyn.features import read_cascades_jsonl
 from cascadyn.predict import read_predictions_jsonl
 
@@ -111,6 +114,19 @@ class TestFitCommand:
         cold = json.loads((fit_dir / "fit_report.json").read_text())["objective_trace"][-1]
         warm = json.loads((out / "fit_report.json").read_text())["objective_trace"][-1]
         assert warm <= cold * (1 + 1e-9)
+
+    def test_capped_lasso_solves_reported(self, sim_dir, fit_dir, tmp_path, monkeypatch,
+                                          capsys):
+        assert json.loads((fit_dir / "fit_report.json").read_text())["lasso_capped"] == 0
+        monkeypatch.setattr(cli, "FitOptions", partial(FitOptions, lasso_max_iter=1))
+        out = tmp_path / "capped"
+        assert run("fit", "--network", str(sim_dir / "network.csv"),
+                   "--cascades", str(sim_dir / "cascades.jsonl"),
+                   "--out", str(out), "--model", "newer", "--min-events", "3") == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert 0 < report["lasso_capped"] <= 2 * report["iterations"]
+        assert (f"{report['lasso_capped']} LASSO solves stopped at the 1-sweep cap"
+                in capsys.readouterr().out)
 
     def test_bad_input_is_data_error(self, tmp_path):
         missing = tmp_path / "nope.csv"

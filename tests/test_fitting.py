@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
 from cascadyn.fitting import (
+    SCALE_BOUNDS,
     SHAPE_BOUNDS,
+    FeatureMatrix,
     FitOptions,
     Hyperparams,
     NewerModel,
@@ -35,6 +38,7 @@ from cascadyn.survival import (
     weibull_hazard,
     weibull_survival,
 )
+from worlds import oracle_lasso_cd
 
 
 def make_sample(user, delays):
@@ -204,7 +208,7 @@ class TestLasso:
         Z = rng.normal(size=(40, 6))
         y = rng.normal(size=40)
         expected, *_ = np.linalg.lstsq(Z, y, rcond=None)
-        got = lasso_cd(Z, y, alpha=0.0)
+        got, _ = lasso_cd(Z, y, alpha=0.0)
         assert np.allclose(got, expected, atol=1e-6)
 
     def test_large_penalty_gives_zero(self):
@@ -212,16 +216,115 @@ class TestLasso:
         Z = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
         alpha = float(np.max(np.abs(Z.T @ y)) / 30) + 1.0
-        assert np.all(lasso_cd(Z, y, alpha=alpha) == 0.0)
+        assert np.all(lasso_cd(Z, y, alpha=alpha)[0] == 0.0)
 
     def test_soft_threshold_shrinks_toward_zero(self):
         rng = np.random.default_rng(7)
         Z = rng.normal(size=(200, 3))
         b_true = np.array([2.0, 0.0, -1.0])
         y = Z @ b_true + 0.01 * rng.normal(size=200)
-        small = lasso_cd(Z, y, alpha=1e-4)
-        big = lasso_cd(Z, y, alpha=0.5)
+        small, _ = lasso_cd(Z, y, alpha=1e-4)
+        big, _ = lasso_cd(Z, y, alpha=0.5)
         assert np.sum(np.abs(big)) < np.sum(np.abs(small))
+
+
+# entries away from the subnormal range, where a Gram diagonal could round
+# to a tiny nonzero and blow a coefficient up
+_entries = st.floats(-3.0, 3.0).map(lambda v: 0.0 if abs(v) < 1e-3 else v)
+
+
+@st.composite
+def lasso_problems(draw):
+    """(Z, y, alpha, warm): n in 1..40 and r in 1..8, so n < r occurs, with
+    a zero column and duplicated columns drawn in at will."""
+    n, r = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    Z = np.array(draw(st.lists(_entries, min_size=n * r, max_size=n * r))).reshape(n, r)
+    columns = st.integers(0, r - 1)
+    if draw(st.booleans()):
+        Z[:, draw(columns)] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        Z[:, draw(columns)] = Z[:, draw(columns)]
+    y = np.array(draw(st.lists(_entries, min_size=n, max_size=n)))
+    alpha = draw(st.floats(0.0, 1.0))
+    warm = draw(st.none() | st.lists(_entries, min_size=r, max_size=r).map(np.array))
+    return Z, y, alpha, warm
+
+
+class TestLassoProperties:
+    @given(lasso_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_converged_solves_meet_kkt(self, problem):
+        Z, y, alpha, warm = problem
+        b, converged = lasso_cd(Z, y, alpha, warm=warm, max_iter=3000)
+        if not converged:
+            return
+        n = len(y)
+        grad = Z.T @ (y - Z @ b) / n
+        kkt = np.where(b != 0.0, np.abs(grad - alpha * np.sign(b)),
+                       np.maximum(np.abs(grad) - alpha, 0.0))
+        zero = ~np.any(Z != 0.0, axis=0)
+        assert np.all(kkt[~zero] <= 1e-8 * max(1.0, float(np.max(np.abs(b)))))
+        # coordinate descent never moves a zero column's coefficient
+        assert np.array_equal(b[zero], np.zeros(len(b))[zero] if warm is None else warm[zero])
+
+    @given(lasso_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_residual_loop_at_full_column_rank(self, problem):
+        Z, y, alpha, warm = problem
+        if np.linalg.matrix_rank(Z) < Z.shape[1]:
+            return
+        # a strictly convex problem: the two descents stay together sweep by
+        # sweep, whether or not they meet the stopping test in time
+        b, _ = lasso_cd(Z, y, alpha, warm=warm, max_iter=2000)
+        expected = oracle_lasso_cd(Z, y, alpha, warm=warm, max_iter=2000)
+        assert np.all(np.abs(b - expected) <= 1e-9 * max(1.0, float(np.max(np.abs(expected)))))
+
+
+# one user's delays by how its fit ends: anywhere, at the shape's upper bound
+# (all tied), at the scale's bounds (every delay far outside them), or at the
+# shape's lower bound (two delays e^207 apart: the MLE shape is about 0.0097)
+_DELAY_KINDS = {
+    "spread": st.lists(st.integers(1, 40), min_size=1, max_size=12).map(
+        lambda ts: [10.0 * t for t in ts]),
+    "tied": st.tuples(st.sampled_from([1.0, 7.0, 3600.0]), st.integers(2, 12)).map(
+        lambda vm: [vm[0]] * vm[1]),
+    "below_scale": st.lists(st.floats(1e-12, 1e-9), min_size=1, max_size=6),
+    "above_scale": st.lists(st.floats(1e11, 1e13), min_size=1, max_size=6),
+    "below_shape": st.just([1e-40, 1e50]),
+}
+
+
+@st.composite
+def newer_worlds(draw):
+    """(samples, X, hyperparams) of 1-8 users and 1-8 features, so fewer
+    users than features occurs, with tied delays and users pinned at
+    ``SCALE_BOUNDS`` or ``SHAPE_BOUNDS``."""
+    n, r = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    users = [f"u{i}" for i in range(n)]
+    samples = {u: make_sample(u, draw(st.sampled_from(sorted(_DELAY_KINDS)).flatmap(
+        _DELAY_KINDS.get))) for u in users}
+    values = st.sampled_from([1.0, 2.0, 30.0]) | st.floats(0.5, 1e4)
+    X = FeatureMatrix(users, [f"f{j}" for j in range(r)],
+                      np.array(draw(st.lists(values, min_size=n * r, max_size=n * r))).reshape(n, r))
+    weights = st.sampled_from([0.0, 0.1, 10.0, 1e3])
+    hp = Hyperparams(mu=draw(weights), eta=draw(weights),
+                     alpha_beta=draw(st.sampled_from([0.0, 6e-5, 0.1])),
+                     alpha_gamma=draw(st.sampled_from([0.0, 8e-6, 0.1])))
+    return samples, X, hp
+
+
+class TestNewerDescent:
+    @given(newer_worlds())
+    @settings(max_examples=150, deadline=None)
+    def test_objective_trace_never_rises(self, world):
+        samples, X, hp = world
+        model, report = fit_newer(samples, X, hp, FitOptions(min_events=1, max_outer=30,
+                                                             lasso_max_iter=500))
+        trace = np.array(report.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+        for p in model.user_params.values():
+            assert SCALE_BOUNDS[0] <= p.scale <= SCALE_BOUNDS[1]
+            assert SHAPE_BOUNDS[0] <= p.shape <= SHAPE_BOUNDS[1]
 
 
 class TestFitNewer:
@@ -674,6 +777,25 @@ class TestSubcascadeFiles:
         path = tmp_path / "subcascades.jsonl"
         path.write_text('{"user": "a", "delays": [1]}\n{"user": "a", "delays": [2]}\n')
         with pytest.raises(DataError):
+            read_subcascades_jsonl(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"user": "b", "delays": ["x"]}',
+        '{"user": "b", "delays": [1.0, -2.0]}',
+        '{"user": "b", "delays": [1.0, NaN]}',
+        '{"user": "b", "delays": [Infinity]}',
+        '{"user": "b", "delays": []}',
+        '{"user": "b", "delays": 4.0}',
+        '{"user": "b", "delays": [[1.0, 2.0]]}',
+        '{"user": "b", "delays": null}',
+        '{"user": "b"}',
+        '["b", [1.0]]',
+        '{"user": "b", "delays": [1.0',
+    ])
+    def test_bad_record_names_file_and_line(self, tmp_path, record):
+        path = tmp_path / "subcascades.jsonl"
+        path.write_text('{"user": "a", "delays": [1.0]}\n\n' + record + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: bad subcascade record"):
             read_subcascades_jsonl(path)
 
 

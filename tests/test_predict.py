@@ -319,6 +319,33 @@ class TestSamplingModel:
         assert est == pytest.approx(basic, rel=0.25)
 
 
+@st.composite
+def sampled_streams(draw):
+    """(events, dynamics, network size, epsilon, later query times): one
+    cascade of a random small world, whose timestamps tie often, with
+    random per-user dynamics, and up to 60 queries spaced geometrically
+    after the last event, enough to bring recalculations up to the budget."""
+    _, _, cascades = draw(worlds(max_cascades=1).filter(lambda w: w[2]))
+    events = cascades[0].events
+    dynamics = {ev.user: WeibullParams(draw(st.floats(1.0, 1e5)), draw(st.floats(0.2, 5.0)))
+                for ev in events}
+    network_size = draw(st.integers(len(events), 10_000))
+    epsilon = draw(st.sampled_from([0.01, 0.1, 0.5]) | st.floats(0.01, 2.0))
+    offsets = np.geomspace(1.0, draw(st.floats(1.0, 1e9)), draw(st.integers(0, 60)))
+    return events, dynamics, network_size, epsilon, (events[-1].t + offsets).tolist()
+
+
+class TestSamplingProperties:
+    @given(sampled_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_within_epsilon_and_recalc_budget(self, stream):
+        events, dynamics, network_size, epsilon, queries = stream
+        sampler, worst = replay_stream(events, dynamics, network_size, epsilon, queries, None)
+        assert worst <= epsilon
+        budget = math.ceil(math.log(network_size) / math.log(1.0 + epsilon))
+        assert all(sampler.recalc_count(ev.user) <= budget for ev in events)
+
+
 class TestModelDynamics:
     def make_model(self, kind="newer"):
         return NewerModel(
