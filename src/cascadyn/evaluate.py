@@ -101,7 +101,7 @@ def _sigma_precision(ids: Sequence[str], truth, predicted, sigma: float) -> floa
     t, p = _finite("sigma_precision", ids, truth, predicted)
     with np.errstate(over="ignore"):  # a band edge past the largest float is inf
         hits = np.count_nonzero((t * (1.0 - sigma) <= p) & (p <= t * (1.0 + sigma)))
-    return int(hits) / t.size
+    return int(hits) / t.size  # a Python float, as the report's CSV takes its repr
 
 
 def rmsle(records: Iterable[PredictionRecord]) -> float:
@@ -274,13 +274,14 @@ def _aggregate(scored: dict[tuple[str, object], _Scored], sigma: float,
                precisions: dict[tuple[str, object], list[float]]) -> list[dict]:
     """One row per (model, sweep). When ``precisions`` holds one value per
     process curve, ``n`` counts curves and ``precision`` is their mean."""
+    if not precisions:
+        _check_sigma(sigma)
     rows = []
     for key in sorted(scored, key=lambda key: (key[0], str(key[1]))):
         columns = scored[key].columns()
         if precisions:
             n, precision = len(precisions[key]), float(np.mean(precisions[key]))
         else:
-            _check_sigma(sigma)
             n, precision = len(columns[0]), _sigma_precision(*columns, sigma)
         rows.append({
             "model": key[0],
@@ -430,16 +431,16 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             by_sweep = {}
             for s in dict.fromkeys(prefix_sizes):
                 at = np.flatnonzero(sweeps == s)
-                by_sweep[s] = at, [scored[j][0] for j in at.tolist()]
+                cs = [scored[j][0] for j in at.tolist()]
+                by_sweep[s] = at, cs, [c.cascade_id for c in cs]
             for kind, dyn in fitted.items():
                 sizes = batch.final_sizes(dyn)
                 _check_against_reference(batch, scored, sizes, dyn, net.n_nodes)
-                for s, (at, cs) in by_sweep.items():
-                    score(kind, s, [c.cascade_id for c in cs], truths[at], sizes[at])
+                for s, (at, _, ids) in by_sweep.items():
+                    score(kind, s, ids, truths[at], sizes[at])
             for s, model in loglinear.items():
-                at, cs = by_sweep[s]
-                score("loglinear", s, [c.cascade_id for c in cs], truths[at],
-                      model.predict_final(cs, s, net))
+                at, cs, ids = by_sweep[s]
+                score("loglinear", s, ids, truths[at], model.predict_final(cs, s, net))
             continue
         for cascade in test:
             cid = cascade.cascade_id
