@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericsError
-from .features import Cascade, Network, extract_features, extract_subcascades
+from .features import Cascade, Network, extract_features, extract_subcascades, network_rows
 from .fitting import (
     DEFAULT_HYPERPARAMS,
     FitOptions,
@@ -177,9 +177,7 @@ class LogLinearModel:
         starts = np.cumsum(lengths) - lengths
         times = np.concatenate([c.times[:prefix] for c in cascades])
         depths = np.concatenate([c.depths[:prefix] for c in cascades])
-        index = net.index
-        rows = np.array([index[ev.user] for c in cascades for ev in c.events[:prefix]],
-                        dtype=np.intp)
+        rows = network_rows(net, cascades, lengths)
         followers = net.follower_ptr[rows + 1] - net.follower_ptr[rows]
         duration = times[starts + lengths - 1] - times[starts] + 1.0
         # the root has depth 0, so the depth sums and maxima run over the

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .fitting import FeatureMatrix, SubcascadeSample
+from .userids import by_id, intern
 
 __all__ = [
     "CascadeEvent",
@@ -121,6 +122,11 @@ class Cascade:
         return _read_only(out)
 
     @cached_property
+    def user_ids(self) -> np.ndarray:
+        """Interned id of each event's user, in event order (int32, read-only)."""
+        return _read_only(intern((ev.user for ev in self.events), len(self.events)))
+
+    @cached_property
     def depths(self) -> np.ndarray:
         """Hops from the root to each event, 0 for the root (int32, read-only)."""
         depths = [0] * len(self.events)
@@ -129,13 +135,8 @@ class Cascade:
         return _read_only(np.array(depths, dtype=np.int32))
 
     def size_at(self, t: float) -> int:
-        """Number of events with timestamp <= t."""
-        count = 0
-        for ev in self.events:
-            if ev.t > t:
-                break
-            count += 1
-        return count
+        """Number of events with timestamp <= t (every event for a NaN t)."""
+        return int(np.searchsorted(self.times, t, side="right"))
 
 
 @dataclass
@@ -204,6 +205,14 @@ class Network:
         """Follower count of every node row."""
         return np.diff(self.follower_ptr)
 
+    @cached_property
+    def _row_of_id(self) -> np.ndarray:
+        return by_id(intern(self.nodes, len(self.nodes)), np.arange(len(self.nodes)), -1)
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Node row of each user id, -1 for a user outside the network."""
+        return self._row_of_id.take(ids, mode="clip")
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -249,6 +258,22 @@ def flatten_prefixes(cascades: Sequence[Cascade],
     return times, parents
 
 
+def flatten_user_ids(cascades: Sequence[Cascade],
+                     lengths: np.ndarray | None = None) -> np.ndarray:
+    """User ids of the same events as ``flatten_prefixes``, in its order."""
+    counts = [c.size for c in cascades] if lengths is None else lengths.tolist()
+    return np.concatenate([np.empty(0, dtype=np.int32),
+                           *(c.user_ids[:k] for c, k in zip(cascades, counts))])
+
+
+def flat_event(cascades: Sequence[Cascade], lengths: np.ndarray | None,
+               at: int) -> tuple[Cascade, CascadeEvent]:
+    """The cascade and the event at position ``at`` of ``flatten_prefixes``'s layout."""
+    ends = np.cumsum([c.size for c in cascades] if lengths is None else lengths)
+    j = int(np.searchsorted(ends, at, side="right"))
+    return cascades[j], cascades[j].events[at - int(ends[j - 1] if j else 0)]
+
+
 def extract_subcascades(cascades: Iterable[Cascade],
                         shift: float = DELAY_SHIFT) -> dict[str, SubcascadeSample]:
     """Per-user response delays: for every non-root event, the gap between
@@ -273,17 +298,15 @@ def extract_subcascades(cascades: Iterable[Cascade],
             for u, d in zip(names, np.split(delays, bounds))}
 
 
-def _user_rows(net: Network, cascades: Sequence[Cascade]) -> np.ndarray:
-    """Network row of every event's user, cascades concatenated in order."""
-    index = net.index
-    try:
-        return np.fromiter((index[ev.user] for c in cascades for ev in c.events), dtype=np.intp,
-                           count=sum(c.size for c in cascades))
-    except KeyError:
-        cascade, ev = next((c, ev) for c in cascades for ev in c.events if ev.user not in index)
-        raise DataError(
-            f"cascade {cascade.cascade_id!r}: user {ev.user!r} absent from network"
-        ) from None
+def network_rows(net: Network, cascades: Sequence[Cascade],
+                 lengths: np.ndarray | None = None) -> np.ndarray:
+    """Network row of the user of each event ``flatten_prefixes`` lays out."""
+    rows = net.rows_of(flatten_user_ids(cascades, lengths))
+    absent = np.flatnonzero(rows < 0)
+    if absent.size:
+        cascade, ev = flat_event(cascades, lengths, int(absent[0]))
+        raise DataError(f"cascade {cascade.cascade_id!r}: user {ev.user!r} absent from network")
+    return rows
 
 
 def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix:
@@ -295,7 +318,7 @@ def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix
     """
     cascades = list(cascades)
     n = net.n_nodes
-    rows = _user_rows(net, cascades)
+    rows = network_rows(net, cascades)
     times, parents = flatten_prefixes(cascades)
     child = parents >= 0
     posts_made = np.bincount(rows, minlength=n)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import DataError, NumericsError
 from .survival import _EXP_CLAMP, WeibullParams
+from .userids import intern
 
 __all__ = [
     "Hyperparams",
@@ -139,6 +141,13 @@ class FeatureMatrix:
     def index(self) -> Mapping[str, int]:
         """Row of each user; shared, not copied, so callers must not modify it."""
         return self._index
+
+    @cached_property
+    def user_ids(self) -> np.ndarray:
+        """Interned id of each row's user (int32, read-only)."""
+        ids = intern(self.users, len(self.users))
+        ids.flags.writeable = False
+        return ids
 
     def subset(self, users: Iterable[str]) -> "FeatureMatrix":
         users = list(users)
@@ -536,11 +545,10 @@ def lasso_cd(Z: np.ndarray, y: np.ndarray, alpha: float, *,
         max_delta = 0.0
         for j, col in enumerate(gram):
             g_jj = col[j]
-            if g_jj == 0.0:
-                continue
             old = coef[j]
             rho = grad[j] + g_jj * old
-            new = math.copysign(max(abs(rho) - alpha, 0.0), rho) / g_jj
+            # an all-zero column moves no prediction, so its penalty alone sets it to 0
+            new = math.copysign(max(abs(rho) - alpha, 0.0), rho) / g_jj if g_jj else 0.0
             if new != old:
                 step = old - new
                 grad = [g + c * step for g, c in zip(grad, col)]

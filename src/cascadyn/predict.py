@@ -18,16 +18,26 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+import operator
+from contextlib import nullcontext
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .features import DELAY_SHIFT, Cascade, CascadeEvent, flatten_prefixes
+from .features import (
+    DELAY_SHIFT,
+    Cascade,
+    CascadeEvent,
+    _read_only,
+    flat_event,
+    flatten_prefixes,
+    flatten_user_ids,
+)
 from .fitting import FeatureMatrix, NewerModel, mean_params, median_params, regress_params
 from .survival import _EXP_CLAMP, WeibullParams, weibull_survival, weibull_survival_inverse
+from .userids import by_id, intern, lookup
 
 __all__ = [
     "PartialCascade",
@@ -47,19 +57,30 @@ _CURVE_BLOCK = 1 << 16  # process-curve buffer entries (horizons x replying rows
 
 @dataclass
 class PartialCascade:
-    """The observed prefix of a cascade up to t_limit, plus the network size."""
+    """The observed prefix of a cascade up to t_limit, plus the network size.
+
+    Built from an event list, the events are validated as a ``Cascade``.
+    ``from_cascade`` and ``first_events`` instead observe a time prefix of a
+    cascade already validated, which needs no second tree check: ``events``
+    is a slice of its events, and ``times``, ``parent_positions`` and
+    ``user_ids`` are read-only views of its arrays.
+    """
 
     cascade_id: str
     events: list[CascadeEvent]
     t_limit: float
     network_size: int
+    _source: InitVar[Cascade | None] = None  # the cascade ``events`` is a time prefix of
 
-    def __post_init__(self):
+    def __post_init__(self, _source: Cascade | None):
         if self.network_size < 1:
             raise DataError("network size must be >= 1")
         if not self.events:
             raise DataError(f"partial cascade {self.cascade_id!r} has no events")
-        Cascade(cascade_id=self.cascade_id, events=self.events)  # reuse tree validation
+        if _source is None:  # validate the tree; a time prefix of a cascade is valid
+            _source = Cascade(cascade_id=self.cascade_id, events=self.events)
+        self._cascade = _source
+        self._replynum = None
         if not math.isfinite(self.t_limit) or not self.t_limit >= self.events[-1].t:
             raise DataError(
                 f"partial cascade {self.cascade_id!r}: t_limit {self.t_limit} is not finite "
@@ -70,33 +91,42 @@ class PartialCascade:
     def size(self) -> int:
         return len(self.events)
 
-    @cached_property
-    def rows(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Users, join times and reply counts of the observed rows, built once
-        and shared, read-only, by every predictor on this cascade."""
-        users = [e.user for e in self.events]
-        position = {u: i for i, u in enumerate(users)}
-        # the tree check in __post_init__ gives every later event a known parent
-        parents = [position[e.parent] for e in self.events[1:]]
-        replynum = np.bincount(parents, minlength=len(users)).astype(float)
-        t_join = np.array([e.t for e in self.events])
-        replynum.flags.writeable = False
-        t_join.flags.writeable = False
-        return users, t_join, replynum
+    @property
+    def times(self) -> np.ndarray:
+        """Join time of each observed event (float64, read-only)."""
+        return self._cascade.times[:len(self.events)]
+
+    @property
+    def parent_positions(self) -> np.ndarray:
+        """Position of each observed event's parent, -1 for the root (int32, read-only)."""
+        return self._cascade.parent_positions[:len(self.events)]
+
+    @property
+    def user_ids(self) -> np.ndarray:
+        """Interned id of each observed event's user (int32, read-only)."""
+        return self._cascade.user_ids[:len(self.events)]
+
+    @property
+    def replynum(self) -> np.ndarray:
+        """Observed replies to each observed event (float64, read-only), built
+        once and shared by every predictor on this cascade."""
+        if self._replynum is None:
+            counts = np.bincount(self.parent_positions[1:], minlength=len(self.events))
+            self._replynum = _read_only(counts.astype(float))
+        return self._replynum
 
     @classmethod
     def from_cascade(cls, cascade: Cascade, t_limit: float, network_size: int) -> "PartialCascade":
-        events = [e for e in cascade.events if e.t <= t_limit]
-        return cls(cascade.cascade_id, events, t_limit, network_size)
+        # a NaN t_limit observes nothing, as no e.t <= NaN holds
+        k = 0 if math.isnan(t_limit) else int(np.searchsorted(cascade.times, t_limit, "right"))
+        return cls(cascade.cascade_id, cascade.events[:k], t_limit, network_size, cascade)
 
     @classmethod
     def first_events(cls, cascade: Cascade, count: int, network_size: int) -> "PartialCascade":
         if count < 1 or count > cascade.size:
             raise DataError(f"cannot observe {count} events of a size-{cascade.size} cascade")
-        t_limit = cascade.events[count - 1].t
         # include every event tied with the cut timestamp
-        events = [e for e in cascade.events if e.t <= t_limit]
-        return cls(cascade.cascade_id, events, t_limit, network_size)
+        return cls.from_cascade(cascade, cascade.events[count - 1].t, network_size)
 
 
 @dataclass
@@ -109,22 +139,26 @@ class ProcessCurve:
     def __post_init__(self):
         if len(self.times) != len(self.sizes):
             raise DataError("curve times and sizes must have the same length")
-        if any(b < a for a, b in zip(self.times, self.times[1:])):
+        if any(map(operator.lt, self.times[1:], self.times)):
             raise DataError("curve times must be sorted")
-        if any(b < a for a, b in zip(self.sizes, self.sizes[1:])):
+        if any(map(operator.lt, self.sizes[1:], self.sizes)):
             raise DataError("curve sizes must be nondecreasing")
+
+
+def _no_dynamics(user: str) -> DataError:
+    return DataError(f"no behavioral dynamics for observed user {user!r}")
 
 
 def _resolve_dynamics(dynamics, user: str) -> WeibullParams:
     if isinstance(dynamics, Mapping):
         params = dynamics.get(user)
         if params is None:
-            raise DataError(f"no behavioral dynamics for observed user {user!r}")
+            raise _no_dynamics(user)
         return params
     try:
         return dynamics(user)
     except KeyError:
-        raise DataError(f"no behavioral dynamics for observed user {user!r}") from None
+        raise _no_dynamics(user) from None
 
 
 class ModelDynamics:
@@ -138,11 +172,12 @@ class ModelDynamics:
       rayleigh     scale regressed, shape 2
       weibull      averaged fitted scale and shape
 
-    The policy is applied once, at construction, into one table of scales
-    and shapes: a row per feature-matrix user (keyed by the matrix's own
-    index), a row per fitted user the matrix lacks, and a last row for every
-    other user. A row no source covers is marked in ``_covered`` and refused
-    on lookup.
+    The policy is applied once, at construction, into a table of scales and
+    shapes with a row per feature-matrix user, a row per fitted user the
+    matrix lacks, and a last row for every other user; that table is then
+    laid out by interned user id (``cascadyn.userids``), so a lookup is one
+    take by id, and users interned later read the last row. A row no source
+    covers is marked in ``_covered`` and refused on lookup.
     """
 
     def __init__(self, model: NewerModel, features: FeatureMatrix | None = None,
@@ -160,17 +195,18 @@ class ModelDynamics:
 
     def _build_table(self) -> None:
         model, features = self.model, self.features
-        index = features.index if features is not None else {}
-        n_features = len(index)
-        extra = [u for u in model.user_params if u not in index]
+        if features is None:
+            ids, extra = np.empty(0, dtype=np.int32), list(model.user_params)
+        else:
+            ids, extra = features.user_ids, [u for u in model.user_params if u not in features]
+        n_features = len(ids)
         if extra:
-            index = dict(index)
-            index.update((u, n_features + i) for i, u in enumerate(extra))
-        self._index = index
-        self._other = len(index)  # the row of users outside the index
-        scales = np.ones(len(index) + 1)
-        shapes = np.ones(len(index) + 1)
-        covered = np.zeros(len(index) + 1, dtype=bool)
+            ids = np.concatenate([ids, intern(extra, len(extra))])
+        other = len(ids)  # the row of users outside the table
+        row_of = by_id(ids, np.arange(other), other)
+        scales = np.ones(other + 1)
+        shapes = np.ones(other + 1)
+        covered = np.zeros(other + 1, dtype=bool)
         mean = mean_params(model) if model.user_params else None
         if model.kind == "weibull":
             if mean is not None:
@@ -191,37 +227,36 @@ class ModelDynamics:
             scales[~covered], shapes[~covered] = self.fallback.scale, self.fallback.shape
             covered[:] = True
         if model.user_params:
-            rows = [index[u] for u in model.user_params]
+            rows = row_of[intern(model.user_params, len(model.user_params))]
             params = model.user_params.values()
             scales[rows] = [p.scale for p in params]
             shapes[rows] = [p.shape for p in params]
             covered[rows] = True
-        self._scales, self._shapes, self._covered = scales, shapes, covered
+        # one (scale, shape) row per id, read with take(ids, axis=0, mode="clip")
+        self._params = np.column_stack([scales, shapes])[row_of]
+        self._covered = covered[row_of]
         self._all_covered = bool(covered.all())  # always so when there is a fallback
 
     def __call__(self, user: str) -> WeibullParams:
-        row = self._index.get(user, self._other)
-        if not self._covered[row]:
-            raise DataError(f"no behavioral dynamics for observed user {user!r}")
-        return WeibullParams(float(self._scales[row]), float(self._shapes[row]))
+        i = lookup(user)
+        last = len(self._covered) - 1
+        if i is None or i > last:
+            i = last
+        if not self._covered.item(i):
+            raise _no_dynamics(user)
+        return WeibullParams(self._params.item(i, 0), self._params.item(i, 1))
 
-    def _rows(self, users: Sequence[str]) -> np.ndarray:
-        """The table row of each of ``users``."""
-        index, other = self._index, self._other
-        return np.fromiter((index.get(u, other) for u in users), dtype=np.intp, count=len(users))
-
-    def _refuse_uncovered(self, rows: np.ndarray, users: Sequence[str]) -> None:
+    def _refuse_uncovered(self, ids: np.ndarray, user_at) -> None:
+        """Raise naming ``user_at(i)`` for the first i whose id no source covers."""
         if self._all_covered:
             return
-        missing = np.flatnonzero(~self._covered[rows])
+        missing = np.flatnonzero(~self._covered.take(ids, mode="clip"))
         if missing.size:
-            raise DataError(f"no behavioral dynamics for observed user {users[missing[0]]!r}")
+            raise _no_dynamics(user_at(int(missing[0])))
 
-    def gather(self, users: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Scales and shapes of ``users``, one table row each."""
-        rows = self._rows(users)
-        self._refuse_uncovered(rows, users)
-        return self._scales[rows], self._shapes[rows]
+    def _take(self, ids: np.ndarray) -> np.ndarray:
+        """The (scale, shape) row of each id, covered or not."""
+        return self._params.take(ids, axis=0, mode="clip")
 
 
 def _rates(t0, shapes, log_scales, floor, t_e, out):
@@ -247,17 +282,18 @@ class BasicPredictor:
     """Prepared basic-model evaluator for one partial cascade.
 
     Per-user arrays are built once so repeated horizon queries (process
-    curves, outbreak search) stay cheap. The public arrays (``users``,
-    ``t_join``, ``replynum``, ``scales``, ``shapes``, ``deathrate``) hold one
-    entry per observed row; ``deathrate`` is computed when read. ``users``,
-    ``t_join`` and ``replynum`` are the partial cascade's read-only
-    ``rows``, shared by every predictor built on it, and a ``ModelDynamics``
-    fills ``scales`` and ``shapes`` with one table gather. The sums run over
-    replying rows only: a row with no replies adds an exact zero, and on
-    large cascades most rows have none. For those rows the join time minus
-    ``time_shift``, the shape, the log scale and the reply count are kept
-    contiguous, and every horizon query fills one preallocated buffer in
-    place; a process curve fills one buffer row per horizon.
+    curves, outbreak search) stay cheap. The public arrays (``t_join``,
+    ``replynum``, ``scales``, ``shapes``, ``deathrate``) hold one entry per
+    observed row; ``deathrate`` is computed when read, and so is ``users``,
+    the rows' names. ``t_join`` and ``replynum`` are the partial cascade's
+    read-only arrays, shared by every predictor built on it, and a
+    ``ModelDynamics`` fills ``scales`` and ``shapes`` with one table take by
+    user id. The sums run over replying rows only: a row with no replies
+    adds an exact zero, and on large cascades most rows have none. For those
+    rows the join time minus ``time_shift``, the shape, the log scale and the
+    reply count are kept contiguous, and every horizon query fills one
+    preallocated buffer in place; a process curve fills one buffer row per
+    horizon.
 
     The summed rows' deathrate is the rate the query routine itself returns
     at ``t_limit``, so at ``t_e == t_limit`` each fdrate / deathrate ratio is
@@ -269,21 +305,33 @@ class BasicPredictor:
             raise DataError(f"time shift must be a nonnegative real, got {time_shift}")
         self.pc = pc
         self.time_shift = time_shift
-        self.users, self.t_join, self.replynum = pc.rows
+        self.t_join, self.replynum = pc.times, pc.replynum
         if isinstance(dynamics, ModelDynamics):
-            self.scales, self.shapes = dynamics.gather(self.users)
+            ids = pc.user_ids
+            dynamics._refuse_uncovered(ids, lambda i: pc.events[i].user)
+            params = dynamics._take(ids)
+            self.scales, self.shapes = params[:, 0], params[:, 1]
         else:
-            params = [_resolve_dynamics(dynamics, u) for u in self.users]
+            params = [_resolve_dynamics(dynamics, e.user) for e in pc.events]
             self.scales = np.array([p.scale for p in params])
             self.shapes = np.array([p.shape for p in params])
         self.floor = 1.0 / pc.network_size
         replying = self.replynum > 0.0
         self._t0 = self.t_join[replying] - time_shift
+        # every t_e >= t_join, so an elapsed time t_e - t0 of 0, whose log
+        # warns, needs t0 == t_join: a zero shift, or one below the spacing
+        # of floats near some join time, which |t| * 2**-52 bounds
+        t_abs = max(-float(self.t_join[0]), pc.t_limit)
+        self._log0 = not time_shift > t_abs * 2.0 ** -52
         self._shapes = self.shapes[replying]
         self._log_scales = np.log(self.scales[replying])
         self._replynum = self.replynum[replying]
         self._buf = np.empty_like(self._t0)
         self._deathrate = self._fdrate(pc.t_limit).copy()
+
+    @property
+    def users(self) -> list[str]:
+        return [e.user for e in self.pc.events]
 
     @property
     def deathrate(self) -> np.ndarray:
@@ -299,7 +347,7 @@ class BasicPredictor:
     def _fdrate(self, t_e: float) -> np.ndarray:
         """Rates of the replying rows at horizon t_e, in the shared buffer."""
         args = (self._t0, self._shapes, self._log_scales, self.floor, t_e, self._buf)
-        if t_e == self.pc.t_limit:
+        if self._log0 and t_e == self.pc.t_limit:
             # every t0 <= t_limit, so an elapsed time of 0 can occur here only
             with np.errstate(divide="ignore"):
                 return _rates(*args)
@@ -318,7 +366,7 @@ class BasicPredictor:
 
     def final_size(self) -> float:
         """Predicted final size: horizon at infinity, so fdrate is 1."""
-        return 1.0 + float(np.sum(self._replynum / self._deathrate))
+        return 1.0 + float((self._replynum / self._deathrate).sum())
 
     def outbreak_time(self, threshold_size: int, t_max: float | None = None) -> float | None:
         """Earliest integer-second time the predicted size reaches the
@@ -352,37 +400,33 @@ class BasicPredictor:
         so every entry equals the scalar query.
         """
         rows = self._t0.size
-        out = np.zeros(len(times))
-        if rows:
-            block = max(1, _CURVE_BLOCK // rows)
-            buf = np.empty((min(block, len(times)), rows))
-            # an elapsed time of 0 can occur at t_e == t_limit only
-            with np.errstate(divide="ignore"):
-                for start in range(0, len(times), block):
-                    t_e = times[start:start + block, None]
-                    ratio = _rates(self._t0, self._shapes, self._log_scales, self.floor, t_e,
-                                   buf[:len(t_e)])
-                    ratio /= self._deathrate
-                    ratio *= self._replynum
-                    out[start:start + len(t_e)] = ratio.sum(axis=1)
+        if not rows:
+            return np.ones(len(times))
+        out = np.empty(len(times))
+        block = max(1, _CURVE_BLOCK // rows)
+        buf = np.empty((min(block, len(times)), rows))
+        with np.errstate(divide="ignore") if self._log0 else nullcontext():
+            for start in range(0, len(times), block):
+                t_e = times[start:start + block, None]
+                ratio = _rates(self._t0, self._shapes, self._log_scales, self.floor, t_e,
+                               buf[:len(t_e)])
+                ratio /= self._deathrate
+                ratio *= self._replynum
+                ratio.sum(axis=1, out=out[start:start + len(t_e)])
         out += 1.0
         return out
 
     def process_curve(self, grid: Sequence[float]) -> ProcessCurve:
-        grid = [float(t) for t in grid]
-        if any(b < a for a, b in zip(grid, grid[1:])):
+        times = np.array(grid, dtype=float)
+        if (times[1:] < times[:-1]).any():
             raise DataError("prediction grid must be sorted")
-        times = np.array(grid)
-        early = np.flatnonzero(~(times >= self.pc.t_limit))  # also refuses NaN
-        if early.size:
-            raise DataError(f"prediction horizon {grid[early[0]]} precedes "
+        early = ~(times >= self.pc.t_limit)  # also refuses NaN
+        if early.any():
+            raise DataError(f"prediction horizon {float(times[early.argmax()])} precedes "
                             f"t_limit {self.pc.t_limit}")
-        sizes: list[float] = []
-        for value in self._sizes_at(times).tolist():
-            if sizes and value < sizes[-1]:
-                value = sizes[-1]  # guard float wobble; the estimator is monotone
-            sizes.append(value)
-        return ProcessCurve(times=grid, sizes=sizes)
+        # the estimator is monotone; the running maximum guards float wobble
+        sizes = np.maximum.accumulate(self._sizes_at(times))
+        return ProcessCurve(times=times.tolist(), sizes=sizes.tolist())
 
 
 class PrefixBatch:
@@ -392,14 +436,14 @@ class PrefixBatch:
     Prefix j is the first ``count`` events of its cascade plus every later
     event tied with the cut, as ``PartialCascade.first_events`` observes it;
     ``t_limit`` is the cut's timestamp. The rows of all prefixes are sliced
-    from each cascade's cached arrays and laid end to end: ``users`` (names),
-    and, for the rows with replies only, the join time minus ``DELAY_SHIFT``,
-    the reply count, the prefix's ``t_limit`` and the prefix the row belongs
-    to. ``final_sizes`` resolves ``users`` to table rows once per table index,
-    which every ``ModelDynamics`` built on one feature matrix shares, takes
-    each replying row's deathrate with the kernel ``BasicPredictor`` uses,
-    and sums each prefix with ``np.bincount``. The deathrates are bit for bit
-    those of ``BasicPredictor``; only the order of the final sum differs.
+    from each cascade's cached arrays and laid end to end: user ids, and, for
+    the rows with replies only, the join time minus ``DELAY_SHIFT``, the
+    reply count, the prefix's ``t_limit`` and the prefix the row belongs to.
+    ``final_sizes`` takes each replying row's scale and shape from the
+    ``ModelDynamics`` table by id, its deathrate with the kernel
+    ``BasicPredictor`` uses, and sums each prefix with ``np.bincount``. The
+    deathrates are bit for bit those of ``BasicPredictor``; only the order
+    of the final sum differs.
     """
 
     def __init__(self, prefixes: Sequence[tuple[Cascade, int]], network_size: int):
@@ -415,29 +459,27 @@ class PrefixBatch:
             times = cascade.times
             t_limits[j] = times[count - 1]
             lengths[j] = np.searchsorted(times, t_limits[j], side="right")
-        cascades = [cascade for cascade, _ in prefixes]
-        self.users = [ev.user for cascade, k in zip(cascades, lengths.tolist())
-                      for ev in cascade.events[:k]]
+        self._cascades = [cascade for cascade, _ in prefixes]
         prefix_of = np.repeat(np.arange(self.size), lengths)
-        t_join, parents = flatten_prefixes(cascades, lengths)
+        t_join, parents = flatten_prefixes(self._cascades, lengths)
+        self._ids = flatten_user_ids(self._cascades, lengths)
         replynum = np.bincount(parents[parents >= 0], minlength=len(t_join))
-        self._replying = np.flatnonzero(replynum)
-        self._t0 = t_join[self._replying] - DELAY_SHIFT
-        self._replynum = replynum[self._replying].astype(float)
-        self._t_limit = t_limits[prefix_of[self._replying]]
-        self._prefix_of = prefix_of[self._replying]
-        self._table_index = self._table_rows = None
+        replying = np.flatnonzero(replynum)
+        self._replying_ids = self._ids[replying]
+        self._t0 = t_join[replying] - DELAY_SHIFT
+        self._replynum = replynum[replying].astype(float)
+        self._t_limit = t_limits[prefix_of[replying]]
+        self._prefix_of = prefix_of[replying]
 
     def final_sizes(self, dynamics: ModelDynamics) -> np.ndarray:
         """Each prefix's ``BasicPredictor(pc, dynamics).final_size()``."""
-        if self._table_index is not dynamics._index:
-            self._table_index, self._table_rows = dynamics._index, dynamics._rows(self.users)
-        dynamics._refuse_uncovered(self._table_rows, self.users)
-        rows = self._table_rows[self._replying]
+        dynamics._refuse_uncovered(
+            self._ids, lambda row: flat_event(self._cascades, self.lengths, row)[1].user)
+        params = dynamics._take(self._replying_ids)
         deathrate = np.empty_like(self._t0)
         # every elapsed time is at least DELAY_SHIFT, so no log of 0 occurs
-        _rates(self._t0, dynamics._shapes[rows], np.log(dynamics._scales[rows]),
-               self.floor, self._t_limit, deathrate)
+        _rates(self._t0, params[:, 1], np.log(params[:, 0]), self.floor, self._t_limit,
+               deathrate)
         return 1.0 + np.bincount(self._prefix_of, weights=self._replynum / deathrate,
                                  minlength=self.size)
 

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +277,43 @@ class TestEvaluateCommand:
                        "--out", str(d)) == 0
         assert (d1 / "report.csv").read_bytes() == (d2 / "report.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
+
+
+# Runs ``predict --task all`` and the process protocol into OUT; with SHUFFLE
+# set it first interns the network's names, and some names no input has, in
+# a shuffled order, so every user id differs from those of a plain run.
+_ID_RUN = """
+import random, sys
+from pathlib import Path
+from cascadyn.cli import main
+from cascadyn.evaluate import run_experiment
+from cascadyn.features import read_cascades_jsonl, read_network_csv
+from cascadyn.userids import intern
+
+sim, fit, out, shuffle = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3]), sys.argv[4]
+net = read_network_csv(sim / "network.csv")
+if shuffle == "1":
+    names = net.nodes + [f"zz{i}" for i in range(40)]
+    random.Random(11).shuffle(names)
+    intern(names)
+assert main(["predict", "--model", str(fit / "model.json"), "--network", str(sim / "network.csv"),
+             "--cascades", str(sim / "cascades.jsonl"), "--out", str(out / "pred.jsonl"),
+             "--task", "all", "--observe-frac", "0.4", "--threshold", "20"]) == 0
+cascades = [c for c in read_cascades_jsonl(sim / "cascades.jsonl") if c.size >= 5]
+run_experiment("process", cascades, net, models=("newer", "weibull"), folds=2,
+               early_fractions=(0.3, 0.6), grid_points=6).write(out / "process")
+"""
+
+
+def test_user_ids_never_reach_an_output(sim_dir, fit_dir, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    outputs = []
+    for shuffle in ("0", "1"):
+        out = tmp_path / f"shuffle{shuffle}"
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", _ID_RUN, str(sim_dir), str(fit_dir), str(out),
+                        shuffle], env=env, check=True, timeout=300)
+        outputs.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) == 3  # the predictions and the protocol's two reports
+    assert outputs[0] == outputs[1]

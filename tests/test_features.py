@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
 from cascadyn.features import (
@@ -22,6 +23,7 @@ from worlds import (
     oracle_adjacency,
     oracle_extract_features,
     oracle_extract_subcascades,
+    oracle_size_at,
     worlds,
 )
 
@@ -57,6 +59,17 @@ class TestCascadeValidation:
         assert c.size_at(0) == 1
         assert c.size_at(2) == 2
         assert c.size_at(99) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(world=worlds(), data=st.data())
+    def test_size_at_matches_event_loop(self, world, data):
+        _, _, cascades = world
+        for c in cascades:
+            # event times (ties included), points between them, before the
+            # root and past the end, and the infinities and NaN
+            t = data.draw(st.sampled_from(c.times.tolist()) | st.floats(-10.0, 80.0)
+                          | st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+            assert c.size_at(t) == oracle_size_at(c, t)
 
 
 class TestNetworkValidation:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from cascadyn.predict import (
     write_predictions_jsonl,
 )
 from cascadyn.survival import WeibullParams, weibull_survival, weibull_survival_bulk
+from cascadyn.userids import intern
 from worlds import worlds
 
 
@@ -561,6 +563,123 @@ class TestPartialCascade:
         events = [CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0)]
         with pytest.raises(DataError, match="not finite"):
             PartialCascade("c", events, t_limit, 10)
+
+
+_FRESH = itertools.count()  # a new name prefix per drawn world
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type and message of the DataError it raises."""
+    try:
+        return fn()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sliced_worlds(draw):
+    """(cascade, dynamics, cut): a cascade with tied timestamps over users
+    that are fitted, regressed from a feature row, served by the fallback or,
+    when no user is fitted and so there is no fallback, uncovered. The
+    ``ModelDynamics`` is built before the cascade's users outside its table
+    are interned, or some of them; ``cut`` is an event time, a time between
+    or beyond them, or non-finite."""
+    n = draw(st.integers(1, 10))
+    tag = next(_FRESH)
+    users = [f"s{tag}-{i}" for i in range(n)]
+    kinds = ["fitted", "regressed", "outside"] if draw(st.booleans()) else ["regressed", "outside"]
+    roles = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    regressed = [u for u, r in zip(users, roles) if r == "regressed"]
+    features = FeatureMatrix(users=regressed, names=["f1", "f2"],
+                             values=np.exp(rng.normal(0.0, 1.0, size=(len(regressed), 2))))
+    fitted = {u: WeibullParams(float(np.exp(rng.uniform(0, 7))), float(rng.uniform(0.3, 3.0)))
+              for u, r in zip(users, roles) if r == "fitted"}
+    model = NewerModel(kind="newer", feature_names=["f1", "f2"], hyperparams=Hyperparams(),
+                       beta=rng.normal(3.0, 1.0, size=2), gamma=rng.normal(0.0, 0.3, size=2),
+                       user_params=fitted, user_events={u: 9 for u in fitted})
+    outside = [u for u, r in zip(users, roles) if r == "outside"]
+    intern(draw(st.lists(st.sampled_from(outside), unique=True)) if outside else [])
+    dyn = ModelDynamics(model, features)
+    times = sorted(10.0 * t for t in draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    events = [CascadeEvent(users[0], None, times[0])]
+    for i in range(1, n):
+        events.append(CascadeEvent(users[i], users[draw(st.integers(0, i - 1))], times[i]))
+    cut = draw(st.sampled_from(times) | st.floats(-10.0, 60.0)
+               | st.sampled_from([math.inf, -math.inf, math.nan]))
+    return Cascade("sliced", events), dyn, cut
+
+
+def forecast(pc, dynamics):
+    """Every ``BasicPredictor`` query on ``pc``."""
+    predictor = BasicPredictor(pc, dynamics)
+    t_limit = pc.t_limit
+    return (predictor.final_size(),
+            [predictor.size_at(t_limit + gap) for gap in (0.0, 0.5, 10.0, 1e3, 1e6)],
+            predictor.outbreak_time(pc.size + 2, t_limit + 2000.0),
+            predictor.process_curve(np.linspace(t_limit, t_limit + 500.0, 7).tolist()).sizes)
+
+
+class TestSlicedObservation:
+    @settings(max_examples=200, deadline=None)
+    @given(world=sliced_worlds())
+    def test_slices_equal_event_list_construction(self, world):
+        cascade, dyn, cut = world
+        plain = {}
+        for e in cascade.events:
+            params = outcome(lambda: dyn(e.user))
+            if isinstance(params, WeibullParams):
+                plain[e.user] = params
+        cuts = [(lambda: PartialCascade.from_cascade(cascade, cut, 50), cut)]
+        cuts += [(lambda k=k: PartialCascade.first_events(cascade, k, 50), e.t)
+                 for k, e in enumerate(cascade.events, start=1)]
+        for sliced, t_limit in cuts:
+            got = outcome(sliced)
+            want = outcome(lambda: PartialCascade(
+                cascade.cascade_id, [e for e in cascade.events if e.t <= t_limit], t_limit, 50))
+            assert got == want
+            if not isinstance(want, PartialCascade):
+                continue
+            for name in ("times", "parent_positions", "user_ids", "replynum"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+            for name in ("times", "parent_positions", "user_ids"):
+                assert np.shares_memory(getattr(got, name), getattr(cascade, name))
+            # the table, a mapping and a callable serve the same floats
+            expected = outcome(lambda: forecast(want, plain))
+            for dynamics in (dyn, plain, plain.__getitem__):
+                assert outcome(lambda: forecast(got, dynamics)) == expected
+                assert outcome(lambda: forecast(want, dynamics)) == expected
+
+
+class TestQuietArithmetic:
+    @pytest.mark.parametrize("time_shift", [DELAY_SHIFT, 0.0])
+    def test_no_floating_point_error_escapes(self, time_shift):
+        # "a" joins at the cut and is replied to there, so with no shift its
+        # elapsed time at t_limit is 0: only the library may silence its log
+        cascade = Cascade("tied", [
+            CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0),
+            CascadeEvent("b", "a", 5.0), CascadeEvent("c", "b", 9.0)])
+        model = NewerModel(kind="weibull", feature_names=[], hyperparams=Hyperparams(),
+                           beta=np.zeros(0), gamma=np.zeros(0),
+                           user_params={"r": WeibullParams(40.0, 1.5),
+                                        "a": WeibullParams(300.0, 0.8),
+                                        "b": WeibullParams(90.0, 2.0)},
+                           user_events={"r": 9, "a": 9, "b": 9})
+        dyn = ModelDynamics(model)
+        plain = {u: dyn(u) for u in "rabc"}
+        with np.errstate(all="raise"):
+            for dynamics in (dyn, plain):
+                for pc in (PartialCascade.first_events(cascade, 2, 100),
+                           PartialCascade.from_cascade(cascade, 9.0, 100)):
+                    predictor = BasicPredictor(pc, dynamics, time_shift=time_shift)
+                    assert predictor.deathrate.shape == (pc.size,)
+                    assert predictor.size_at(pc.t_limit) == float(pc.size)
+                    predictor.size_at(pc.t_limit + 30.0)
+                    predictor.final_size()
+                    predictor.outbreak_time(pc.size + 1, pc.t_limit + 600.0)
+                    predictor.process_curve([pc.t_limit, pc.t_limit, pc.t_limit + 50.0])
+            PrefixBatch([(cascade, k) for k in range(1, 5)], 100).final_sizes(dyn)
 
 
 class TestPredictionFiles:

@@ -94,6 +94,16 @@ def oracle_extract_features(net, cascades) -> np.ndarray:
     return rows
 
 
+def oracle_size_at(cascade, t) -> int:
+    """``Cascade.size_at`` as the loop over events it replaced."""
+    count = 0
+    for ev in cascade.events:
+        if ev.t > t:
+            break
+        count += 1
+    return count
+
+
 def oracle_design_row(cascade, prefix, net) -> np.ndarray:
     events = cascade.events[:prefix]
     t0 = events[0].t
