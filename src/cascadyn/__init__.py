@@ -32,7 +32,7 @@ from .fitting import (
     Hyperparams,
     NewerModel,
     SubcascadeSample,
-    fit_baseline,
+    SubcascadeTable,
     fit_model,
     fit_newer,
     newer_objective,

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .fitting import FeatureMatrix, SubcascadeSample
+from .fitting import FeatureMatrix, SubcascadeTable
 from .userids import by_id, intern
 
 __all__ = [
@@ -251,10 +251,11 @@ def flatten_prefixes(cascades: Sequence[Cascade],
         return np.empty(0), np.empty(0, dtype=np.intp)
     counts = lengths.tolist()
     times = np.concatenate([c.times[:k] for c, k in zip(cascades, counts)])
-    parents = np.concatenate([c.parent_positions[:k] for c, k in zip(cascades, counts)])
-    parents = parents.astype(np.intp)
-    child = parents >= 0
-    parents[child] += np.repeat(np.cumsum(lengths) - lengths, lengths)[child]
+    parents = np.concatenate([c.parent_positions[:k] for c, k in zip(cascades, counts)],
+                             dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    parents += np.repeat(starts, lengths)
+    parents[starts[lengths > 0]] = -1  # each cascade's root comes first
     return times, parents
 
 
@@ -266,36 +267,56 @@ def flatten_user_ids(cascades: Sequence[Cascade],
                            *(c.user_ids[:k] for c, k in zip(cascades, counts))])
 
 
-def flat_event(cascades: Sequence[Cascade], lengths: np.ndarray | None,
-               at: int) -> tuple[Cascade, CascadeEvent]:
-    """The cascade and the event at position ``at`` of ``flatten_prefixes``'s layout."""
-    ends = np.cumsum([c.size for c in cascades] if lengths is None else lengths)
-    j = int(np.searchsorted(ends, at, side="right"))
-    return cascades[j], cascades[j].events[at - int(ends[j - 1] if j else 0)]
+def flat_events(cascades: Sequence[Cascade], lengths: np.ndarray | None,
+                at: np.ndarray) -> list[tuple[Cascade, CascadeEvent]]:
+    """The cascade and the event at each position in ``at`` of
+    ``flatten_prefixes``'s layout."""
+    if lengths is None:
+        lengths = np.fromiter((c.size for c in cascades), dtype=np.intp, count=len(cascades))
+    starts = np.cumsum(lengths) - lengths
+    js = np.searchsorted(starts, at, side="right") - 1
+    ks = at - starts[js]
+    return [(cascades[j], cascades[j].events[k]) for j, k in zip(js.tolist(), ks.tolist())]
 
 
 def extract_subcascades(cascades: Iterable[Cascade],
-                        shift: float = DELAY_SHIFT) -> dict[str, SubcascadeSample]:
+                        shift: float = DELAY_SHIFT) -> SubcascadeTable:
     """Per-user response delays: for every non-root event, the gap between
-    child and parent timestamps plus the shift, attributed to the parent."""
+    child and parent timestamps plus the shift, attributed to the parent.
+
+    Built in array passes: the events with replies are named once each,
+    and their users ranked by name. An argsort by delay, then a stable one
+    by rank, groups the delays by user in name order, sorted within each
+    user. The first need not be stable, as tied delays are equal floats;
+    the second sorts ranks of the narrowest unsigned type, which numpy
+    radix-sorts up to 16 bits.
+    """
     cascades = list(cascades)
-    times, parents = flatten_prefixes(cascades)
-    child = np.flatnonzero(parents >= 0)
-    if not child.size:
-        return {}
-    owner = parents[child]
-    delays = times[child] - times[owner] + shift
-    owner_rows, owner_of = np.unique(owner, return_inverse=True)
-    users = [ev.user for c in cascades for ev in c.events]
-    owner_names = [users[i] for i in owner_rows.tolist()]
-    names = sorted(set(owner_names))
-    user_id = {u: i for i, u in enumerate(names)}
-    sample_of = np.array([user_id[u] for u in owner_names], dtype=np.intp)[owner_of]
-    # group by user in name order; each sample sorts its own delays
-    delays = delays[np.argsort(sample_of, kind="stable")]
-    bounds = np.cumsum(np.bincount(sample_of, minlength=len(names)))[:-1]
-    return {u: SubcascadeSample(user=u, delays=d)
-            for u, d in zip(names, np.split(delays, bounds))}
+    times, owner = flatten_prefixes(cascades)
+    child = owner >= 0
+    owner = owner[child]  # each reply's parent position
+    delays = times[child]
+    delays -= times[owner]
+    delays += shift
+    replied = np.zeros(len(times), dtype=bool)
+    replied[owner] = True
+    names = [ev.user for _, ev in flat_events(cascades, None, np.flatnonzero(replied))]
+    users = sorted(set(names))
+    rank_of = {u: i for i, u in enumerate(users)}
+    rank = np.zeros(len(times), dtype=np.min_scalar_type(len(users)))
+    rank[replied] = np.fromiter((rank_of[u] for u in names), dtype=rank.dtype, count=len(names))
+    sample_of = rank[owner]
+    order = np.argsort(delays)
+    delays, sample_of = delays[order], sample_of[order]
+    order = np.argsort(sample_of, kind="stable")
+    delays = delays[order]
+    offsets = np.zeros(len(users) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(sample_of, minlength=len(users)), out=offsets[1:])
+    bad = np.flatnonzero(~((delays > 0.0) & (delays < math.inf)))  # NaN fails both
+    if bad.size:
+        user = users[int(np.searchsorted(offsets, bad[0], side="right")) - 1]
+        raise DataError(f"user {user!r} has nonpositive or non-finite delays")
+    return SubcascadeTable(users, offsets, delays)
 
 
 def network_rows(net: Network, cascades: Sequence[Cascade],
@@ -304,7 +325,7 @@ def network_rows(net: Network, cascades: Sequence[Cascade],
     rows = net.rows_of(flatten_user_ids(cascades, lengths))
     absent = np.flatnonzero(rows < 0)
     if absent.size:
-        cascade, ev = flat_event(cascades, lengths, int(absent[0]))
+        cascade, ev = flat_events(cascades, lengths, absent[:1])[0]
         raise DataError(f"cascade {cascade.cascade_id!r}: user {ev.user!r} absent from network")
     return rows
 

@@ -33,6 +33,7 @@ __all__ = [
     "Hyperparams",
     "DEFAULT_HYPERPARAMS",
     "SubcascadeSample",
+    "SubcascadeTable",
     "FeatureMatrix",
     "FitOptions",
     "FitReport",
@@ -42,7 +43,6 @@ __all__ = [
     "smooth_partials",
     "lasso_cd",
     "fit_newer",
-    "fit_baseline",
     "fit_model",
     "regress_out_of_sample",
     "regress_params",
@@ -56,7 +56,6 @@ SCALE_BOUNDS = (1e-6, 1e9)
 SHAPE_BOUNDS = (1e-2, 50.0)
 
 MODEL_KINDS = ("newer", "weibull", "exponential", "rayleigh", "cox")
-BASELINE_KINDS = ("exponential", "rayleigh", "cox_shared_shape", "plain_weibull")
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,68 @@ class SubcascadeSample:
     @property
     def n(self) -> int:
         return int(self.delays.size)
+
+
+class SubcascadeTable(Mapping[str, SubcascadeSample]):
+    """Every user's subcascade delays in flat arrays, read as a read-only
+    mapping from user name to ``SubcascadeSample``, in name order.
+
+    ``users`` holds the names sorted, and user i's delays, sorted
+    nondecreasing, are ``delays[offsets[i]:offsets[i + 1]]``. The arrays
+    are read-only. A ``SubcascadeSample`` is built only when an entry is
+    read; the fits read the arrays, and share ``log_delays``, computed once
+    per table.
+    """
+
+    def __init__(self, users: list[str], offsets: np.ndarray, delays: np.ndarray):
+        self.users = users
+        self.offsets, self.delays = offsets, delays
+        offsets.flags.writeable = False
+        delays.flags.writeable = False
+
+    @classmethod
+    def from_samples(cls, samples: Mapping[str, SubcascadeSample]) -> "SubcascadeTable":
+        """The table of a mapping from user name to sample."""
+        users = sorted(samples)
+        offsets = np.zeros(len(users) + 1, dtype=np.intp)
+        np.cumsum([samples[u].n for u in users], out=offsets[1:])
+        delays = np.concatenate([np.empty(0), *(samples[u].delays for u in users)])
+        return cls(users, offsets, delays)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Number of delays of each user."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def log_delays(self) -> np.ndarray:
+        out = np.log(self.delays)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in ``delays`` of the delays of ``rows``, laid end to end
+        in their order."""
+        counts = self.counts[rows]
+        shift = self.offsets[rows] - (np.cumsum(counts) - counts)
+        return np.arange(int(counts.sum())) + np.repeat(shift, counts)
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self):
+        return iter(self.users)
+
+    def __contains__(self, user) -> bool:
+        return user in self._index
+
+    def __getitem__(self, user: str) -> SubcascadeSample:
+        i = self._index[user]
+        return SubcascadeSample(user, self.delays[self.offsets[i]:self.offsets[i + 1]])
 
 
 @dataclass
@@ -282,28 +343,39 @@ def user_log_likelihood(p: WeibullParams, s: SubcascadeSample) -> float:
     m*log(shape) + (shape-1)*sum(log T) - m*shape*log(scale)
     - scale^(-shape) * sum(T^shape)
     """
-    seg = _Segments([np.log(s.delays)])
-    return float(seg.log_likelihoods(np.array([math.log(p.scale)]), np.array([p.shape]))[0])
+    seg = _Segments(np.log(s.delays), np.array([s.n]))
+    return float(seg.log_likelihoods(np.array([math.log(p.scale)]),
+                                     np.array([p.shape], dtype=float))[0])
 
 
-def _as_sample_map(samples) -> dict[str, SubcascadeSample]:
-    if isinstance(samples, Mapping):
-        return dict(samples)
-    return {s.user: s for s in samples}
+def _as_table(samples) -> SubcascadeTable:
+    """``samples`` as a table: a table as it is, a mapping from user name to
+    sample, or an iterable of samples keyed by their users."""
+    if isinstance(samples, SubcascadeTable):
+        return samples
+    if not isinstance(samples, Mapping):
+        samples = {s.user: s for s in samples}
+    return SubcascadeTable.from_samples(samples)
+
+
+def _table_segments(table: SubcascadeTable, rows: np.ndarray) -> "_Segments":
+    """A _Segments over the log delays of the table's ``rows``, in that order."""
+    return _Segments(table.log_delays[table.positions(rows)], table.counts[rows])
 
 
 def _model_segments(model: NewerModel, samples):
     """The model's users, a _Segments over their delays, and their scales
     and shapes as arrays in the same order."""
-    sample_map = _as_sample_map(samples)
+    table = _as_table(samples)
     users = list(model.user_params)
-    for u in users:
-        if u not in sample_map:
-            raise DataError(f"user {u!r} has no subcascade sample")
-    seg = _Segments([np.log(sample_map[u].delays) for u in users])
-    scale = np.array([model.user_params[u].scale for u in users])
-    shape = np.array([model.user_params[u].shape for u in users])
-    return users, seg, scale, shape
+    index = table._index
+    rows = np.fromiter((index.get(u, -1) for u in users), dtype=np.intp, count=len(users))
+    if (rows < 0).any():
+        raise DataError(f"user {users[int(np.argmax(rows < 0))]!r} has no subcascade sample")
+    params = model.user_params.values()
+    scale = np.array([p.scale for p in params], dtype=float)
+    shape = np.array([p.shape for p in params], dtype=float)
+    return users, _table_segments(table, rows), scale, shape
 
 
 def newer_objective(model: NewerModel, samples, X: FeatureMatrix | None = None) -> float:
@@ -391,36 +463,53 @@ def _newton_bisect_root(grad_hess, x0: float, lo: float, hi: float, max_iter: in
 
 class _Segments:
     """Flat concatenation of every user's log delays with segment reductions,
-    so the per-user one-dimensional updates run vectorized across users."""
+    so the per-user one-dimensional updates run vectorized across users.
 
-    def __init__(self, log_t_list: list[np.ndarray]):
-        self.flat = np.concatenate(log_t_list)
-        self.m = np.array([len(v) for v in log_t_list])
-        self.starts = np.concatenate([[0], np.cumsum(self.m)[:-1]])
-        self.sum_log = np.add.reduceat(self.flat, self.starts)
-        self.n_users = len(log_t_list)
+    User i owns the ``m[i]`` entries of ``flat`` from ``starts[i]`` on. The
+    kernels spread per-user values over their entries with ``np.repeat``
+    (faster here than a take by owner index into a kept buffer), work in
+    place on that copy and on one preallocated flat buffer, and reduce each
+    user's entries with ``reduceat``; the results are new arrays. Per-user
+    inputs must be float arrays.
+    """
 
-    def expand(self, per_user: np.ndarray) -> np.ndarray:
-        return np.repeat(per_user, self.m)
+    def __init__(self, flat: np.ndarray, m: np.ndarray):
+        self.flat = flat
+        self.m = m
+        self.starts = np.cumsum(m) - m
+        self.sum_log = np.add.reduceat(flat, self.starts)
+        self.n_users = len(m)
+        self._dz = np.empty_like(flat)
 
     def lse(self, shape: np.ndarray) -> np.ndarray:
         """Per-user logsumexp of shape * log T."""
-        z = self.expand(shape) * self.flat
+        z = np.repeat(shape, self.m)
+        z *= self.flat
         zmax = np.maximum.reduceat(z, self.starts)
-        sums = np.add.reduceat(np.exp(z - self.expand(zmax)), self.starts)
+        z -= np.repeat(zmax, self.m)
+        sums = np.add.reduceat(np.exp(z, out=z), self.starts)
         return zmax + np.log(sums)
+
+    def _weights(self, log_scale: np.ndarray, shape: np.ndarray):
+        """dz = log(T/scale), in the kept buffer, and w = (T/scale)^shape."""
+        dz = np.subtract(self.flat, np.repeat(log_scale, self.m), out=self._dz)
+        w = np.repeat(shape, self.m)
+        w *= dz
+        np.minimum(w, _EXP_CLAMP, out=w)
+        return dz, np.exp(w, out=w)
 
     def power_sums(self, log_scale: np.ndarray, shape: np.ndarray):
         """Per-user sums of (T/scale)^shape weighted by (log(T/scale))^{0,1,2}."""
-        dz = self.flat - self.expand(log_scale)
-        w = np.exp(np.minimum(self.expand(shape) * dz, _EXP_CLAMP))
+        dz, w = self._weights(log_scale, shape)
         s0 = np.add.reduceat(w, self.starts)
-        s1 = np.add.reduceat(w * dz, self.starts)
-        s2 = np.add.reduceat(w * dz * dz, self.starts)
+        w *= dz
+        s1 = np.add.reduceat(w, self.starts)
+        w *= dz
+        s2 = np.add.reduceat(w, self.starts)
         return s0, s1, s2
 
     def log_likelihoods(self, log_scale: np.ndarray, shape: np.ndarray) -> np.ndarray:
-        s0, _, _ = self.power_sums(log_scale, shape)
+        s0 = np.add.reduceat(self._weights(log_scale, shape)[1], self.starts)
         return (self.m * np.log(shape) + (shape - 1.0) * self.sum_log
                 - self.m * shape * log_scale - s0)
 
@@ -575,29 +664,29 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
     objective trace is nonincreasing.
     """
     opts = options or FitOptions()
-    sample_map = _as_sample_map(samples)
+    table = _as_table(samples)
     needs_features = hyperparams.mu > 0 or hyperparams.eta > 0
     if needs_features and X is None:
         raise DataError("fit_newer with nonzero mu/eta requires a feature matrix")
 
+    enough = table.counts >= opts.min_events
     if X is not None:
-        users = [u for u in X.users if u in sample_map and sample_map[u].n >= opts.min_events]
-        missing = [u for u in sample_map if u not in X]
-        if missing:
-            raise DataError(f"users without feature rows: {missing[:5]}")
+        feature_rows = _feature_rows(X, table, np.arange(len(table)))
+        rows = np.argsort(feature_rows)  # in feature-matrix row order
+        rows = rows[enough[rows]]
     else:
-        users = sorted(u for u in sample_map if sample_map[u].n >= opts.min_events)
-    if not users:
+        rows = np.flatnonzero(enough)
+    if not rows.size:
         raise DataError("no user has enough events to fit")
 
-    n = len(users)
-    delays = [sample_map[u].delays for u in users]
-    seg = _Segments([np.log(d) for d in delays])
+    n = len(rows)
+    users = [table.users[i] for i in rows.tolist()]
+    seg = _table_segments(table, rows)
     m = seg.m
-    z = X.subset(users).log_values if X is not None else None
+    z = np.log(X.values[feature_rows[rows]]) if X is not None else None
     r = len(X.names) if X is not None else 0
 
-    scale = np.add.reduceat(np.concatenate(delays), seg.starts) / m  # mean delays
+    scale = np.add.reduceat(table.delays, table.offsets[:-1])[rows] / m  # mean delays
     shape = np.ones(n)
     beta = np.zeros(r)
     gamma = np.zeros(r)
@@ -678,8 +767,8 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
         hyperparams=hyperparams,
         beta=beta,
         gamma=gamma,
-        user_params={u: WeibullParams(float(scale[i]), float(shape[i])) for i, u in enumerate(users)},
-        user_events={u: int(m[i]) for i, u in enumerate(users)},
+        user_params=_user_params(users, scale, shape),
+        user_events=dict(zip(users, m.tolist())),
     )
     return model, FitReport(objective_trace=trace, converged=converged, iterations=iterations,
                             lasso_capped=lasso_capped)
@@ -730,19 +819,35 @@ def median_params(model: NewerModel) -> WeibullParams:
 _FIXED_SHAPES = {"exponential": 1.0, "rayleigh": 2.0}
 
 
-def _kept_samples(samples, opts: FitOptions) -> dict[str, SubcascadeSample]:
-    sample_map = _as_sample_map(samples)
-    kept = {u: s for u, s in sorted(sample_map.items()) if s.n >= opts.min_events}
-    if not kept:
+def _kept_rows(table: SubcascadeTable, opts: FitOptions) -> np.ndarray:
+    """Rows, in name order, of the users with at least ``opts.min_events`` delays."""
+    rows = np.flatnonzero(table.counts >= opts.min_events)
+    if not rows.size:
         raise DataError("no user has enough events to fit")
-    return kept
+    return rows
 
 
-def _fit_restricted(kind: str, kept: dict[str, SubcascadeSample], opts: FitOptions):
-    """Scales and shapes, in ``kept`` order, of a fixed- or shared-shape
+def _feature_rows(X: FeatureMatrix, table: SubcascadeTable, rows: np.ndarray) -> np.ndarray:
+    """Feature row of the user of each of the table's ``rows``; refuses
+    users the matrix lacks."""
+    index, users = X.index, table.users
+    x_rows = np.fromiter((index.get(users[i], -1) for i in rows.tolist()), dtype=np.intp,
+                         count=len(rows))
+    missing = rows[x_rows < 0][:5].tolist()
+    if missing:
+        raise DataError(f"users without feature rows: {[users[i] for i in missing]}")
+    return x_rows
+
+
+def _user_params(users: list[str], scale: np.ndarray,
+                 shape: np.ndarray) -> dict[str, WeibullParams]:
+    return {u: WeibullParams(s, k) for u, s, k in zip(users, scale.tolist(), shape.tolist())}
+
+
+def _fit_restricted(kind: str, seg: _Segments, opts: FitOptions):
+    """Scales and shapes, in ``seg`` order, of a fixed- or shared-shape
     baseline, with its objective trace and whether the trace settled."""
-    seg = _Segments([np.log(s.delays) for s in kept.values()])
-    if kind == "cox_shared_shape":
+    if kind == "cox":
         return _fit_cox(seg, opts)
     shape = np.full(seg.n_users, _FIXED_SHAPES[kind])
     scale = _scale_block(seg, shape, np.zeros(seg.n_users), 0.0, opts.newton_max_iter)
@@ -778,35 +883,19 @@ def _fit_cox(seg: _Segments, opts: FitOptions):
     return scale, shape, trace, False
 
 
-def fit_baseline(kind: str, samples, X: FeatureMatrix | None = None,
-                 options: FitOptions | None = None) -> dict[str, WeibullParams]:
-    """Per-user parameters under the restricted baseline families.
-
-    exponential and rayleigh fix every shape to 1 or 2 with the closed-form
-    scale; cox_shared_shape alternates the per-user closed-form scales with
-    a shared shape solved to convergence at those scales; plain_weibull is
-    the unregularized fit.
-    """
-    opts = options or FitOptions()
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
-    kept = _kept_samples(samples, opts)
-    if kind == "plain_weibull":
-        model, _ = fit_newer(kept, None, Hyperparams(0.0, 0.0, 0.0, 0.0), opts)
-        return dict(model.user_params)
-    scale, shape, _, _ = _fit_restricted(kind, kept, opts)
-    return {u: WeibullParams(float(scale[i]), float(shape[i])) for i, u in enumerate(kept)}
-
-
 def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
               hyperparams: Hyperparams = DEFAULT_HYPERPARAMS,
               options: FitOptions | None = None,
               warm_start: NewerModel | None = None) -> tuple[NewerModel, FitReport]:
     """Fit any model kind into the common model container.
 
-    Baselines get scale-regression coefficients via unpenalized least squares
-    on log features so they can serve out-of-sample users; their shape policy
-    (fixed, shared, or averaged) is applied at lookup time by kind.
+    weibull is the unregularized NEWER fit; exponential and rayleigh fix
+    every shape to 1 or 2 with the closed-form scale; cox alternates the
+    per-user closed-form scales with a shared shape solved to convergence
+    at those scales. Baselines get scale-regression coefficients via
+    unpenalized least squares on log features so they can serve
+    out-of-sample users; their shape policy (fixed, shared, or averaged)
+    is applied at lookup time by kind.
     """
     opts = options or FitOptions()
     if kind == "newer":
@@ -821,15 +910,13 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
 
     if kind not in ("exponential", "rayleigh", "cox"):
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    kept = _kept_samples(samples, opts)
-    users = list(kept)
-    scale, shape, trace, converged = _fit_restricted(
-        "cox_shared_shape" if kind == "cox" else kind, kept, opts)
+    table = _as_table(samples)
+    rows = _kept_rows(table, opts)
+    users = [table.users[i] for i in rows.tolist()]
+    scale, shape, trace, converged = _fit_restricted(kind, _table_segments(table, rows), opts)
     if X is not None:
-        missing = [u for u in users if u not in X]
-        if missing:
-            raise DataError(f"users without feature rows: {missing[:5]}")
-        beta, *_ = np.linalg.lstsq(X.subset(users).log_values, np.log(scale), rcond=None)
+        z = np.log(X.values[_feature_rows(X, table, rows)])
+        beta, *_ = np.linalg.lstsq(z, np.log(scale), rcond=None)
         names = list(X.names)
         gamma = np.zeros(len(names))
     else:
@@ -840,8 +927,8 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
         hyperparams=hyperparams,
         beta=beta,
         gamma=gamma,
-        user_params={u: WeibullParams(float(scale[i]), float(shape[i])) for i, u in enumerate(users)},
-        user_events={u: kept[u].n for u in users},
+        user_params=_user_params(users, scale, shape),
+        user_events=dict(zip(users, table.counts[rows].tolist())),
     )
     report = FitReport(objective_trace=trace, converged=converged, iterations=len(trace) - 1)
     return model, report
@@ -853,10 +940,11 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
 
 def write_subcascades_jsonl(path, samples) -> None:
     """One record per user: {"user": id, "delays": [seconds, ...]}."""
-    sample_map = _as_sample_map(samples)
+    table = _as_table(samples)
+    bounds = table.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for user in sorted(sample_map):
-            rec = {"user": user, "delays": sample_map[user].delays.tolist()}
+        for i, user in enumerate(table.users):
+            rec = {"user": user, "delays": table.delays[bounds[i]:bounds[i + 1]].tolist()}
             fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 

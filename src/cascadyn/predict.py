@@ -31,7 +31,7 @@ from .features import (
     Cascade,
     CascadeEvent,
     _read_only,
-    flat_event,
+    flat_events,
     flatten_prefixes,
     flatten_user_ids,
 )
@@ -177,7 +177,10 @@ class ModelDynamics:
     matrix lacks, and a last row for every other user; that table is then
     laid out by interned user id (``cascadyn.userids``), so a lookup is one
     take by id, and users interned later read the last row. A row no source
-    covers is marked in ``_covered`` and refused on lookup.
+    covers is marked in ``_covered`` and refused on lookup. Whether every row
+    is covered and finite is recorded once, so batch reads check one flag;
+    a non-finite row (a coefficient made NaN after fitting) is refused as
+    ``self(user)`` refuses it, never served as a NaN size.
     """
 
     def __init__(self, model: NewerModel, features: FeatureMatrix | None = None,
@@ -235,7 +238,8 @@ class ModelDynamics:
         # one (scale, shape) row per id, read with take(ids, axis=0, mode="clip")
         self._params = np.column_stack([scales, shapes])[row_of]
         self._covered = covered[row_of]
-        self._all_covered = bool(covered.all())  # always so when there is a fallback
+        self._all_served = bool(covered.all() and np.isfinite(scales).all()
+                                and np.isfinite(shapes).all())
 
     def __call__(self, user: str) -> WeibullParams:
         i = lookup(user)
@@ -246,13 +250,15 @@ class ModelDynamics:
             raise _no_dynamics(user)
         return WeibullParams(self._params.item(i, 0), self._params.item(i, 1))
 
-    def _refuse_uncovered(self, ids: np.ndarray, user_at) -> None:
-        """Raise naming ``user_at(i)`` for the first i whose id no source covers."""
-        if self._all_covered:
+    def _refuse_unserved(self, ids: np.ndarray, user_at) -> None:
+        """For the first i whose id no source covers or whose row is not
+        finite, raise the error ``self(user_at(i))`` raises."""
+        if self._all_served:
             return
-        missing = np.flatnonzero(~self._covered.take(ids, mode="clip"))
-        if missing.size:
-            raise _no_dynamics(user_at(int(missing[0])))
+        served = self._covered.take(ids, mode="clip") & np.isfinite(self._take(ids)).all(axis=1)
+        unserved = np.flatnonzero(~served)
+        if unserved.size:
+            self(user_at(int(unserved[0])))
 
     def _take(self, ids: np.ndarray) -> np.ndarray:
         """The (scale, shape) row of each id, covered or not."""
@@ -308,7 +314,7 @@ class BasicPredictor:
         self.t_join, self.replynum = pc.times, pc.replynum
         if isinstance(dynamics, ModelDynamics):
             ids = pc.user_ids
-            dynamics._refuse_uncovered(ids, lambda i: pc.events[i].user)
+            dynamics._refuse_unserved(ids, lambda i: pc.events[i].user)
             params = dynamics._take(ids)
             self.scales, self.shapes = params[:, 0], params[:, 1]
         else:
@@ -470,16 +476,21 @@ class PrefixBatch:
         self._replynum = replynum[replying].astype(float)
         self._t_limit = t_limits[prefix_of[replying]]
         self._prefix_of = prefix_of[replying]
+        # as in BasicPredictor: an elapsed time of 0 needs a shift below the
+        # spacing of floats near some join time, which |t| * 2**-52 bounds
+        t_abs = max(-float(t_join.min()), float(t_limits.max())) if self.size else 0.0
+        self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
 
     def final_sizes(self, dynamics: ModelDynamics) -> np.ndarray:
         """Each prefix's ``BasicPredictor(pc, dynamics).final_size()``."""
-        dynamics._refuse_uncovered(
-            self._ids, lambda row: flat_event(self._cascades, self.lengths, row)[1].user)
+        dynamics._refuse_unserved(
+            self._ids,
+            lambda row: flat_events(self._cascades, self.lengths, np.array([row]))[0][1].user)
         params = dynamics._take(self._replying_ids)
         deathrate = np.empty_like(self._t0)
-        # every elapsed time is at least DELAY_SHIFT, so no log of 0 occurs
-        _rates(self._t0, params[:, 1], np.log(params[:, 0]), self.floor, self._t_limit,
-               deathrate)
+        with np.errstate(divide="ignore") if self._log0 else nullcontext():
+            _rates(self._t0, params[:, 1], np.log(params[:, 0]), self.floor, self._t_limit,
+                   deathrate)
         return 1.0 + np.bincount(self._prefix_of, weights=self._replynum / deathrate,
                                  minlength=self.size)
 

@@ -17,7 +17,7 @@ from cascadyn.fitting import (
     FitOptions,
     Hyperparams,
     SubcascadeSample,
-    fit_baseline,
+    fit_model,
     fit_newer,
     newer_objective,
     regress_out_of_sample,
@@ -101,16 +101,16 @@ def test_02_mle_recovery():
         for shape_true in (0.7, 1.0, 1.5, 3.0):
             truth = WeibullParams(scale_true, shape_true)
             draws = sample_delays(truth, 10_000, rng)
-            fitted = fit_baseline("plain_weibull", {"u": SubcascadeSample("u", draws)},
-                                  options=FitOptions(min_events=1))["u"]
+            fitted = fit_model("weibull", {"u": SubcascadeSample("u", draws)},
+                               options=FitOptions(min_events=1))[0].user_params["u"]
             assert abs(fitted.scale - scale_true) / scale_true < 0.05
             assert abs(fitted.shape - shape_true) / shape_true < 0.05
     # closed forms against the stationarity calculus oracles
     delays = rng.uniform(0.5, 40.0, size=500)
     sample = {"u": SubcascadeSample("u", delays)}
-    exp_fit = fit_baseline("exponential", sample, options=FitOptions(min_events=1))["u"]
+    exp_fit = fit_model("exponential", sample, options=FitOptions(min_events=1))[0].user_params["u"]
     assert abs(exp_fit.scale - float(np.mean(delays))) <= 1e-9 * float(np.mean(delays))
-    ray_fit = fit_baseline("rayleigh", sample, options=FitOptions(min_events=1))["u"]
+    ray_fit = fit_model("rayleigh", sample, options=FitOptions(min_events=1))[0].user_params["u"]
     rms = float(np.sqrt(np.mean(delays ** 2)))
     assert abs(ray_fit.scale - rms) <= 1e-9 * rms
     report(2, "mle recovery", started, budget=30.0)
@@ -352,9 +352,9 @@ def test_09_model_ranking(ranking_world):
         draws = sample_delays(WeibullParams(4.0, shape_true), 2000, rng)
         sample = {"u": SubcascadeSample("u", draws)}
         opts = FitOptions(min_events=1)
-        weibull_fit = fit_baseline("plain_weibull", sample, options=opts)["u"]
-        exp_fit = fit_baseline("exponential", sample, options=opts)["u"]
-        ray_fit = fit_baseline("rayleigh", sample, options=opts)["u"]
+        weibull_fit = fit_model("weibull", sample, options=opts)[0].user_params["u"]
+        exp_fit = fit_model("exponential", sample, options=opts)[0].user_params["u"]
+        ray_fit = fit_model("rayleigh", sample, options=opts)[0].user_params["u"]
         emp = EmpiricalSurvival.from_delays(draws)
         assert ks_statistic(weibull_fit, emp) < ks_statistic(exp_fit, emp)
         assert ks_statistic(weibull_fit, emp) < ks_statistic(ray_fit, emp)

@@ -1,3 +1,5 @@
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from cascadyn.features import (
     write_features_csv,
     write_network_csv,
 )
+from cascadyn.fitting import SubcascadeTable
 from worlds import (
     oracle_adjacency,
     oracle_extract_features,
@@ -146,6 +149,19 @@ class TestExtractionMatchesOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(world=worlds())
+    def test_flat_layout_bit_for_bit(self, world):
+        # the fits read the flat arrays, not the samples built on reading
+        _, _, cascades = world
+        got = extract_subcascades(cascades, 1.0)
+        expected = oracle_extract_subcascades(cascades, 1.0)
+        assert got.users == list(expected)
+        assert got.delays.tobytes() == np.concatenate(
+            [np.empty(0), *(s.delays for s in expected.values())]).tobytes()
+        assert got.offsets.tolist() == np.cumsum(
+            [0, *(s.n for s in expected.values())]).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(world=worlds())
     def test_features_within_rounding(self, world):
         nodes, edges, cascades = world
         net = Network(nodes=nodes, edges=edges)
@@ -195,6 +211,62 @@ class TestExtractSubcascades:
     def test_users_without_children_get_no_sample(self):
         c = cascade("c", ("r", None, 0), ("leaf", "r", 1))
         assert "leaf" not in extract_subcascades([c])
+
+
+class TestSubcascadeTable:
+    def make(self):
+        return extract_subcascades([
+            cascade("c1", ("r", None, 0), ("x", "r", 4), ("y", "x", 5), ("z", "r", 6)),
+            cascade("c2", ("x", None, 10), ("q", "x", 11)),
+        ])
+
+    def test_mapping_behaviour(self):
+        table = self.make()
+        assert isinstance(table, Mapping)
+        assert list(table) == list(table.keys()) == ["r", "x"]
+        assert len(table) == 2
+        assert "x" in table and "q" not in table and 7 not in table
+        assert table.get("q") is None
+        with pytest.raises(KeyError):
+            table["q"]
+        with pytest.raises(TypeError):
+            table["q"] = table["x"]
+        with pytest.raises(TypeError):
+            del table["x"]
+        assert [s.user for s in table.values()] == ["r", "x"]
+        assert {u: s.delays.tolist() for u, s in table.items()} == {
+            "r": [5.0, 7.0], "x": [2.0, 2.0]}
+
+    def test_arrays_are_flat_and_read_only(self):
+        table = self.make()
+        assert table.users == ["r", "x"]
+        assert table.offsets.tolist() == [0, 2, 4]
+        assert table.delays.tolist() == [5.0, 7.0, 2.0, 2.0]
+        assert table.counts.tolist() == [2, 2]
+        for a in (table.offsets, table.delays, table.log_delays):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        sample = table["r"]
+        sample.delays[0] = 99.0  # a sample read is the reader's own copy
+        assert table["r"].delays.tolist() == [5.0, 7.0]
+
+    def test_table_of_a_mapping_matches_extraction(self):
+        table = self.make()
+        rebuilt = SubcascadeTable.from_samples(dict(table))
+        assert rebuilt.users == table.users
+        assert rebuilt.offsets.tolist() == table.offsets.tolist()
+        assert rebuilt.delays.tobytes() == table.delays.tobytes()
+
+    def test_no_replies_gives_an_empty_table(self):
+        table = extract_subcascades([cascade("c", ("r", None, 0))])
+        assert len(table) == 0 and list(table) == [] and "r" not in table
+
+    def test_first_bad_user_by_name_named(self):
+        # with no shift a reply at its parent's timestamp has a zero delay
+        cs = [cascade("c1", ("b", None, 0), ("b1", "b", 0)),
+              cascade("c2", ("a", None, 0), ("a1", "a", 0), ("a2", "a1", 3))]
+        with pytest.raises(DataError, match="user 'a' has nonpositive or non-finite delays"):
+            extract_subcascades(cs, 0.0)
 
 
 class TestExtractFeatures:

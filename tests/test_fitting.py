@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
+from cascadyn.features import extract_features, extract_subcascades
 from cascadyn.fitting import (
     SCALE_BOUNDS,
     SHAPE_BOUNDS,
@@ -17,7 +18,7 @@ from cascadyn.fitting import (
     Hyperparams,
     NewerModel,
     SubcascadeSample,
-    fit_baseline,
+    SubcascadeTable,
     fit_model,
     fit_newer,
     lasso_cd,
@@ -38,7 +39,7 @@ from cascadyn.survival import (
     weibull_hazard,
     weibull_survival,
 )
-from worlds import oracle_lasso_cd
+from worlds import oracle_lasso_cd, sim_world
 
 
 def make_sample(user, delays):
@@ -431,14 +432,14 @@ class TestFitNewer:
 
 class TestBaselines:
     def test_exponential_closed_form_is_mean(self):
-        params = fit_baseline("exponential", {"u": make_sample("u", [1, 2, 3])},
-                              options=FitOptions(min_events=1))
+        params = fit_model("exponential", {"u": make_sample("u", [1, 2, 3])},
+                           options=FitOptions(min_events=1))[0].user_params
         assert params["u"].scale == pytest.approx(2.0, abs=1e-9)
         assert params["u"].shape == 1.0
 
     def test_rayleigh_closed_form_is_rms(self):
-        params = fit_baseline("rayleigh", {"u": make_sample("u", [1, 1])},
-                              options=FitOptions(min_events=1))
+        params = fit_model("rayleigh", {"u": make_sample("u", [1, 1])},
+                           options=FitOptions(min_events=1))[0].user_params
         assert params["u"].scale == pytest.approx(1.0, abs=1e-9)
         assert params["u"].shape == 2.0
 
@@ -446,11 +447,11 @@ class TestBaselines:
         rng = np.random.default_rng(30)
         delays = rng.uniform(0.5, 20, size=200)
         sample = make_sample("u", delays)
-        exp_scale = fit_baseline("exponential", {"u": sample},
-                                 options=FitOptions(min_events=1))["u"].scale
+        exp_scale = fit_model("exponential", {"u": sample},
+                              options=FitOptions(min_events=1))[0].user_params["u"].scale
         assert exp_scale == pytest.approx(float(np.mean(delays)), rel=1e-9)
-        ray_scale = fit_baseline("rayleigh", {"u": sample},
-                                 options=FitOptions(min_events=1))["u"].scale
+        ray_scale = fit_model("rayleigh", {"u": sample},
+                              options=FitOptions(min_events=1))[0].user_params["u"].scale
         assert ray_scale == pytest.approx(float(np.sqrt(np.mean(delays ** 2))), rel=1e-9)
 
     def test_cox_recovers_common_shape(self):
@@ -461,7 +462,7 @@ class TestBaselines:
             scale = float(rng.uniform(1, 10))
             samples[f"u{i}"] = make_sample(
                 f"u{i}", sample_delays(WeibullParams(scale, true_shape), 400, rng))
-        params = fit_baseline("cox_shared_shape", samples, options=FitOptions(min_events=1))
+        params = fit_model("cox", samples, options=FitOptions(min_events=1))[0].user_params
         shapes = {p.shape for p in params.values()}
         assert len(shapes) == 1
         shared = shapes.pop()
@@ -470,7 +471,7 @@ class TestBaselines:
     def test_plain_weibull_is_unregularized_newer(self):
         rng = np.random.default_rng(32)
         samples = {"u": make_sample("u", sample_delays(WeibullParams(3, 2.2), 500, rng))}
-        via_baseline = fit_baseline("plain_weibull", samples, options=FitOptions(min_events=1))
+        via_baseline = fit_model("weibull", samples, options=FitOptions(min_events=1))[0].user_params
         via_newer, _ = fit_newer(samples, None, Hyperparams(0, 0, 0, 0),
                                  FitOptions(min_events=1))
         assert via_baseline["u"] == via_newer.user_params["u"]
@@ -482,18 +483,18 @@ class TestBaselines:
             sample = {"u": make_sample("u", draws)}
             opts = FitOptions(min_events=1)
             fits = {
-                kind: fit_baseline(kind, sample, options=opts)["u"]
-                for kind in ("plain_weibull", "exponential", "rayleigh")
+                kind: fit_model(kind, sample, options=opts)[0].user_params["u"]
+                for kind in ("weibull", "exponential", "rayleigh")
             }
             emp = EmpiricalSurvival.from_delays(draws)
             ks = {kind: ks_statistic(p, emp) for kind, p in fits.items()}
-            assert ks["plain_weibull"] < ks["exponential"]
-            assert ks["plain_weibull"] < ks["rayleigh"]
+            assert ks["weibull"] < ks["exponential"]
+            assert ks["weibull"] < ks["rayleigh"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            fit_baseline("cauchy", {"u": make_sample("u", [1, 2])},
-                         options=FitOptions(min_events=1))
+            fit_model("cauchy", {"u": make_sample("u", [1, 2])},
+                      options=FitOptions(min_events=1))
 
 
 def scalar_cox_oracle(samples, newton_max_iter=100):
@@ -618,8 +619,6 @@ class TestBaselineKernels:
                 float(np.mean(s.delays)), rel=1e-9)
             assert ray_model.user_params[u].scale == pytest.approx(
                 float(np.sqrt(np.mean(s.delays ** 2))), rel=1e-9)
-        for kind, model in (("exponential", exp_model), ("rayleigh", ray_model)):
-            assert fit_baseline(kind, samples, options=opts) == model.user_params
 
     def test_fixed_shape_trace_is_pooled_likelihood(self):
         X, samples = uneven_instance()
@@ -821,3 +820,49 @@ class TestFitModelWrapper:
         X, samples, _ = synthetic_instance(3, 10, seed=62)
         with pytest.raises(ValueError):
             fit_model("cauchy", samples, X)
+
+
+def fit_outputs(kind, samples, X, opts):
+    model, report = fit_model(kind, samples, X, options=opts)
+    return (model.kind, model.feature_names, list(model.user_params.items()), model.user_events,
+            model.beta.tobytes(), model.gamma.tobytes(), report.to_dict())
+
+
+class TestTableInput:
+    """Every fit reads a ``SubcascadeTable``; any other mapping is turned
+    into one, so it must give the same fit, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["newer", "weibull", "exponential", "rayleigh", "cox"])
+    @pytest.mark.parametrize("min_events", [1, 3])
+    def test_table_and_dict_fit_identically(self, kind, min_events):
+        net, cascades = sim_world()
+        table = extract_subcascades(cascades)
+        assert isinstance(table, SubcascadeTable)
+        X = extract_features(net, cascades)
+        opts = FitOptions(min_events=min_events, max_outer=20)
+        got = fit_outputs(kind, table, X, opts)
+        assert got == fit_outputs(kind, dict(table), X, opts)
+        assert got == fit_outputs(kind, list(table.values()), X, opts)
+        fitted = {u for u, _ in got[2]}
+        assert fitted == {u for u, s in table.items() if s.n >= min_events}
+        if min_events > 1:
+            assert len(fitted) < len(table)  # some users excluded
+
+    @pytest.mark.parametrize("kind", ["newer", "weibull", "exponential", "rayleigh", "cox"])
+    def test_missing_feature_row_refused_alike(self, kind):
+        net, cascades = sim_world()
+        table = extract_subcascades(cascades)
+        X = extract_features(net, cascades)
+        kept = [u for u, s in table.items() if s.n >= 3]
+        X = X.subset([u for u in X.users if u != kept[1]])
+        opts = FitOptions(min_events=3, max_outer=5)
+        errors = []
+        for samples in (table, dict(table)):
+            if kind == "weibull":  # fits without features
+                fit_model(kind, samples, X, options=opts)
+                continue
+            with pytest.raises(DataError, match="users without feature rows") as info:
+                fit_model(kind, samples, X, options=opts)
+            errors.append(str(info.value))
+        assert len(set(errors)) <= 1
+        assert all(repr(kept[1]) in e for e in errors)

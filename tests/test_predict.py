@@ -439,6 +439,25 @@ class TestModelDynamics:
         with pytest.raises(ValueError, match="scale"):
             dyn("fresh")
 
+    def test_non_finite_row_never_served_as_a_size(self):
+        # the setup of test_regressed_row_never_served_the_fallback: "fresh"
+        # regresses to NaN, and the batch reads refuse it as dyn("fresh") does
+        model = self.make_model()
+        model.beta[0] = np.nan
+        dyn = ModelDynamics(model, self.make_features())
+        cascade = Cascade("c", [CascadeEvent("fitted", None, 0.0),
+                                CascadeEvent("fresh", "fitted", 1.0),
+                                CascadeEvent("other", "fresh", 2.0)])
+        pc = PartialCascade.from_cascade(cascade, 2.0, 10)
+        with pytest.raises(ValueError, match="scale must be a positive finite real, got nan"):
+            BasicPredictor(pc, dyn)
+        with pytest.raises(ValueError, match="scale must be a positive finite real, got nan"):
+            PrefixBatch([(cascade, 1), (cascade, 3)], 10).final_sizes(dyn)
+        # rows that are finite are still served
+        assert PrefixBatch([(cascade, 1)], 10).final_sizes(dyn).tolist() == [1.0]
+        assert BasicPredictor(PartialCascade.from_cascade(cascade, 0.5, 10),
+                              dyn).final_size() == 1.0
+
     def test_feature_table_without_model_columns_rejected(self):
         features = FeatureMatrix(users=["fresh"], names=[], values=np.empty((1, 0)))
         with pytest.raises(DataError, match="columns"):
@@ -680,6 +699,23 @@ class TestQuietArithmetic:
                     predictor.outbreak_time(pc.size + 1, pc.t_limit + 600.0)
                     predictor.process_curve([pc.t_limit, pc.t_limit, pc.t_limit + 50.0])
             PrefixBatch([(cascade, k) for k in range(1, 5)], 100).final_sizes(dyn)
+
+    def test_no_log_of_zero_beyond_two_to_the_53(self):
+        # at t = 2**60 the 1 s shift rounds away, so the root, replied to at
+        # its own timestamp, has an elapsed time of exactly 0 at the cut
+        t = 2.0 ** 60
+        cascade = Cascade("late", [CascadeEvent("r", None, t), CascadeEvent("a", "r", t)])
+        model = NewerModel(kind="weibull", feature_names=[], hyperparams=Hyperparams(),
+                           beta=np.zeros(0), gamma=np.zeros(0),
+                           user_params={"r": WeibullParams(40.0, 1.5),
+                                        "a": WeibullParams(300.0, 0.8)},
+                           user_events={"r": 9, "a": 9})
+        dyn = ModelDynamics(model)
+        with np.errstate(all="raise"):
+            batch = PrefixBatch([(cascade, 1), (cascade, 2)], 100).final_sizes(dyn)
+            basic = [BasicPredictor(PartialCascade.first_events(cascade, k, 100),
+                                    dyn).final_size() for k in (1, 2)]
+        assert batch.tolist() == basic
 
 
 class TestPredictionFiles:

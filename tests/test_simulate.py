@@ -6,7 +6,7 @@ import pytest
 
 from cascadyn.errors import DataError
 from cascadyn.features import Cascade, extract_subcascades, write_cascades_jsonl
-from cascadyn.fitting import FitOptions, SubcascadeSample, fit_baseline
+from cascadyn.fitting import FitOptions, SubcascadeSample, fit_model
 from cascadyn.simulate import (
     SimConfig,
     dynamics_from_coefficients,
@@ -130,8 +130,8 @@ class TestGenCascades:
         truth = WeibullParams(5000.0, 1.3)
         rng = np.random.default_rng(13)
         draws = sample_delays(truth, 2000, rng) + 1.0
-        params = fit_baseline("plain_weibull", {"u": SubcascadeSample("u", draws)},
-                              options=FitOptions(min_events=1))["u"]
+        params = fit_model("weibull", {"u": SubcascadeSample("u", draws)},
+                           options=FitOptions(min_events=1))[0].user_params["u"]
         assert abs(params.scale - truth.scale) / truth.scale < 0.05
         assert abs(params.shape - truth.shape) / truth.shape < 0.05
 

@@ -206,7 +206,7 @@ class TestKsStatistic:
         assert stat <= 1.0 / (n + 1) + 1e-12
 
     def test_large_seeded_sample_close_and_beats_exponential(self):
-        from cascadyn.fitting import FitOptions, SubcascadeSample, fit_baseline
+        from cascadyn.fitting import FitOptions, SubcascadeSample, fit_model
 
         rng = np.random.default_rng(123)
         p = WeibullParams(2, 1.5)
@@ -216,9 +216,9 @@ class TestKsStatistic:
         stat = ks_statistic(p, sample)
         assert stat < 0.02
         # the best-fit exponential is a strictly worse description
-        exp_fit = fit_baseline("exponential",
-                               {"u": SubcascadeSample("u", draws)},
-                               options=FitOptions(min_events=1))["u"]
+        exp_fit = fit_model("exponential",
+                            {"u": SubcascadeSample("u", draws)},
+                            options=FitOptions(min_events=1))[0].user_params["u"]
         assert ks_statistic(exp_fit, sample) > stat
 
     def test_invariant_under_duplication(self):

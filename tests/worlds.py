@@ -4,6 +4,7 @@ the per-name loops the array passes replaced, kept here as oracles."""
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cascadyn.errors import DataError
 from cascadyn.features import SECONDS_PER_DAY, Cascade, CascadeEvent
 from cascadyn.fitting import SubcascadeSample
+from cascadyn.simulate import SimConfig, gen_cascades, gen_network
 
 
 @st.composite
@@ -186,3 +188,14 @@ def oracle_lasso_cd(Z, y, alpha, *, warm=None, tol=1e-12, max_iter=10000):
         if max_delta <= tol * max(1.0, float(np.max(np.abs(b)))):
             break
     return b
+
+
+@cache
+def sim_world():
+    """A small simulated network and its cascades of at least 5 events;
+    shared, so callers must not modify them."""
+    cfg = SimConfig(n_nodes=400, n_cascades=120, seed=31, retweet_scale=0.6,
+                    scale_base=600.0, gamma_true=(0.15, 0, 0, 0, 0, 0),
+                    horizon=5 * 86400.0)
+    net = gen_network(cfg)
+    return net, [c for c in gen_cascades(net, cfg) if c.size >= 5]
