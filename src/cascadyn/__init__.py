@@ -29,6 +29,7 @@ from .fitting import (
     FeatureMatrix,
     FitOptions,
     FitReport,
+    FittedUsers,
     Hyperparams,
     NewerModel,
     SubcascadeSample,

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .fitting import FeatureMatrix, SubcascadeTable
-from .userids import by_id, intern
+from .fitting import FeatureMatrix, SubcascadeTable, _read_only
+from .userids import intern, join, names_of
 
 __all__ = [
     "CascadeEvent",
@@ -206,17 +206,13 @@ class Network:
         return np.diff(self.follower_ptr)
 
     @cached_property
-    def _row_of_id(self) -> np.ndarray:
-        return by_id(intern(self.nodes, len(self.nodes)), np.arange(len(self.nodes)), -1)
+    def node_ids(self) -> np.ndarray:
+        """Interned id of each node row's user (int32, read-only)."""
+        return _read_only(intern(self.nodes, len(self.nodes)))
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Node row of each user id, -1 for a user outside the network."""
-        return self._row_of_id.take(ids, mode="clip")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        return join(self.node_ids, ids)
 
 
 def _offsets(rows: np.ndarray, n: int) -> np.ndarray:
@@ -284,12 +280,12 @@ def extract_subcascades(cascades: Iterable[Cascade],
     """Per-user response delays: for every non-root event, the gap between
     child and parent timestamps plus the shift, attributed to the parent.
 
-    Built in array passes: the events with replies are named once each,
-    and their users ranked by name. An argsort by delay, then a stable one
-    by rank, groups the delays by user in name order, sorted within each
-    user. The first need not be stable, as tied delays are equal floats;
-    the second sorts ranks of the narrowest unsigned type, which numpy
-    radix-sorts up to 16 bits.
+    Built in array passes over the cascades' user ids: the distinct users
+    with replies are found by id with a mask, each named once, and ranked
+    by name. An argsort by delay, then a stable one by rank, groups the
+    delays by user in name order, sorted within each user. The first need
+    not be stable, as tied delays are equal floats; the second sorts ranks
+    of the narrowest unsigned type, which numpy radix-sorts up to 16 bits.
     """
     cascades = list(cascades)
     times, owner = flatten_prefixes(cascades)
@@ -298,14 +294,17 @@ def extract_subcascades(cascades: Iterable[Cascade],
     delays = times[child]
     delays -= times[owner]
     delays += shift
-    replied = np.zeros(len(times), dtype=bool)
-    replied[owner] = True
-    names = [ev.user for _, ev in flat_events(cascades, None, np.flatnonzero(replied))]
-    users = sorted(set(names))
-    rank_of = {u: i for i, u in enumerate(users)}
-    rank = np.zeros(len(times), dtype=np.min_scalar_type(len(users)))
-    rank[replied] = np.fromiter((rank_of[u] for u in names), dtype=rank.dtype, count=len(names))
-    sample_of = rank[owner]
+    owner_ids = flatten_user_ids(cascades)[owner]
+    replied = np.zeros(int(owner_ids.max()) + 1 if owner_ids.size else 0, dtype=bool)
+    replied[owner_ids] = True
+    user_ids = np.flatnonzero(replied).astype(np.int32)
+    names = names_of(user_ids)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    users = [names[i] for i in by_name]
+    user_ids = user_ids[by_name]
+    rank = np.zeros(len(replied), dtype=np.min_scalar_type(len(users)))
+    rank[user_ids] = np.arange(len(users))
+    sample_of = rank[owner_ids]
     order = np.argsort(delays)
     delays, sample_of = delays[order], sample_of[order]
     order = np.argsort(sample_of, kind="stable")
@@ -316,7 +315,7 @@ def extract_subcascades(cascades: Iterable[Cascade],
     if bad.size:
         user = users[int(np.searchsorted(offsets, bad[0], side="right")) - 1]
         raise DataError(f"user {user!r} has nonpositive or non-finite delays")
-    return SubcascadeTable(users, offsets, delays)
+    return SubcascadeTable(users, offsets, delays, user_ids)
 
 
 def network_rows(net: Network, cascades: Sequence[Cascade],
@@ -375,7 +374,8 @@ def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix
         posts_made,
         avg_sub_size,
     ]) + 1.0
-    return FeatureMatrix(users=list(net.nodes), names=list(FEATURE_SCHEMA), values=values)
+    return FeatureMatrix(users=list(net.nodes), names=list(FEATURE_SCHEMA), values=values,
+                         ids=net.node_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DataError, NumericsError
 from .survival import _EXP_CLAMP, WeibullParams
-from .userids import intern
+from .userids import intern, join
 
 __all__ = [
     "Hyperparams",
@@ -37,6 +37,7 @@ __all__ = [
     "FeatureMatrix",
     "FitOptions",
     "FitReport",
+    "FittedUsers",
     "NewerModel",
     "user_log_likelihood",
     "newer_objective",
@@ -78,6 +79,11 @@ class Hyperparams:
 DEFAULT_HYPERPARAMS = Hyperparams()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class SubcascadeSample:
     """One user's observed response delays (seconds), sorted nondecreasing.
@@ -110,18 +116,23 @@ class SubcascadeTable(Mapping[str, SubcascadeSample]):
     """Every user's subcascade delays in flat arrays, read as a read-only
     mapping from user name to ``SubcascadeSample``, in name order.
 
-    ``users`` holds the names sorted, and user i's delays, sorted
-    nondecreasing, are ``delays[offsets[i]:offsets[i + 1]]``. The arrays
-    are read-only. A ``SubcascadeSample`` is built only when an entry is
-    read; the fits read the arrays, and share ``log_delays``, computed once
-    per table.
+    Row i is the user ``users[i]``, names sorted, whose interned id
+    (``cascadyn.userids``) is ``user_ids[i]`` and whose delays, sorted
+    nondecreasing, are ``delays[offsets[i]:offsets[i + 1]]``. The arrays are
+    read-only. A ``SubcascadeSample`` is built only when an entry is read;
+    the fits read the arrays, join feature rows by ``user_ids``, and share
+    ``log_delays``, computed once per table.
     """
 
-    def __init__(self, users: list[str], offsets: np.ndarray, delays: np.ndarray):
+    def __init__(self, users: list[str], offsets: np.ndarray, delays: np.ndarray,
+                 user_ids: np.ndarray):
+        if len(user_ids) != len(users) or len(offsets) != len(users) + 1:
+            raise DataError(f"a table of {len(users)} users needs as many ids and one "
+                            f"more offset, got {len(user_ids)} and {len(offsets)}")
         self.users = users
-        self.offsets, self.delays = offsets, delays
-        offsets.flags.writeable = False
-        delays.flags.writeable = False
+        self.offsets, self.delays, self.user_ids = offsets, delays, user_ids
+        for a in (offsets, delays, user_ids):
+            _read_only(a)
 
     @classmethod
     def from_samples(cls, samples: Mapping[str, SubcascadeSample]) -> "SubcascadeTable":
@@ -130,7 +141,7 @@ class SubcascadeTable(Mapping[str, SubcascadeSample]):
         offsets = np.zeros(len(users) + 1, dtype=np.intp)
         np.cumsum([samples[u].n for u in users], out=offsets[1:])
         delays = np.concatenate([np.empty(0), *(samples[u].delays for u in users)])
-        return cls(users, offsets, delays)
+        return cls(users, offsets, delays, intern(users, len(users)))
 
     @property
     def counts(self) -> np.ndarray:
@@ -170,13 +181,20 @@ class SubcascadeTable(Mapping[str, SubcascadeSample]):
 
 @dataclass
 class FeatureMatrix:
-    """Per-user covariate rows, strictly positive so log features are defined."""
+    """Per-user covariate rows, strictly positive so log features are defined.
+
+    ``user_ids`` holds each row's interned user id, and ``rows_of`` maps ids
+    back to rows with one take. ``ids``, when given, must be those ids (as
+    ``extract_features`` passes the network's); otherwise the names are
+    interned on first read.
+    """
 
     users: list[str]
     names: list[str]
     values: np.ndarray
+    ids: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, ids: np.ndarray | None):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape != (len(self.users), len(self.names)):
             raise DataError(
@@ -185,8 +203,12 @@ class FeatureMatrix:
             )
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0):
             raise DataError("feature values must be strictly positive finite reals")
-        self._index = {u: i for i, u in enumerate(self.users)}
-        if len(self._index) != len(self.users):
+        if ids is not None:
+            if ids.shape != (len(self.users),) or ids.dtype != np.int32:
+                raise DataError(f"{len(self.users)} feature rows need as many int32 ids, "
+                                f"got {ids.dtype} of shape {ids.shape}")
+            self.__dict__["user_ids"] = _read_only(ids)
+        if len(self.users) and np.bincount(self.user_ids).max() > 1:
             raise DataError("duplicate user in feature matrix")
 
     def row(self, user: str) -> np.ndarray:
@@ -198,17 +220,18 @@ class FeatureMatrix:
     def __contains__(self, user: str) -> bool:
         return user in self._index
 
-    @property
-    def index(self) -> Mapping[str, int]:
-        """Row of each user; shared, not copied, so callers must not modify it."""
-        return self._index
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
 
     @cached_property
     def user_ids(self) -> np.ndarray:
         """Interned id of each row's user (int32, read-only)."""
-        ids = intern(self.users, len(self.users))
-        ids.flags.writeable = False
-        return ids
+        return _read_only(intern(self.users, len(self.users)))
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Row of each user id, -1 for a user without a row."""
+        return join(self.user_ids, ids)
 
     def subset(self, users: Iterable[str]) -> "FeatureMatrix":
         users = list(users)
@@ -250,17 +273,107 @@ class FitReport:
         }
 
 
+class FittedUsers(Mapping[str, WeibullParams]):
+    """Fitted users' Weibull parameters in flat arrays, read as a read-only
+    mapping from user name to ``WeibullParams``, in fit order.
+
+    Row i is the user ``users[i]``, whose interned id (``cascadyn.userids``)
+    is ``ids[i]``, fitted to ``scales[i]`` and ``shapes[i]`` on ``events[i]``
+    delays. The arrays are read-only, and a ``WeibullParams`` is built only
+    when an entry is read. ``event_counts`` reads ``events`` as a mapping
+    from user name to count.
+    """
+
+    def __init__(self, users: list[str], ids: np.ndarray, scales: np.ndarray,
+                 shapes: np.ndarray, events: np.ndarray):
+        if not len(ids) == len(scales) == len(shapes) == len(events) == len(users):
+            raise DataError(f"{len(users)} fitted users need as many ids, scales, shapes "
+                            f"and event counts")
+        for name, values in (("scale", scales), ("shape", shapes)):
+            bad = np.flatnonzero(~((values > 0.0) & (values < math.inf)))  # NaN fails both
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"user {users[i]!r}: {name} must be a positive finite real, "
+                                 f"got {values[i]}")
+        self.users = users
+        self.ids, self.scales, self.shapes, self.events = (
+            _read_only(a) for a in (ids, scales, shapes, events))
+
+    @classmethod
+    def from_dicts(cls, params: Mapping[str, WeibullParams],
+                   events: Mapping[str, int]) -> "FittedUsers":
+        """The table of ``params``, in its order, with each user's count in
+        ``events`` (0 when absent); refuses a count for a user without
+        parameters."""
+        extra = [u for u in events if u not in params]
+        if extra:
+            raise DataError(f"event counts for users without parameters: {extra[:5]}")
+        users = list(params)
+        n = len(users)
+        values = params.values()
+        return cls(users, intern(users, n),
+                   np.fromiter((p.scale for p in values), dtype=float, count=n),
+                   np.fromiter((p.shape for p in values), dtype=float, count=n),
+                   np.fromiter((events.get(u, 0) for u in users), dtype=np.intp, count=n))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
+    @cached_property
+    def event_counts(self) -> Mapping[str, int]:
+        return _EventCounts(self)
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self):
+        return iter(self.users)
+
+    def __contains__(self, user) -> bool:
+        return user in self._index
+
+    def __getitem__(self, user: str) -> WeibullParams:
+        i = self._index[user]
+        return WeibullParams(self.scales.item(i), self.shapes.item(i))
+
+
+class _EventCounts(Mapping[str, int]):
+    """A ``FittedUsers``' event counts, by user name."""
+
+    def __init__(self, fitted: FittedUsers):
+        self._fitted = fitted
+
+    def __len__(self) -> int:
+        return len(self._fitted)
+
+    def __iter__(self):
+        return iter(self._fitted)
+
+    def __contains__(self, user) -> bool:
+        return user in self._fitted
+
+    def __getitem__(self, user: str) -> int:
+        return self._fitted.events.item(self._fitted._index[user])
+
+
 @dataclass
 class NewerModel:
-    """Fitted per-user Weibull parameters plus the regression coefficients."""
+    """Fitted per-user Weibull parameters plus the regression coefficients.
+
+    ``user_params`` is a ``FittedUsers`` table, and ``user_events`` its
+    ``event_counts``: the fits build the table from their arrays, by user
+    id. Plain mappings from name to parameters and to counts (a missing
+    count is 0) are turned into one table at construction.
+    """
 
     kind: str
     feature_names: list[str]
     hyperparams: Hyperparams
     beta: np.ndarray
     gamma: np.ndarray
-    user_params: dict[str, WeibullParams]
-    user_events: dict[str, int]
+    user_params: Mapping[str, WeibullParams]
+    user_events: Mapping[str, int] | None = None
     schema_version: str = "1"
 
     def __post_init__(self):
@@ -272,8 +385,14 @@ class NewerModel:
         for name, coef in (("beta", self.beta), ("gamma", self.gamma)):
             if not np.all(np.isfinite(coef)):
                 raise DataError(f"{name} must be finite, got {coef.tolist()}")
+        fitted, events = self.user_params, self.user_events
+        if not (isinstance(fitted, FittedUsers)
+                and (events is None or events is fitted.event_counts)):
+            fitted = self.user_params = FittedUsers.from_dicts(fitted, events or {})
+        self.user_events = fitted.event_counts
 
     def to_json_dict(self) -> dict:
+        fitted = self.user_params
         return {
             "schema_version": self.schema_version,
             "kind": self.kind,
@@ -287,13 +406,9 @@ class NewerModel:
             "beta": self.beta.tolist(),
             "gamma": self.gamma.tolist(),
             "users": [
-                {
-                    "id": u,
-                    "lambda": p.scale,
-                    "k": p.shape,
-                    "n_events": self.user_events.get(u, 0),
-                }
-                for u, p in self.user_params.items()
+                {"id": u, "lambda": scale, "k": shape, "n_events": n}
+                for u, scale, shape, n in zip(fitted.users, fitted.scales.tolist(),
+                                              fitted.shapes.tolist(), fitted.events.tolist())
             ],
         }
 
@@ -311,12 +426,17 @@ class NewerModel:
             hp = Hyperparams(**doc["hyperparams"])
             users, events = {}, {}
             for rec in doc["users"]:
-                user = rec["id"]
+                user, n = rec["id"], rec["n_events"]
+                if user in users:
+                    raise DataError(f"duplicate user {user!r}")
+                if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                    raise DataError(f"bad record for user {user!r}: n_events must be an "
+                                    f"integer >= 0, got {n!r}")
                 try:
                     users[user] = WeibullParams(rec["lambda"], rec["k"])
-                    events[user] = int(rec["n_events"])
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"bad record for user {user!r}: {exc}") from None
+                events[user] = n
             return cls(
                 kind=doc.get("kind", "newer"),
                 feature_names=list(doc["feature_names"]),
@@ -367,15 +487,12 @@ def _model_segments(model: NewerModel, samples):
     """The model's users, a _Segments over their delays, and their scales
     and shapes as arrays in the same order."""
     table = _as_table(samples)
-    users = list(model.user_params)
-    index = table._index
-    rows = np.fromiter((index.get(u, -1) for u in users), dtype=np.intp, count=len(users))
+    fitted = model.user_params
+    rows = join(table.user_ids, fitted.ids)
     if (rows < 0).any():
-        raise DataError(f"user {users[int(np.argmax(rows < 0))]!r} has no subcascade sample")
-    params = model.user_params.values()
-    scale = np.array([p.scale for p in params], dtype=float)
-    shape = np.array([p.shape for p in params], dtype=float)
-    return users, _table_segments(table, rows), scale, shape
+        raise DataError(f"user {fitted.users[int(np.argmax(rows < 0))]!r} has no subcascade "
+                        f"sample")
+    return fitted.users, _table_segments(table, rows), fitted.scales, fitted.shapes
 
 
 def newer_objective(model: NewerModel, samples, X: FeatureMatrix | None = None) -> float:
@@ -693,11 +810,11 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
     if warm_start is not None:
         if X is not None and list(warm_start.feature_names) != list(X.names):
             raise DataError("warm-start model has a different feature schema")
-        for i, u in enumerate(users):
-            p = warm_start.user_params.get(u)
-            if p is not None:
-                scale[i] = p.scale
-                shape[i] = p.shape
+        warm = warm_start.user_params
+        at = join(warm.ids, table.user_ids[rows])
+        hit = at >= 0
+        scale[hit] = warm.scales[at[hit]]
+        shape[hit] = warm.shapes[at[hit]]
         if r and warm_start.beta.shape == (r,):
             beta = warm_start.beta.copy()
             gamma = warm_start.gamma.copy()
@@ -767,8 +884,7 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
         hyperparams=hyperparams,
         beta=beta,
         gamma=gamma,
-        user_params=_user_params(users, scale, shape),
-        user_events=dict(zip(users, m.tolist())),
+        user_params=FittedUsers(users, table.user_ids[rows], scale, shape, m),
     )
     return model, FitReport(objective_trace=trace, converged=converged, iterations=iterations,
                             lasso_capped=lasso_capped)
@@ -797,19 +913,17 @@ def regress_out_of_sample(model: NewerModel, x) -> WeibullParams:
 
 
 def mean_params(model: NewerModel) -> WeibullParams:
-    scales = [p.scale for p in model.user_params.values()]
-    shapes = [p.shape for p in model.user_params.values()]
-    if not scales:
+    fitted = model.user_params
+    if not len(fitted):
         raise DataError("model has no fitted users to average")
-    return WeibullParams(float(np.mean(scales)), float(np.mean(shapes)))
+    return WeibullParams(float(np.mean(fitted.scales)), float(np.mean(fitted.shapes)))
 
 
 def median_params(model: NewerModel) -> WeibullParams:
-    scales = [p.scale for p in model.user_params.values()]
-    shapes = [p.shape for p in model.user_params.values()]
-    if not scales:
+    fitted = model.user_params
+    if not len(fitted):
         raise DataError("model has no fitted users")
-    return WeibullParams(float(np.median(scales)), float(np.median(shapes)))
+    return WeibullParams(float(np.median(fitted.scales)), float(np.median(fitted.shapes)))
 
 
 # ---------------------------------------------------------------------------
@@ -828,20 +942,13 @@ def _kept_rows(table: SubcascadeTable, opts: FitOptions) -> np.ndarray:
 
 
 def _feature_rows(X: FeatureMatrix, table: SubcascadeTable, rows: np.ndarray) -> np.ndarray:
-    """Feature row of the user of each of the table's ``rows``; refuses
-    users the matrix lacks."""
-    index, users = X.index, table.users
-    x_rows = np.fromiter((index.get(users[i], -1) for i in rows.tolist()), dtype=np.intp,
-                         count=len(rows))
+    """Feature row of the user of each of the table's ``rows``, joined by
+    user id; refuses users the matrix lacks."""
+    x_rows = X.rows_of(table.user_ids[rows])
     missing = rows[x_rows < 0][:5].tolist()
     if missing:
-        raise DataError(f"users without feature rows: {[users[i] for i in missing]}")
+        raise DataError(f"users without feature rows: {[table.users[i] for i in missing]}")
     return x_rows
-
-
-def _user_params(users: list[str], scale: np.ndarray,
-                 shape: np.ndarray) -> dict[str, WeibullParams]:
-    return {u: WeibullParams(s, k) for u, s, k in zip(users, scale.tolist(), shape.tolist())}
 
 
 def _fit_restricted(kind: str, seg: _Segments, opts: FitOptions):
@@ -912,7 +1019,6 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     table = _as_table(samples)
     rows = _kept_rows(table, opts)
-    users = [table.users[i] for i in rows.tolist()]
     scale, shape, trace, converged = _fit_restricted(kind, _table_segments(table, rows), opts)
     if X is not None:
         z = np.log(X.values[_feature_rows(X, table, rows)])
@@ -927,8 +1033,8 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
         hyperparams=hyperparams,
         beta=beta,
         gamma=gamma,
-        user_params=_user_params(users, scale, shape),
-        user_events=dict(zip(users, table.counts[rows].tolist())),
+        user_params=FittedUsers([table.users[i] for i in rows.tolist()], table.user_ids[rows],
+                                scale, shape, table.counts[rows]),
     )
     report = FitReport(objective_trace=trace, converged=converged, iterations=len(trace) - 1)
     return model, report

@@ -35,9 +35,9 @@ from .features import (
     flatten_prefixes,
     flatten_user_ids,
 )
-from .fitting import FeatureMatrix, NewerModel, mean_params, median_params, regress_params
+from .fitting import FeatureMatrix, NewerModel, regress_params
 from .survival import _EXP_CLAMP, WeibullParams, weibull_survival, weibull_survival_inverse
-from .userids import by_id, intern, lookup
+from .userids import by_id, lookup
 
 __all__ = [
     "PartialCascade",
@@ -163,7 +163,8 @@ def _resolve_dynamics(dynamics, user: str) -> WeibullParams:
 
 class ModelDynamics:
     """Dynamics lookup for prediction: fitted per-user parameters first, then
-    the model's out-of-sample policy, then a global fallback.
+    the model's out-of-sample policy, then a global fallback (by default the
+    median fitted scale and shape).
 
     Out-of-sample policy by model kind:
       newer        scale and shape both regressed from covariates
@@ -172,15 +173,18 @@ class ModelDynamics:
       rayleigh     scale regressed, shape 2
       weibull      averaged fitted scale and shape
 
-    The policy is applied once, at construction, into a table of scales and
-    shapes with a row per feature-matrix user, a row per fitted user the
-    matrix lacks, and a last row for every other user; that table is then
-    laid out by interned user id (``cascadyn.userids``), so a lookup is one
-    take by id, and users interned later read the last row. A row no source
-    covers is marked in ``_covered`` and refused on lookup. Whether every row
-    is covered and finite is recorded once, so batch reads check one flag;
-    a non-finite row (a coefficient made NaN after fitting) is refused as
-    ``self(user)`` refuses it, never served as a NaN size.
+    The policy is applied once, at construction, from the model's and the
+    feature matrix's arrays, joined by interned user id (``cascadyn.userids``)
+    without reading a name: a table of scales and shapes gets a row per
+    feature-matrix user, a row per fitted user the matrix lacks (found with
+    a mask over the fitted ids), and a last row for every other user. The
+    fitted scales and shapes are scattered into it by id, and it is then
+    laid out by id, so a lookup is one take by id, and users interned later
+    read the last row. A row no source covers is marked in ``_covered`` and
+    refused on lookup. Whether every row is covered and finite is recorded
+    once, so batch reads check one flag; a non-finite row (a coefficient
+    made NaN after fitting) is refused as ``self(user)`` refuses it, never
+    served as a NaN size.
     """
 
     def __init__(self, model: NewerModel, features: FeatureMatrix | None = None,
@@ -191,34 +195,36 @@ class ModelDynamics:
                             f"model's feature names {list(model.feature_names)}")
         self.model = model
         self.features = features
-        if fallback is None and model.user_params:
-            fallback = median_params(model)
-        self.fallback = fallback
-        self._build_table()
+        self._build_table(fallback)
 
-    def _build_table(self) -> None:
+    def _build_table(self, fallback: WeibullParams | None) -> None:
         model, features = self.model, self.features
+        fitted = model.user_params
         if features is None:
-            ids, extra = np.empty(0, dtype=np.int32), list(model.user_params)
+            ids, extra = np.empty(0, dtype=np.int32), fitted.ids
         else:
-            ids, extra = features.user_ids, [u for u in model.user_params if u not in features]
+            ids, extra = features.user_ids, fitted.ids[features.rows_of(fitted.ids) < 0]
         n_features = len(ids)
-        if extra:
-            ids = np.concatenate([ids, intern(extra, len(extra))])
+        if extra.size:
+            ids = np.concatenate([ids, extra])
         other = len(ids)  # the row of users outside the table
         row_of = by_id(ids, np.arange(other), other)
         scales = np.ones(other + 1)
         shapes = np.ones(other + 1)
         covered = np.zeros(other + 1, dtype=bool)
-        mean = mean_params(model) if model.user_params else None
+        if fallback is not None:
+            fallback = fallback.scale, fallback.shape
+        elif len(fitted):
+            fallback = np.median(fitted.scales), np.median(fitted.shapes)
+        mean_shape = np.mean(fitted.shapes) if len(fitted) else 1.0
         if model.kind == "weibull":
-            if mean is not None:
-                scales[:], shapes[:] = mean.scale, mean.shape
+            if len(fitted):
+                scales[:], shapes[:] = np.mean(fitted.scales), mean_shape
                 covered[:] = True
         elif features is not None and model.feature_names and n_features:
             scales[:n_features], regressed_shapes = regress_params(model, features.log_values)
             if model.kind == "cox":
-                shapes[:n_features] = mean.shape if mean is not None else 1.0
+                shapes[:n_features] = mean_shape
             elif model.kind == "exponential":
                 shapes[:n_features] = 1.0
             elif model.kind == "rayleigh":
@@ -226,15 +232,13 @@ class ModelDynamics:
             else:
                 shapes[:n_features] = regressed_shapes
             covered[:n_features] = True
-        if self.fallback is not None:
-            scales[~covered], shapes[~covered] = self.fallback.scale, self.fallback.shape
+        if fallback is not None:
+            scales[~covered], shapes[~covered] = fallback
             covered[:] = True
-        if model.user_params:
-            rows = row_of[intern(model.user_params, len(model.user_params))]
-            params = model.user_params.values()
-            scales[rows] = [p.scale for p in params]
-            shapes[rows] = [p.shape for p in params]
-            covered[rows] = True
+        rows = row_of[fitted.ids]
+        scales[rows] = fitted.scales
+        shapes[rows] = fitted.shapes
+        covered[rows] = True
         # one (scale, shape) row per id, read with take(ids, axis=0, mode="clip")
         self._params = np.column_stack([scales, shapes])[row_of]
         self._covered = covered[row_of]
@@ -441,35 +445,55 @@ class PrefixBatch:
 
     Prefix j is the first ``count`` events of its cascade plus every later
     event tied with the cut, as ``PartialCascade.first_events`` observes it;
-    ``t_limit`` is the cut's timestamp. The rows of all prefixes are sliced
-    from each cascade's cached arrays and laid end to end: user ids, and, for
-    the rows with replies only, the join time minus ``DELAY_SHIFT``, the
-    reply count, the prefix's ``t_limit`` and the prefix the row belongs to.
-    ``final_sizes`` takes each replying row's scale and shape from the
-    ``ModelDynamics`` table by id, its deathrate with the kernel
-    ``BasicPredictor`` uses, and sums each prefix with ``np.bincount``. The
-    deathrates are bit for bit those of ``BasicPredictor``; only the order
-    of the final sum differs.
+    ``t_limit`` is the cut's timestamp. Each distinct cascade is laid end to
+    end once, and a run-end index over equal timestamps within a cascade
+    gives every prefix's cut and tie-extended length in one take. The rows
+    of all prefixes are gathered from that layout and laid end to end: user
+    ids, and, for the rows with replies only, the join time minus
+    ``DELAY_SHIFT``, the reply count, the prefix's ``t_limit`` and the
+    prefix the row belongs to. ``final_sizes`` takes each replying row's
+    scale and shape from the ``ModelDynamics`` table by id, its deathrate
+    with the kernel ``BasicPredictor`` uses, and sums each prefix with
+    ``np.bincount``. The deathrates are bit for bit those of
+    ``BasicPredictor``; only the order of the final sum differs.
     """
 
     def __init__(self, prefixes: Sequence[tuple[Cascade, int]], network_size: int):
         if network_size < 1:
             raise DataError("network size must be >= 1")
         self.floor = 1.0 / network_size
-        self.size = len(prefixes)
-        self.lengths = lengths = np.zeros(self.size, dtype=np.intp)  # observed rows
-        t_limits = np.zeros(self.size)
-        for j, (cascade, count) in enumerate(prefixes):
-            if count < 1 or count > cascade.size:
-                raise DataError(f"cannot observe {count} events of a size-{cascade.size} cascade")
-            times = cascade.times
-            t_limits[j] = times[count - 1]
-            lengths[j] = np.searchsorted(times, t_limits[j], side="right")
-        self._cascades = [cascade for cascade, _ in prefixes]
-        prefix_of = np.repeat(np.arange(self.size), lengths)
-        t_join, parents = flatten_prefixes(self._cascades, lengths)
-        self._ids = flatten_user_ids(self._cascades, lengths)
-        replynum = np.bincount(parents[parents >= 0], minlength=len(t_join))
+        self.size = n = len(prefixes)
+        distinct = {id(cascade): cascade for cascade, _ in prefixes}
+        self._cascades = cascades = list(distinct.values())
+        slot = {key: i for i, key in enumerate(distinct)}
+        which = np.fromiter((slot[id(cascade)] for cascade, _ in prefixes), np.intp, n)
+        counts = np.fromiter((count for _, count in prefixes), np.intp, n)
+        sizes = np.fromiter((c.size for c in cascades), np.intp, len(cascades))[which]
+        bad = np.flatnonzero((counts < 1) | (counts > sizes))
+        if bad.size:
+            j = int(bad[0])
+            raise DataError(f"cannot observe {counts[j]} events of a size-{sizes[j]} cascade")
+        times, parents = flatten_prefixes(cascades)
+        starts = parents < 0  # each cascade's root comes first
+        # one past the last event tied with each event, within its cascade
+        new_run = starts.copy()
+        new_run[1:] |= times[1:] != times[:-1]
+        run_end = np.append(np.flatnonzero(new_run)[1:], len(times))[np.cumsum(new_run) - 1]
+        first = np.flatnonzero(starts)[which]
+        cut = first + counts - 1
+        t_limits = times[cut]
+        self.lengths = lengths = run_end[cut] - first  # observed rows
+        # row r of prefix j is event pos[r] = r + shift[r] of the layout, and
+        # a reply's parent row within the prefix is its parent's position
+        # minus the same shift
+        shift = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+        self._pos = pos = np.arange(len(shift)) + shift
+        parent_of = parents[pos]
+        child = parent_of >= 0
+        replynum = np.bincount(parent_of[child] - shift[child], minlength=len(pos))
+        self._ids = flatten_user_ids(cascades)[pos]
+        t_join = times[pos]
+        prefix_of = np.repeat(np.arange(n), lengths)
         replying = np.flatnonzero(replynum)
         self._replying_ids = self._ids[replying]
         self._t0 = t_join[replying] - DELAY_SHIFT
@@ -478,14 +502,14 @@ class PrefixBatch:
         self._prefix_of = prefix_of[replying]
         # as in BasicPredictor: an elapsed time of 0 needs a shift below the
         # spacing of floats near some join time, which |t| * 2**-52 bounds
-        t_abs = max(-float(t_join.min()), float(t_limits.max())) if self.size else 0.0
+        t_abs = max(-float(t_join.min()), float(t_limits.max())) if n else 0.0
         self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
 
     def final_sizes(self, dynamics: ModelDynamics) -> np.ndarray:
         """Each prefix's ``BasicPredictor(pc, dynamics).final_size()``."""
         dynamics._refuse_unserved(
             self._ids,
-            lambda row: flat_events(self._cascades, self.lengths, np.array([row]))[0][1].user)
+            lambda row: flat_events(self._cascades, None, self._pos[row:row + 1])[0][1].user)
         params = dynamics._take(self._replying_ids)
         deathrate = np.empty_like(self._t0)
         with np.errstate(divide="ignore") if self._log0 else nullcontext():

@@ -20,7 +20,6 @@ __all__ = [
     "weibull_survival",
     "weibull_hazard",
     "weibull_survival_inverse",
-    "weibull_survival_bulk",
     "ks_statistic",
     "empirical_survival_at",
 ]
@@ -129,17 +128,6 @@ def weibull_survival_inverse(p: WeibullParams, s: float) -> float:
     return p.scale * math.exp(math.log(-math.log(s)) / p.shape)
 
 
-def weibull_survival_bulk(scales, shapes, ts):
-    """Elementwise survival for arrays of per-user (scale, shape) and times >= 0."""
-    scales = np.asarray(scales, dtype=float)
-    shapes = np.asarray(shapes, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("survival requires t >= 0")
-    z = shapes * (np.log(np.maximum(ts, 1e-300)) - np.log(scales))
-    return np.where(ts == 0.0, 1.0, np.exp(-np.exp(np.minimum(z, _EXP_CLAMP))))
-
-
 def ks_statistic(model: WeibullParams, sample: EmpiricalSurvival) -> float:
     """Two-sided Kolmogorov-Smirnov distance between the model CDF and the sample.
 
@@ -148,7 +136,7 @@ def ks_statistic(model: WeibullParams, sample: EmpiricalSurvival) -> float:
     """
     d = np.asarray(sample.delays, dtype=float)
     n = d.size
-    cdf = 1.0 - weibull_survival_bulk(model.scale, model.shape, d)
+    cdf = 1.0 - weibull_survival(model, d)
     steps = np.arange(1, n + 1, dtype=float) / n
     d_plus = np.max(steps - cdf)
     d_minus = np.max(cdf - (steps - 1.0 / n))

@@ -15,11 +15,13 @@ table can have, that last entry.
 from __future__ import annotations
 
 import threading
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 _IDS: dict[str, int] = {}
+_NAMES: list[str] = []  # the name of each id: _IDS's keys, in insertion order
 _LOCK = threading.Lock()  # a new name's id is len(_IDS) at the moment it is added
 
 
@@ -28,7 +30,16 @@ def intern(names: Iterable[str], count: int = -1) -> np.ndarray:
     ids = _IDS
     add = ids.setdefault
     with _LOCK:
-        return np.fromiter((add(u, len(ids)) for u in names), dtype=np.int32, count=count)
+        out = np.fromiter((add(u, len(ids)) for u in names), dtype=np.int32, count=count)
+        if len(ids) > len(_NAMES):  # the new names are the dict's last keys
+            new = list(islice(reversed(ids), len(ids) - len(_NAMES)))
+            _NAMES.extend(reversed(new))
+        return out
+
+
+def names_of(ids: np.ndarray) -> list[str]:
+    """The name of each of ``ids``."""
+    return [_NAMES[i] for i in ids.tolist()]
 
 
 lookup = _IDS.get  # lookup(name): its id, or None if it was never interned
@@ -40,3 +51,8 @@ def by_id(ids: np.ndarray, values: np.ndarray, other) -> np.ndarray:
     table = np.full(len(_IDS) + 1, other, dtype=values.dtype)
     table[ids] = values
     return table
+
+
+def join(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The position in ``keys`` of each of ``ids``, -1 where it is absent."""
+    return by_id(keys, np.arange(len(keys)), -1).take(ids, mode="clip")

@@ -22,6 +22,7 @@ from cascadyn.features import (
     write_network_csv,
 )
 from cascadyn.fitting import SubcascadeTable
+from cascadyn.userids import intern
 from worlds import (
     oracle_adjacency,
     oracle_extract_features,
@@ -159,6 +160,7 @@ class TestExtractionMatchesOracle:
             [np.empty(0), *(s.delays for s in expected.values())]).tobytes()
         assert got.offsets.tolist() == np.cumsum(
             [0, *(s.n for s in expected.values())]).tolist()
+        assert got.user_ids.tolist() == intern(got.users).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(world=worlds())
@@ -167,6 +169,7 @@ class TestExtractionMatchesOracle:
         net = Network(nodes=nodes, edges=edges)
         got = extract_features(net, cascades)
         assert got.users == net.nodes and got.names == list(FEATURE_SCHEMA)
+        assert got.user_ids.tolist() == intern(got.users).tolist()
         np.testing.assert_allclose(got.values, oracle_extract_features(net, cascades),
                                    rtol=1e-12, atol=0.0)
 
@@ -243,7 +246,7 @@ class TestSubcascadeTable:
         assert table.offsets.tolist() == [0, 2, 4]
         assert table.delays.tolist() == [5.0, 7.0, 2.0, 2.0]
         assert table.counts.tolist() == [2, 2]
-        for a in (table.offsets, table.delays, table.log_delays):
+        for a in (table.offsets, table.delays, table.log_delays, table.user_ids):
             with pytest.raises(ValueError):
                 a[0] = 1
         sample = table["r"]

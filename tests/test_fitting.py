@@ -1,20 +1,25 @@
 import json
 import math
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadyn import userids
 from cascadyn.errors import DataError
-from cascadyn.features import extract_features, extract_subcascades
+from cascadyn.features import Network, extract_features, extract_subcascades
 from cascadyn.fitting import (
+    MODEL_KINDS,
     SCALE_BOUNDS,
     SHAPE_BOUNDS,
     FeatureMatrix,
     FitOptions,
+    FittedUsers,
     Hyperparams,
     NewerModel,
     SubcascadeSample,
@@ -31,6 +36,7 @@ from cascadyn.fitting import (
     user_log_likelihood,
     write_subcascades_jsonl,
 )
+from cascadyn.predict import ModelDynamics
 from cascadyn.simulate import dynamics_from_coefficients, gen_feature_matrix, sample_delays
 from cascadyn.survival import (
     WeibullParams,
@@ -39,7 +45,8 @@ from cascadyn.survival import (
     weibull_hazard,
     weibull_survival,
 )
-from worlds import oracle_lasso_cd, sim_world
+from cascadyn.userids import intern
+from worlds import oracle_lasso_cd, sim_world, worlds
 
 
 def make_sample(user, delays):
@@ -749,7 +756,9 @@ class TestModelFile:
             NewerModel.load(path)
 
     @pytest.mark.parametrize("field, value", [("lambda", math.inf), ("k", -1.0),
-                                              ("lambda", "fast"), ("n_events", "many")])
+                                              ("lambda", "fast"), ("n_events", "many"),
+                                              ("n_events", -3), ("n_events", 2.7),
+                                              ("n_events", True)])
     def test_bad_user_record_names_file_and_user(self, tmp_path, field, value):
         doc = self.saved_doc(tmp_path)
         doc["users"][1][field] = value
@@ -757,6 +766,15 @@ class TestModelFile:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=rf"model file {path}: bad record for user {user!r}"):
+            NewerModel.load(path)
+
+    def test_duplicate_user_refused(self, tmp_path):
+        doc = self.saved_doc(tmp_path)
+        user = doc["users"][0]["id"]
+        doc["users"][1]["id"] = user  # two records, one user
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"model file {path}: duplicate user {user!r}"):
             NewerModel.load(path)
 
 
@@ -866,3 +884,106 @@ class TestTableInput:
             errors.append(str(info.value))
         assert len(set(errors)) <= 1
         assert all(repr(kept[1]) in e for e in errors)
+
+
+class TestFittedUsers:
+    def make(self):
+        return NewerModel(kind="weibull", feature_names=[], hyperparams=Hyperparams(),
+                          beta=np.zeros(0), gamma=np.zeros(0),
+                          user_params={"b": WeibullParams(3.0, 2.0), "a": WeibullParams(1.0, 0.5)},
+                          user_events={"b": 7})
+
+    def test_mapping_behaviour(self):
+        model = self.make()
+        fitted = model.user_params
+        assert isinstance(fitted, FittedUsers)
+        assert list(fitted) == fitted.users == ["b", "a"]  # the given order, not sorted
+        assert len(fitted) == 2 and "a" in fitted and "c" not in fitted
+        assert fitted["a"] == WeibullParams(1.0, 0.5)
+        assert fitted.get("c") is None
+        assert fitted == {"b": WeibullParams(3.0, 2.0), "a": WeibullParams(1.0, 0.5)}
+        with pytest.raises(TypeError):
+            fitted["c"] = WeibullParams(1.0, 1.0)
+        assert dict(model.user_events) == {"b": 7, "a": 0}  # a missing count is 0
+        assert model.user_events is fitted.event_counts
+        assert fitted.ids.tolist() == intern(["b", "a"]).tolist()
+
+    def test_arrays_are_read_only(self):
+        fitted = self.make().user_params
+        for a in (fitted.ids, fitted.scales, fitted.shapes, fitted.events):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_replace_keeps_or_rebuilds_the_table(self):
+        model = self.make()
+        same = replace(model, beta=np.zeros(0))
+        assert same.user_params is model.user_params
+        changed = replace(model, user_params={**model.user_params, "a": WeibullParams(9.0, 1.0)})
+        assert changed.user_params["a"] == WeibullParams(9.0, 1.0)
+        assert dict(changed.user_events) == {"b": 7, "a": 0}
+
+    def test_counts_without_parameters_refused(self):
+        with pytest.raises(DataError, match="without parameters: \\['ghost'\\]"):
+            NewerModel(kind="weibull", feature_names=[], hyperparams=Hyperparams(),
+                       beta=np.zeros(0), gamma=np.zeros(0),
+                       user_params={"a": WeibullParams(1.0, 1.0)},
+                       user_events={"a": 3, "ghost": 2})
+
+    @pytest.mark.parametrize("field", ["scales", "shapes"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_bad_value_names_the_user(self, field, bad):
+        values = {"scales": np.array([1.0, 2.0]), "shapes": np.array([1.0, 2.0])}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match=f"user 'y': {field[:-1]} must be a positive finite"):
+            FittedUsers(["x", "y"], intern(["x", "y"]), values["scales"], values["shapes"],
+                        np.array([5, 5]))
+
+
+class TestArrayPath:
+    """Between extraction and lookup, fits and dynamics tables run on user
+    ids and arrays: no per-user parameter object, no name interned."""
+
+    def test_no_per_user_objects_or_names(self, monkeypatch):
+        net, cascades = sim_world()
+        table = extract_subcascades(cascades)
+        X = extract_features(net, cascades)
+        built = []
+        post_init = WeibullParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(WeibullParams, "__post_init__", counting)
+        names = len(userids._IDS)
+        for kind in MODEL_KINDS:
+            model, _ = fit_model(kind, table, X, options=FitOptions(min_events=3, max_outer=5))
+            ModelDynamics(model, X)
+        assert built == []
+        assert len(userids._IDS) == names
+        ModelDynamics(model, X)("nobody")  # the counter works: a lookup builds one
+        assert len(built) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(world=worlds(), kind=st.sampled_from(MODEL_KINDS), min_events=st.integers(1, 2))
+    def test_fitted_and_loaded_models_agree(self, world, kind, min_events):
+        nodes, edges, cascades = world
+        net = Network(nodes=nodes, edges=edges)
+        table = extract_subcascades(cascades)
+        X = extract_features(net, cascades)
+        assert table.user_ids.tolist() == intern(table.users).tolist()
+        assert X.user_ids.tolist() == intern(X.users).tolist()
+        try:
+            model, _ = fit_model(kind, table, X,
+                                 options=FitOptions(min_events=min_events, max_outer=5))
+        except DataError as exc:
+            assert "no user has enough events" in str(exc)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            model.save(path)
+            loaded = NewerModel.load(path)
+        assert loaded.to_json_dict() == model.to_json_dict()
+        fitted, read = ModelDynamics(model, X), ModelDynamics(loaded, X)
+        assert fitted._params.tobytes() == read._params.tobytes()
+        assert fitted._covered.tobytes() == read._covered.tobytes()

@@ -25,9 +25,9 @@ from cascadyn.predict import (
     read_predictions_jsonl,
     write_predictions_jsonl,
 )
-from cascadyn.survival import WeibullParams, weibull_survival, weibull_survival_bulk
+from cascadyn.survival import WeibullParams, weibull_survival
 from cascadyn.userids import intern
-from worlds import worlds
+from worlds import oracle_weibull_survival, worlds
 
 
 def random_partial_cascade(rng, n_users=30, network_size=1000, gap_scale=20.0):
@@ -54,8 +54,9 @@ def reference_size(pc, dynamics, t_e, time_shift=DELAY_SHIFT):
     shapes = np.array([dynamics[e.user].shape for e in pc.events])
     floor = 1.0 / pc.network_size
     deathrate = np.maximum(
-        1.0 - weibull_survival_bulk(scales, shapes, pc.t_limit - t_join + time_shift), floor)
-    fdrate = np.maximum(1.0 - weibull_survival_bulk(scales, shapes, t_e - t_join + time_shift), floor)
+        1.0 - oracle_weibull_survival(scales, shapes, pc.t_limit - t_join + time_shift), floor)
+    fdrate = np.maximum(
+        1.0 - oracle_weibull_survival(scales, shapes, t_e - t_join + time_shift), floor)
     return 1.0 + float(np.sum(replynum * (fdrate / deathrate))), deathrate
 
 
@@ -750,6 +751,14 @@ class TestPrefixBatch:
     @example(world=(["r", "a", "b", "c"], [], [Cascade("tied", [
         CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0),
         CascadeEvent("b", "a", 5.0), CascadeEvent("c", "r", 9.0)])]), kind="newer", seed=0)
+    # adjacent cascades tied at the cut: the first ends, and the second
+    # starts, at the cut's timestamp, so a prefix of the first must not
+    # extend into the second
+    @example(world=(["r", "a", "b", "s", "x", "y"], [], [
+        Cascade("ends", [CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0),
+                         CascadeEvent("b", "r", 5.0)]),
+        Cascade("starts", [CascadeEvent("s", None, 5.0), CascadeEvent("x", "s", 5.0),
+                           CascadeEvent("y", "x", 7.0)])]), kind="weibull", seed=1)
     def test_matches_basic_predictor(self, world, kind, seed):
         nodes, edges, cascades = world
         net = Network(nodes=nodes, edges=edges)

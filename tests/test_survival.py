@@ -13,7 +13,6 @@ from cascadyn.survival import (
     weibull_hazard,
     weibull_pdf,
     weibull_survival,
-    weibull_survival_bulk,
     weibull_survival_inverse,
 )
 
@@ -175,14 +174,14 @@ class TestIdentities:
             total, _ = quad(lambda t: weibull_pdf(p, t), 0, upper, limit=200)
             assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_bulk_matches_scalar(self):
-        scales = np.array([1.0, 5.0, 0.3])
-        shapes = np.array([1.0, 2.5, 0.7])
+    def test_array_matches_scalar(self):
         ts = np.array([0.0, 3.0, 10.0])
-        bulk = weibull_survival_bulk(scales, shapes, ts)
-        for i in range(3):
-            assert bulk[i] == pytest.approx(
-                weibull_survival(WeibullParams(scales[i], shapes[i]), ts[i]), rel=1e-14)
+        for scale, shape in ((1.0, 1.0), (5.0, 2.5), (0.3, 0.7)):
+            p = WeibullParams(scale, shape)
+            values = weibull_survival(p, ts)
+            assert values.shape == ts.shape
+            for t, value in zip(ts, values):
+                assert value == pytest.approx(weibull_survival(p, float(t)), rel=1e-14)
 
 
 class TestParamsValidation:

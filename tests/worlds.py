@@ -96,6 +96,13 @@ def oracle_extract_features(net, cascades) -> np.ndarray:
     return rows
 
 
+def oracle_weibull_survival(scales, shapes, ts) -> np.ndarray:
+    """Survival exp(-(t/scale)^shape) of each row's own law, straight from
+    the formula; 1 at t = 0."""
+    ts, scales, shapes = (np.asarray(a, dtype=float) for a in (ts, scales, shapes))
+    return np.exp(-((ts / scales) ** shapes))
+
+
 def oracle_size_at(cascade, t) -> int:
     """``Cascade.size_at`` as the loop over events it replaced."""
     count = 0
