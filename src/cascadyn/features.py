@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -139,48 +139,63 @@ class Cascade:
         return int(np.searchsorted(self.times, t, side="right"))
 
 
-@dataclass
 class Network:
     """Directed follower graph; an edge (a, b) means a follows b.
 
-    Nodes and deduplicated edges are kept sorted by name. The graph is held
-    as CSR arrays over node rows (the position in ``nodes``, found by
+    Nodes are kept sorted by name, and the deduplicated edges only as CSR
+    arrays over node rows (the position in ``nodes``, found by
     ``index``): the followers of node row i are rows ``follower_idx[
     follower_ptr[i]:follower_ptr[i + 1]]``, ascending, and likewise for
     ``followee_ptr`` and ``followee_idx``. All four are int32 and read-only.
     The name lists ``followers`` and ``followees`` are built from them on
-    first read.
+    first read, and ``edges`` on every read.
     """
 
-    nodes: list[str]
-    edges: list[tuple[str, str]]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-    follower_ptr: np.ndarray = field(init=False, repr=False, compare=False)
-    follower_idx: np.ndarray = field(init=False, repr=False, compare=False)
-    followee_ptr: np.ndarray = field(init=False, repr=False, compare=False)
-    followee_idx: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        node_set = set(self.nodes)
-        for a, b in self.edges:
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
+        nodes = sorted(set(nodes))
+        index = {u: i for i, u in enumerate(nodes)}
+        edges = set(edges)
+        for a, b in edges:
             if a == b:
                 raise DataError(f"self-loop on node {a!r}")
-            if a not in node_set or b not in node_set:
+            if a not in index or b not in index:
                 raise DataError(f"edge ({a!r}, {b!r}) references unknown node")
-        if not node_set:
+        if not nodes:
             raise DataError("network must have at least one node")
-        nodes = self.nodes = sorted(node_set)
-        edges = self.edges = sorted(set(self.edges))
-        index = self.index = {u: i for i, u in enumerate(nodes)}
-        # rows follow name order, so the sorted edges are sorted by
-        # (follower row, followee row): grouped by follower already
-        src = np.fromiter((index[a] for a, _ in edges), dtype=np.int32, count=len(edges))
-        dst = np.fromiter((index[b] for _, b in edges), dtype=np.int32, count=len(edges))
-        by_followee = np.argsort(dst, kind="stable")
+        self._set_rows(nodes, np.fromiter((index[a] for a, _ in edges), np.int32, len(edges)),
+                       np.fromiter((index[b] for _, b in edges), np.int32, len(edges)))
+
+    @classmethod
+    def _from_rows(cls, nodes: list[str], src: np.ndarray, dst: np.ndarray) -> "Network":
+        """The network of edges (nodes[src[k]], nodes[dst[k]]), from int32 rows;
+        unchecked: nodes sorted and distinct, edges distinct, no self-loop."""
+        net = cls.__new__(cls)
+        net._set_rows(nodes, src, dst)
+        return net
+
+    def _set_rows(self, nodes: list[str], src: np.ndarray, dst: np.ndarray) -> None:
+        self.nodes, self.index = nodes, {u: i for i, u in enumerate(nodes)}
+        order = np.lexsort((dst, src))  # by follower row, then followee row
+        src, dst = src[order], dst[order]
         self.followee_ptr = _offsets(src, len(nodes))
         self.followee_idx = _read_only(dst)
         self.follower_ptr = _offsets(dst, len(nodes))
-        self.follower_idx = _read_only(src[by_followee])
+        self.follower_idx = _read_only(src[np.argsort(dst, kind="stable")])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Network):
+            return NotImplemented
+        return (self.nodes == other.nodes
+                and np.array_equal(self.followee_ptr, other.followee_ptr)
+                and np.array_equal(self.followee_idx, other.followee_idx))
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        """Every edge, sorted by name, as the followee CSR's rows are."""
+        names = self.nodes
+        followers = np.repeat(np.arange(len(names)), np.diff(self.followee_ptr))
+        return [(names[a], names[b])
+                for a, b in zip(followers.tolist(), self.followee_idx.tolist())]
 
     @cached_property
     def followers(self) -> dict[str, list[str]]:
@@ -385,15 +400,12 @@ def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix
 def write_network_csv(path, net: Network) -> None:
     """CSV with header ``follower,followee``; isolated nodes get a node-only
     row with an empty followee column so the node set round-trips."""
-    connected = {a for a, _ in net.edges} | {b for _, b in net.edges}
+    isolated = (np.diff(net.followee_ptr) == 0) & (np.diff(net.follower_ptr) == 0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["follower", "followee"])
-        for a, b in net.edges:
-            writer.writerow([a, b])
-        for u in net.nodes:
-            if u not in connected:
-                writer.writerow([u, ""])
+        writer.writerows(net.edges)
+        writer.writerows([net.nodes[i], ""] for i in np.flatnonzero(isolated).tolist())
 
 
 def read_network_csv(path) -> Network:

@@ -19,7 +19,8 @@ import heapq
 import json
 import math
 import operator
-from contextlib import nullcontext
+from array import array
+from contextlib import nullcontext, suppress
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -36,13 +37,12 @@ from .features import (
     flatten_user_ids,
 )
 from .fitting import FeatureMatrix, NewerModel, regress_params
-from .survival import _EXP_CLAMP, WeibullParams, weibull_survival, weibull_survival_inverse
+from .survival import _EXP_CLAMP, WeibullParams, _survival
 from .userids import by_id, lookup
 
 __all__ = [
     "PartialCascade",
     "ProcessCurve",
-    "SubcascadeState",
     "BasicPredictor",
     "SamplingPredictor",
     "ModelDynamics",
@@ -149,16 +149,16 @@ def _no_dynamics(user: str) -> DataError:
     return DataError(f"no behavioral dynamics for observed user {user!r}")
 
 
-def _resolve_dynamics(dynamics, user: str) -> WeibullParams:
-    if isinstance(dynamics, Mapping):
-        params = dynamics.get(user)
-        if params is None:
-            raise _no_dynamics(user)
-        return params
-    try:
-        return dynamics(user)
-    except KeyError:
-        raise _no_dynamics(user) from None
+def _resolver(dynamics):
+    """user -> params from a mapping or callable; ``DataError`` if it has none."""
+    find = dynamics.get if isinstance(dynamics, Mapping) else dynamics
+
+    def resolve(user: str) -> WeibullParams:
+        with suppress(KeyError):
+            if (params := find(user)) is not None:
+                return params
+        raise _no_dynamics(user)
+    return resolve
 
 
 class ModelDynamics:
@@ -246,13 +246,17 @@ class ModelDynamics:
                                 and np.isfinite(shapes).all())
 
     def __call__(self, user: str) -> WeibullParams:
+        return WeibullParams(*self._scale_shape(user))
+
+    def _scale_shape(self, user: str) -> tuple[float, float]:
+        """The scale and shape ``self(user)`` holds, not checked to be finite."""
         i = lookup(user)
         last = len(self._covered) - 1
         if i is None or i > last:
             i = last
         if not self._covered.item(i):
             raise _no_dynamics(user)
-        return WeibullParams(self._params.item(i, 0), self._params.item(i, 1))
+        return self._params.item(i, 0), self._params.item(i, 1)
 
     def _refuse_unserved(self, ids: np.ndarray, user_at) -> None:
         """For the first i whose id no source covers or whose row is not
@@ -322,7 +326,8 @@ class BasicPredictor:
             params = dynamics._take(ids)
             self.scales, self.shapes = params[:, 0], params[:, 1]
         else:
-            params = [_resolve_dynamics(dynamics, e.user) for e in pc.events]
+            resolve = _resolver(dynamics)
+            params = [resolve(e.user) for e in pc.events]
             self.scales = np.array([p.scale for p in params])
             self.shapes = np.array([p.shape for p in params])
         self.floor = 1.0 / pc.network_size
@@ -523,21 +528,6 @@ class PrefixBatch:
 # Sampling model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SubcascadeState:
-    """Book-keeping for one observed user's subcascade in the sampling model."""
-
-    owner: str
-    t_join: float
-    params: WeibullParams
-    replynum: int = 0
-    deathrate: float = 1.0
-    term: float = 0.0
-    next_recalc: float = math.inf
-    epoch: int = 0
-    timer_recalcs: int = 0
-
-
 class SamplingPredictor:
     """Streaming final-size estimator with lazy epsilon-bounded recalculation.
 
@@ -545,12 +535,13 @@ class SamplingPredictor:
     reply refreshes its parent immediately; otherwise a subcascade is only
     recalculated once the clock passes the time at which its deathrate could
     exceed (1 + epsilon) times the value used for its current term, found by
-    inverting the owner's survival function. A min-heap over those times
-    drives the lazy work.
+    inverting the owner's survival function. A min-heap of (time, row,
+    epoch) over those times drives the lazy work. Each observed user has a
+    row, ``states[user]``, in one flat array per field; their scale and shape
+    are read once, when they join (from a ``ModelDynamics`` by user id).
     """
 
-    def __init__(self, network_size: int, epsilon: float, dynamics, *,
-                 time_shift: float = DELAY_SHIFT):
+    def __init__(self, network_size: int, epsilon: float, dynamics):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         if network_size < 1:
@@ -558,73 +549,82 @@ class SamplingPredictor:
         self.network_size = network_size
         self.epsilon = epsilon
         self.dynamics = dynamics
-        self.time_shift = time_shift
+        if isinstance(dynamics, ModelDynamics):
+            self._scale_shape = dynamics._scale_shape
+        else:
+            resolve, fields = _resolver(dynamics), operator.attrgetter("scale", "shape")
+            self._scale_shape = lambda user: fields(resolve(user))
         self.floor = 1.0 / network_size
-        self.states: dict[str, SubcascadeState] = {}
-        self._heap: list[tuple[float, int, str, int]] = []
-        self._seq = 0
+        self.states: dict[str, int] = {}  # user -> row, in join order
+        self._t0, self._shape, self._log_scale = array("d"), array("d"), array("d")
+        self._replynum, self._term = array("l"), array("d")
+        self._epoch, self._recalcs = array("l"), array("l")
+        self._heap: list[tuple[float, int, int]] = []
         self._sum = 0.0
         self._root: str | None = None
         self._last_t = -math.inf
         self.reply_updates = 0
         self.timer_recalcs = 0
 
-    def _deathrate(self, state: SubcascadeState, now: float) -> float:
-        elapsed = now - state.t_join + self.time_shift
-        return max(1.0 - weibull_survival(state.params, max(elapsed, 0.0)), self.floor)
-
-    def _refresh(self, state: SubcascadeState, now: float) -> None:
-        dr = self._deathrate(state, now)
-        new_term = state.replynum / dr
-        self._sum += new_term - state.term
-        state.term = new_term
-        state.deathrate = dr
-        state.epoch += 1
+    def _refresh(self, row: int, now: float) -> None:
+        t0, shape, log_scale = self._t0[row], self._shape[row], self._log_scale[row]
+        dr = max(1.0 - _survival(now - t0, log_scale, shape), self.floor)
+        term = self._replynum[row] / dr
+        self._sum += term - self._term[row]
+        self._term[row] = term
+        epoch = self._epoch[row] = self._epoch[row] + 1
         target = 1.0 - (1.0 + self.epsilon) * dr
         if target > 0.0:
-            elapsed_at_target = weibull_survival_inverse(state.params, target)
-            next_t = state.t_join + elapsed_at_target - self.time_shift
+            # the elapsed time at which survival falls to target
+            next_t = t0 + math.exp(log_scale + math.log(-math.log(target)) / shape)
             if next_t <= now:
-                next_t = float(np.nextafter(now, math.inf))
-            state.next_recalc = next_t
-            self._seq += 1
-            heapq.heappush(self._heap, (next_t, self._seq, state.owner, state.epoch))
-        else:
-            state.next_recalc = math.inf
+                next_t = math.nextafter(now, math.inf)
+            heapq.heappush(self._heap, (next_t, row, epoch))
 
     def _process_due(self, now: float) -> None:
-        while self._heap and self._heap[0][0] <= now:
-            _, _, owner, epoch = heapq.heappop(self._heap)
-            state = self.states[owner]
-            if state.epoch != epoch:
+        heap, epochs = self._heap, self._epoch
+        while heap and heap[0][0] <= now:
+            _, row, epoch = heapq.heappop(heap)
+            if epochs[row] != epoch:
                 continue  # superseded by a later refresh
             self.timer_recalcs += 1
-            state.timer_recalcs += 1
-            self._refresh(state, now)
+            self._recalcs[row] += 1
+            self._refresh(row, now)
 
     def feed_event(self, user: str, parent: str | None, t: float) -> None:
+        if not math.isfinite(t):
+            raise DataError(f"event for {user!r} has a non-finite time {t}")
         if t < self._last_t:
             raise DataError(f"event at {t} arrives out of order (last was {self._last_t})")
-        if user in self.states:
+        rows = self.states
+        if user in rows:
             raise DataError(f"user {user!r} already joined the cascade")
         self._process_due(t)
         self._last_t = t
-        params = _resolve_dynamics(self.dynamics, user)
-        self.states[user] = SubcascadeState(owner=user, t_join=t, params=params)
+        scale, shape = self._scale_shape(user)
+        if not (0.0 < scale < math.inf and 0.0 < shape < math.inf):
+            WeibullParams(scale, shape)  # raises the error dynamics(user) raises
         if parent is None:
             if self._root is not None:
                 raise DataError("cascade already has a root")
+        elif self._root is None:
+            raise DataError("first event must be the root")
+        elif parent not in rows:
+            raise DataError(f"event for {user!r} references unknown parent {parent!r}")
+        rows[user] = len(rows)
+        self._t0.append(t - DELAY_SHIFT)
+        self._shape.append(shape)
+        self._log_scale.append(math.log(scale))
+        for field in (self._replynum, self._term, self._epoch, self._recalcs):
+            field.append(0)
+        if parent is None:
             self._root = user
             self._sum += 1.0  # the root itself
             return
-        if self._root is None:
-            raise DataError("first event must be the root")
-        parent_state = self.states.get(parent)
-        if parent_state is None:
-            raise DataError(f"event for {user!r} references unknown parent {parent!r}")
-        parent_state.replynum += 1
+        row = rows[parent]
+        self._replynum[row] += 1
         self.reply_updates += 1
-        self._refresh(parent_state, t)
+        self._refresh(row, t)
 
     def query_size(self, now: float | None = None) -> float:
         """Current estimate of the final cascade size at wall-clock ``now``
@@ -633,14 +633,16 @@ class SamplingPredictor:
             raise DataError("no events fed yet")
         if now is None:
             now = self._last_t
+        if not math.isfinite(now):
+            raise DataError(f"cannot query at a non-finite time {now}")
         if now < self._last_t:
             raise DataError(f"cannot query the past: {now} < {self._last_t}")
         self._process_due(now)
         return self._sum
 
     def recalc_count(self, user: str) -> int:
-        state = self.states.get(user)
-        return state.timer_recalcs if state is not None else 0
+        row = self.states.get(user)
+        return self._recalcs[row] if row is not None else 0
 
     @property
     def total_updates(self) -> int:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .features import FEATURE_SCHEMA, Cascade, CascadeEvent, Network
+from .features import FEATURE_SCHEMA, Cascade, CascadeEvent, Network, _name_lists
 from .survival import WeibullParams, weibull_survival_inverse
 
 __all__ = [
@@ -110,16 +110,18 @@ def gen_network(cfg: SimConfig) -> Network:
     rng = np.random.default_rng([cfg.seed, 0])
     hi = min(cfg.max_degree if cfg.max_degree is not None else n - 1, n - 1)
     degrees = _powerlaw_degrees(rng, n, cfg.degree_exponent, max(cfg.min_degree, 0), hi)
-    edges: list[tuple[str, str]] = []
-    for i in range(n):
-        d = int(degrees[i])
+    followers = np.empty(int(degrees.sum()), dtype=np.int32)
+    end = 0
+    for i, d in enumerate(degrees.tolist()):
         if d == 0:
             continue
         pool = rng.permutation(n - 1)[:d]
-        for j in pool:
-            follower = int(j) if j < i else int(j) + 1  # skip self
-            edges.append((names[follower], names[i]))
-    return Network(nodes=names, edges=edges)
+        pool[pool >= i] += 1  # skip self
+        followers[end:end + d] = pool
+        end += d
+    # zero-padded names sort as their numbers, so row i is node i
+    followees = np.repeat(np.arange(n, dtype=np.int32), degrees)
+    return Network._from_rows(names, followers, followees)
 
 
 def gen_feature_matrix(n_users: int, n_features: int, seed: int,
@@ -229,34 +231,35 @@ def gen_cascades(net: Network, cfg: SimConfig,
         roots = root_rng.choice(net.nodes, size=cfg.n_cascades, replace=True)
     width = max(len(str(cfg.n_cascades - 1)), 4) if cfg.n_cascades else 4
     cascades = []
+    # built here, not read from net.followers, so the network caches no name lists
+    followers = _name_lists(net.nodes, net.follower_idx, net.follower_ptr)
     for j in range(cfg.n_cascades):
         rng = np.random.default_rng([cfg.seed, 2, j])
-        cascades.append(_one_cascade(f"c{j:0{width}d}", str(roots[j]), net, cfg,
+        cascades.append(_one_cascade(f"c{j:0{width}d}", str(roots[j]), followers, cfg,
                                      dynamics, probs, rng))
     return cascades
 
 
-def _one_cascade(cascade_id: str, root: str, net: Network, cfg: SimConfig,
+def _one_cascade(cascade_id: str, root: str, followers: dict[str, list[str]], cfg: SimConfig,
                  dynamics: dict[str, WeibullParams], probs: dict[str, float],
                  rng: np.random.Generator) -> Cascade:
     events = [CascadeEvent(user=root, parent=None, t=0.0)]
     infected = {root}
     pending: list[tuple[float, str, str]] = []
-    _spawn_children(root, 0.0, net, cfg, dynamics, probs, rng, pending)
+    _spawn_children(root, 0.0, followers[root], cfg, dynamics, probs, rng, pending)
     while pending:
         t, user, parent = heapq.heappop(pending)
         if user in infected:
             continue
         infected.add(user)
         events.append(CascadeEvent(user=user, parent=parent, t=t))
-        _spawn_children(user, t, net, cfg, dynamics, probs, rng, pending)
+        _spawn_children(user, t, followers[user], cfg, dynamics, probs, rng, pending)
     return Cascade(cascade_id=cascade_id, events=events)
 
 
-def _spawn_children(user: str, t_user: float, net: Network, cfg: SimConfig,
+def _spawn_children(user: str, t_user: float, followers: list[str], cfg: SimConfig,
                     dynamics: dict[str, WeibullParams], probs: dict[str, float],
                     rng: np.random.Generator, pending: list) -> None:
-    followers = net.followers[user]
     if not followers:
         return
     accept = rng.random(len(followers)) < probs[user]

@@ -81,18 +81,27 @@ def _log_ratio_power(p: WeibullParams, t):
     return np.exp(np.minimum(z, _EXP_CLAMP))
 
 
-def weibull_pdf(p: WeibullParams, t):
-    """Density (shape/scale)*(t/scale)^(shape-1)*exp(-(t/scale)^shape) for t > 0."""
+def _log_hazard(p: WeibullParams, t, name: str):
+    """t as an array, and the log of the hazard at t, for t > 0."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("pdf requires t > 0")
-    log_h = (
-        math.log(p.shape)
-        - math.log(p.scale)
-        + (p.shape - 1.0) * (np.log(t_arr) - math.log(p.scale))
-    )
+        raise ValueError(f"{name} requires t > 0")
+    return t_arr, (math.log(p.shape) - math.log(p.scale)
+                   + (p.shape - 1.0) * (np.log(t_arr) - math.log(p.scale)))
+
+
+def weibull_pdf(p: WeibullParams, t):
+    """Density (shape/scale)*(t/scale)^(shape-1)*exp(-(t/scale)^shape) for t > 0."""
+    t_arr, log_h = _log_hazard(p, t, "pdf")
     out = np.exp(np.minimum(log_h, _EXP_CLAMP) - _log_ratio_power(p, t_arr))
     return float(out) if np.isscalar(t) else out
+
+
+def _survival(t: float, log_scale: float, shape: float) -> float:
+    """Survival at a float t >= 0 in Python floats; unchecked, so NaN gives NaN."""
+    if t == 0.0:
+        return 1.0
+    return math.exp(-math.exp(min(shape * (math.log(t) - log_scale), _EXP_CLAMP)))
 
 
 def weibull_survival(p: WeibullParams, t):
@@ -100,21 +109,15 @@ def weibull_survival(p: WeibullParams, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise ValueError("survival requires t >= 0")
-    with np.errstate(divide="ignore"):
-        out = np.where(t_arr == 0.0, 1.0, np.exp(-_log_ratio_power(p, np.maximum(t_arr, 1e-300))))
-    return float(out) if np.isscalar(t) else out
+    if np.isscalar(t):
+        return _survival(float(t_arr), math.log(p.scale), p.shape)
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives survival 1
+        return np.exp(-_log_ratio_power(p, t_arr))
 
 
 def weibull_hazard(p: WeibullParams, t):
     """Hazard rate (shape/scale)*(t/scale)^(shape-1) for t > 0; equals pdf/survival."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("hazard requires t > 0")
-    log_h = (
-        math.log(p.shape)
-        - math.log(p.scale)
-        + (p.shape - 1.0) * (np.log(t_arr) - math.log(p.scale))
-    )
+    _, log_h = _log_hazard(p, t, "hazard")
     out = np.exp(np.minimum(log_h, _EXP_CLAMP))
     return float(out) if np.isscalar(t) else out
 

@@ -112,6 +112,30 @@ class TestNetworkArrays:
         assert net.follower_counts.tolist() == [len(followers[u]) for u in net.nodes]
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(world=worlds())
+    def test_rows_build_the_same_network(self, world):
+        nodes, edges, _ = world
+        net = Network(nodes=nodes, edges=edges)
+        index = {u: i for i, u in enumerate(net.nodes)}
+        shuffled = sorted(set(edges), reverse=True)
+        from_rows = Network._from_rows(
+            list(net.nodes), np.array([index[a] for a, _ in shuffled], dtype=np.int32),
+            np.array([index[b] for _, b in shuffled], dtype=np.int32))
+        assert from_rows == net and from_rows.edges == net.edges
+        for name in ("follower_ptr", "follower_idx", "followee_ptr", "followee_idx"):
+            assert getattr(from_rows, name).tolist() == getattr(net, name).tolist()
+
+    def test_edges_are_a_fresh_value_and_equality_follows_them(self):
+        net = Network(nodes=["a", "b", "c"], edges=[("b", "a"), ("c", "a")])
+        net.edges.append(("a", "c"))
+        assert net.edges == [("b", "a"), ("c", "a")]
+        assert net == Network(nodes=["c", "b", "a"], edges=[("c", "a"), ("b", "a"), ("b", "a")])
+        assert net != Network(nodes=["a", "b", "c"], edges=[("b", "a")])
+        assert net != Network(nodes=["a", "b", "c", "d"], edges=[("b", "a"), ("c", "a")])
+        assert net != net.edges
+
+
 class TestCascadeArrays:
     def test_arrays_of_a_two_level_cascade(self):
         c = cascade("w", ("p1", None, 0), ("p2", "p1", 1), ("p3", "p1", 4), ("p4", "p2", 4))
@@ -389,6 +413,14 @@ class TestFileFormats:
         loaded = read_network_csv(path)
         assert loaded.nodes == net.nodes
         assert loaded.edges == net.edges
+
+    def test_network_csv_lists_only_nodes_without_edges(self, tmp_path):
+        # "f" only follows and "g" is only followed: neither gets a node-only row
+        net = Network(nodes=["f", "g", "lonely", "z"], edges=[("f", "g")])
+        path = tmp_path / "network.csv"
+        write_network_csv(path, net)
+        assert path.read_text().splitlines() == ["follower,followee", "f,g", "lonely,", "z,"]
+        assert read_network_csv(path) == net
 
     def test_network_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

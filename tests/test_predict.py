@@ -307,6 +307,53 @@ class TestSamplingModel:
         with pytest.raises(DataError):
             sampler.feed_event("b", "zzz", 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_event_time(self, bad):
+        sampler = SamplingPredictor(10, 0.1, {"a": WeibullParams(1, 1), "b": WeibullParams(1, 1)})
+        with pytest.raises(DataError, match=rf"'a'.* {bad}$"):
+            sampler.feed_event("a", None, bad)
+        sampler.feed_event("a", None, 0.0)  # the refused root left nothing behind
+        with pytest.raises(DataError, match=rf"'b'.* {bad}$"):
+            sampler.feed_event("b", "a", bad)
+        assert list(sampler.states) == ["a"]
+        assert sampler.query_size() == 1.0 and sampler.reply_updates == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_query_time(self, bad):
+        sampler = SamplingPredictor(10, 0.1, {"a": WeibullParams(1, 1), "b": WeibullParams(1, 1)})
+        sampler.feed_event("a", None, 0.0)
+        sampler.feed_event("b", "a", 1.0)
+        before = sampler.query_size()
+        with pytest.raises(DataError, match=rf" {bad}$"):
+            sampler.query_size(bad)
+        assert sampler.query_size() == before
+
+    def test_unserved_user_refused_as_model_dynamics_refuses_it(self):
+        # no fitted users, so no fallback: only the feature table's "fresh" is served
+        model = NewerModel(kind="newer", feature_names=["f1", "f2"], hyperparams=Hyperparams(),
+                           beta=np.zeros(2), gamma=np.zeros(2), user_params={}, user_events={})
+        dyn = ModelDynamics(model, TestModelDynamics().make_features())
+        with pytest.raises(DataError) as expected:
+            dyn("ghost")
+        sampler = SamplingPredictor(10, 0.1, dyn)
+        sampler.feed_event("fresh", None, 0.0)
+        with pytest.raises(DataError) as got:
+            sampler.feed_event("ghost", "fresh", 1.0)
+        assert str(got.value) == str(expected.value)
+
+    def test_non_finite_row_refused_as_model_dynamics_refuses_it(self):
+        # "fresh" regresses to a NaN scale, as in TestModelDynamics
+        model = TestModelDynamics().make_model()
+        model.beta[0] = np.nan
+        dyn = ModelDynamics(model, TestModelDynamics().make_features())
+        with pytest.raises(ValueError) as expected:
+            dyn("fresh")
+        sampler = SamplingPredictor(10, 0.1, dyn)
+        sampler.feed_event("fitted", None, 0.0)
+        with pytest.raises(ValueError) as got:
+            sampler.feed_event("fresh", "fitted", 1.0)
+        assert str(got.value) == str(expected.value)
+
     def test_matches_observed_at_boundary(self):
         # with all replies just fed, querying at the last event time stays
         # within epsilon of the basic replay by construction; exactness holds
@@ -347,6 +394,30 @@ class TestSamplingProperties:
         assert worst <= epsilon
         budget = math.ceil(math.log(network_size) / math.log(1.0 + epsilon))
         assert all(sampler.recalc_count(ev.user) <= budget for ev in events)
+
+
+    @given(sampled_streams())
+    @settings(max_examples=100, deadline=None)
+    def test_model_dynamics_matches_equal_mapping(self, stream):
+        # the same parameters read by user id from a ModelDynamics table and
+        # from a dict of WeibullParams give the same floats, so the same run
+        events, dynamics, network_size, epsilon, queries = stream
+        model = NewerModel(kind="newer", feature_names=[], hyperparams=Hyperparams(),
+                           beta=np.zeros(0), gamma=np.zeros(0), user_params=dynamics,
+                           user_events=dict.fromkeys(dynamics, 9))
+        by_id = ModelDynamics(model, None)
+        mapping = {u: by_id(u) for u in dynamics}
+        assert mapping == dynamics
+        a, b = (SamplingPredictor(network_size, epsilon, d) for d in (by_id, mapping))
+        for ev in events:
+            a.feed_event(ev.user, ev.parent, ev.t)
+            b.feed_event(ev.user, ev.parent, ev.t)
+            assert a.query_size() == b.query_size()
+        for q in queries:
+            assert a.query_size(q) == b.query_size(q)
+        assert ([a.recalc_count(ev.user) for ev in events]
+                == [b.recalc_count(ev.user) for ev in events])
+        assert (a.reply_updates, a.timer_recalcs) == (b.reply_updates, b.timer_recalcs)
 
 
 class TestModelDynamics:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +82,50 @@ class TestSurvival:
         for bad in (-1e-9, -5.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="t >= 0"):
                 weibull_survival(p, bad)
+
+
+class TestScalarSurvival:
+    """A Python-number t takes the scalar branch (``math`` on floats), an
+    array t the numpy branch; both evaluate exp(-exp(z)) with
+    z = min(shape * (log t - log scale), 700)."""
+
+    @given(params_st, st.floats(0.0, 1e12))
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_array_branch(self, p, t):
+        scalar = weibull_survival(p, t)
+        array = float(weibull_survival(p, np.array([t]))[0])
+        # numpy's vectorised exp may round an ulp away from libm's, and the
+        # outer exp turns a relative error in the cumulative hazard w into w
+        # times it in exp(-w): the branches agree to rel 1e-15 in w; a
+        # subnormal result keeps fewer digits than any relative bound
+        w = -math.log(array) if array > 0.0 else math.inf
+        assert math.isclose(scalar, array, rel_tol=1e-15 * max(1.0, w),
+                            abs_tol=sys.float_info.min)
+        assert isinstance(scalar, float)
+
+    @given(params_st)
+    def test_zero_time_is_exactly_one(self, p):
+        assert weibull_survival(p, 0.0) == 1.0
+        assert weibull_survival(p, np.zeros(1))[0] == 1.0
+
+    @given(st.floats(0.05, 50.0), st.floats(2.0, 8.0), st.floats(0.0, 1.0))
+    def test_clamp_region_is_zero_without_overflow(self, scale, shape, u):
+        # log t from where shape * (log t - log scale) reaches the clamp, 700,
+        # up to the largest float, where unclamped it would overflow exp
+        lo = math.log(scale) + 700.0 / shape
+        t = min(math.exp(lo + u * (math.log(sys.float_info.max) - lo)), sys.float_info.max)
+        p = WeibullParams(scale, shape)
+        assert weibull_survival(p, t) == 0.0  # math.exp raises OverflowError
+        with np.errstate(over="raise"):  # exp(-exp(700)) underflows to 0, as meant
+            assert weibull_survival(p, np.array([t]))[0] == 0.0
+
+    @given(params_st,
+           st.floats(max_value=-1e-300) | st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_rejects_negative_and_non_finite(self, p, t):
+        with pytest.raises(ValueError, match="t >= 0"):
+            weibull_survival(p, t)
+        with pytest.raises(ValueError, match="t >= 0"):
+            weibull_survival(p, np.array([t]))
 
 
 class TestHazard:
