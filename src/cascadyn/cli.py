@@ -200,15 +200,15 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
+    hyper = Hyperparams(mu=args.mu, eta=args.eta,
+                        alpha_beta=args.alpha_beta, alpha_gamma=args.alpha_gamma)
+    opts = FitOptions(tol=args.tol, max_outer=args.max_iter, min_events=args.min_events)
     net = read_network_csv(args.network)
     cascades = filter_cascades(read_cascades_jsonl(args.cascades), args.min_size)
     if not cascades:
         raise CascadynError(f"no cascade has at least {args.min_size} events")
     samples = extract_subcascades(cascades)
     feats = extract_features(net, cascades)
-    hyper = Hyperparams(mu=args.mu, eta=args.eta,
-                        alpha_beta=args.alpha_beta, alpha_gamma=args.alpha_gamma)
-    opts = FitOptions(tol=args.tol, max_outer=args.max_iter, min_events=args.min_events)
     warm = NewerModel.load(args.warm_start) if args.warm_start else None
     model, report = fit_model(args.model, samples, feats, hyper, opts, warm_start=warm)
 

@@ -10,8 +10,11 @@ log parameters to log covariates:
 
 Minimization is block coordinate descent in the order scale, shape, beta,
 gamma. The scale/shape blocks separate per user into one-dimensional smooth
-problems solved by safeguarded Newton; beta/gamma are LASSO problems solved
-by cyclic coordinate descent with soft thresholding, on covariance updates.
+problems; beta/gamma are LASSO problems solved by cyclic coordinate descent
+with soft thresholding, on covariance updates. One safeguarded Newton
+routine, run in lockstep over users and capped by
+``FitOptions.newton_max_iter``, solves the scale block, the shape block and
+cox's shared shape.
 """
 
 from __future__ import annotations
@@ -245,12 +248,36 @@ class FeatureMatrix:
 
 @dataclass
 class FitOptions:
+    """Stopping rules and the event floor of every fit.
+
+    - ``tol`` (finite, >= 0): NEWER stops once an outer iteration changes
+      the objective by at most ``tol`` relative.
+    - ``max_outer`` (>= 1): cap on NEWER's outer iterations and cox's rounds.
+    - ``min_events`` (>= 0): users with fewer delays are left out of the fit.
+    - ``newton_max_iter`` (>= 1): cap on the iterations of the safeguarded
+      Newton routine that solves the scale block, the shape block and cox's
+      shared shape.
+    - ``lasso_tol`` (finite, >= 0) and ``lasso_max_iter`` (>= 1): stopping
+      rule and sweep cap of each LASSO solve.
+    """
+
     tol: float = 1e-7
     max_outer: int = 200
     min_events: int = 5
     newton_max_iter: int = 100
     lasso_tol: float = 1e-12
     lasso_max_iter: int = 10000
+
+    def __post_init__(self):
+        for name in ("tol", "lasso_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be a nonnegative finite real, got {v}")
+        for name, least in (("max_outer", 1), ("newton_max_iter", 1), ("lasso_max_iter", 1),
+                            ("min_events", 0)):
+            v = getattr(self, name)
+            if not v >= least:
+                raise ValueError(f"{name} must be at least {least}, got {v}")
 
 
 @dataclass
@@ -508,13 +535,19 @@ def newer_objective(model: NewerModel, samples, X: FeatureMatrix | None = None) 
         return g1
     if X is None:
         raise DataError("feature matrix required when mu or eta is nonzero")
-    z = X.subset(users).log_values
-    n = len(users)
-    g2 = float(np.sum((np.log(scale) - z @ model.beta) ** 2)) / (2.0 * n)
-    g2 += hp.alpha_beta * float(np.sum(np.abs(model.beta)))
-    g3 = float(np.sum((np.log(shape) - z @ model.gamma) ** 2)) / (2.0 * n)
-    g3 += hp.alpha_gamma * float(np.sum(np.abs(model.gamma)))
-    return g1 + hp.mu * g2 + hp.eta * g3
+    return _penalized(g1, hp, X.subset(users).log_values, scale, shape, model.beta, model.gamma)
+
+
+def _penalized(total: float, hp: Hyperparams, z: np.ndarray, scale: np.ndarray,
+               shape: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> float:
+    """``total`` plus mu*G2, then plus eta*G3, each left out at weight 0."""
+    n = len(scale)
+    for weight, alpha, param, coef in ((hp.mu, hp.alpha_beta, scale, beta),
+                                       (hp.eta, hp.alpha_gamma, shape, gamma)):
+        if weight > 0:
+            pen = float(np.sum((np.log(param) - z @ coef) ** 2)) / (2.0 * n)
+            total += weight * (pen + alpha * float(np.sum(np.abs(coef))))
+    return total
 
 
 def smooth_partials(model: NewerModel, samples, X: FeatureMatrix | None = None):
@@ -545,37 +578,44 @@ def smooth_partials(model: NewerModel, samples, X: FeatureMatrix | None = None):
 # One-dimensional safeguarded Newton
 # ---------------------------------------------------------------------------
 
-def _newton_bisect_root(grad_hess, x0: float, lo: float, hi: float, max_iter: int) -> float:
-    """Minimizer on [lo, hi] of a strictly convex function, given a callable
-    returning its first and second derivatives at a point.
+def _newton_box(grad_hess, x0: np.ndarray, bounds: tuple[float, float],
+                gtol: float | np.ndarray, max_iter: int) -> np.ndarray:
+    """Per-entry minimizers on the box ``bounds`` of strictly convex functions
+    of one variable, solved in lockstep; ``grad_hess`` maps an array of
+    points, one per entry, to each entry's first and second derivatives.
 
-    An end of the interval is returned when the derivative keeps one sign
-    on it; otherwise Newton steps from x0 that leave the bracket, or a
-    nonpositive second derivative, fall back to bisection, and the bracket
-    shrinks monotonically either way.
+    An entry whose derivative keeps one sign on the box returns that end.
+    The others take Newton steps from ``x0``; a step that leaves the entry's
+    bracket, or a nonpositive second derivative, falls back to bisection, so
+    the bracket shrinks monotonically. An entry is done when its derivative
+    is at most ``gtol`` (a scalar or one value per entry) in magnitude, when
+    its Newton correction is below one ulp (bisecting there could jump back
+    across a still-wide bracket), or when its bracket is within 1e-13
+    relative. The loop ends once every entry is done, or after ``max_iter``
+    iterations.
     """
-    if grad_hess(lo)[0] >= 0.0:
-        return lo
-    if grad_hess(hi)[0] <= 0.0:
-        return hi
-    x = min(max(x0, lo), hi)
+    lo_x, hi_x = bounds
+    lo = np.full(len(x0), lo_x)
+    hi = np.full(len(x0), hi_x)
+    at_lo = grad_hess(lo)[0] >= 0.0
+    at_hi = grad_hess(hi)[0] <= 0.0
+    x = np.clip(x0, lo_x, hi_x)
+    done = at_lo | at_hi
     for _ in range(max_iter):
+        if done.all():
+            break
         g, h = grad_hess(x)
-        if g < 0.0:
-            lo = x
-        elif g > 0.0:
-            hi = x
-        else:
-            return x
-        step = x - g / h if h > 0.0 else math.nan  # nan forces bisection
-        if step == x:
-            # the Newton correction is below one ulp of x: converged; a
-            # bisection here could jump back across a still-wide bracket
-            return x
-        x = step if lo < step < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):
-            return x
-    return x
+        done |= np.abs(g) <= gtol
+        lo = np.where(~done & (g < 0), x, lo)
+        hi = np.where(~done & (g > 0), x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - g / h
+        newton = h > 0
+        done |= newton & (step == x)
+        step = np.where((step > lo) & (step < hi) & newton, step, 0.5 * (lo + hi))
+        x = np.where(done, x, step)
+        done |= hi - lo <= 1e-13 * np.maximum(1.0, np.abs(x))
+    return np.where(at_lo, lo_x, np.where(at_hi, hi_x, x))
 
 
 class _Segments:
@@ -642,42 +682,21 @@ def _scale_block(seg: _Segments, shape: np.ndarray, targets: np.ndarray,
 
         m*shape*u + sum((T/e^u)^shape) + (mu/2N)(u - target)^2
 
-    strictly convex in u; closed form when mu = 0, else safeguarded Newton
-    run in lockstep across users.
+    strictly convex in u; closed form when mu = 0, else ``_newton_box``.
     """
     lse = seg.lse(shape)
-    lo_u, hi_u = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
-    u_mle = (lse - np.log(seg.m)) / shape
+    bounds = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
+    u_mle = np.clip((lse - np.log(seg.m)) / shape, *bounds)
     if mu_over_n == 0.0:
-        return np.exp(np.clip(u_mle, lo_u, hi_u))
+        return np.exp(u_mle)
 
-    def grad(u):
+    def grad_hess(u):
         s0 = np.exp(np.minimum(lse - shape * u, _EXP_CLAMP))
-        return seg.m * shape - shape * s0 + mu_over_n * (u - targets), s0
+        return (seg.m * shape - shape * s0 + mu_over_n * (u - targets),
+                shape * shape * s0 + mu_over_n)
 
-    lo = np.full(seg.n_users, lo_u)
-    hi = np.full(seg.n_users, hi_u)
-    g_lo, _ = grad(lo)
-    g_hi, _ = grad(hi)
-    at_lo = g_lo >= 0.0
-    at_hi = g_hi <= 0.0
-    u = np.clip(u_mle, lo_u, hi_u)
-    done = at_lo | at_hi
-    for _ in range(max_iter):
-        g, s0 = grad(u)
-        done = done | (np.abs(g) <= 1e-10 * np.maximum(1.0, seg.m))
-        if np.all(done):
-            break
-        lo = np.where(~done & (g < 0), u, lo)
-        hi = np.where(~done & (g > 0), u, hi)
-        h = shape * shape * s0 + mu_over_n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = u - g / h
-        step = np.where((step > lo) & (step < hi) & (h > 0), step, 0.5 * (lo + hi))
-        u = np.where(done, u, step)
-        done = done | (hi - lo <= 1e-13 * np.maximum(1.0, np.abs(u)))
-    u = np.where(at_lo, lo_u, np.where(at_hi, hi_u, u))
-    return np.exp(u)
+    gtol = 1e-10 * np.maximum(1.0, seg.m)
+    return np.exp(_newton_box(grad_hess, u_mle, bounds, gtol, max_iter))
 
 
 def _shape_block(seg: _Segments, log_scale: np.ndarray, targets: np.ndarray,
@@ -687,7 +706,7 @@ def _shape_block(seg: _Segments, log_scale: np.ndarray, targets: np.ndarray,
         -m*log k - (k-1)*sum(log T) + m*k*log(scale) + sum((T/scale)^k)
         + (eta/2N)(log k - target)^2
 
-    whose likelihood part is strictly convex in k."""
+    whose likelihood part is strictly convex in k, by ``_newton_box``."""
 
     def grad_hess(k):
         _, s1, s2 = seg.power_sums(log_scale, k)
@@ -699,28 +718,8 @@ def _shape_block(seg: _Segments, log_scale: np.ndarray, targets: np.ndarray,
             h = h + eta_over_n * (1.0 - (log_k - targets)) / (k * k)
         return g, h
 
-    lo_k, hi_k = SHAPE_BOUNDS
-    lo = np.full(seg.n_users, lo_k)
-    hi = np.full(seg.n_users, hi_k)
-    g_lo, _ = grad_hess(lo)
-    g_hi, _ = grad_hess(hi)
-    at_lo = g_lo >= 0.0
-    at_hi = g_hi <= 0.0
-    k = np.clip(shape0, lo_k, hi_k)
-    done = at_lo | at_hi
-    for _ in range(max_iter):
-        g, h = grad_hess(k)
-        done = done | (np.abs(g) <= 1e-10 * np.maximum(1.0, seg.m))
-        if np.all(done):
-            break
-        lo = np.where(~done & (g < 0), k, lo)
-        hi = np.where(~done & (g > 0), k, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = k - g / h
-        step = np.where((step > lo) & (step < hi) & (h > 0), step, 0.5 * (lo + hi))
-        k = np.where(done, k, step)
-        done = done | (hi - lo <= 1e-13 * np.maximum(1.0, np.abs(k)))
-    return np.where(at_lo, lo_k, np.where(at_hi, hi_k, k))
+    gtol = 1e-10 * np.maximum(1.0, seg.m)
+    return _newton_box(grad_hess, shape0, SHAPE_BOUNDS, gtol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -829,13 +828,7 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
         if not np.all(np.isfinite(lis)):
             bad = users[int(np.argmin(np.isfinite(lis)))]
             raise NumericsError(f"non-finite likelihood for user {bad!r}", bad)
-        total = -float(np.sum(lis))
-        if hyperparams.mu > 0:
-            pen = float(np.sum((np.log(scale) - z @ beta) ** 2)) / (2.0 * n)
-            total += hyperparams.mu * (pen + hyperparams.alpha_beta * float(np.sum(np.abs(beta))))
-        if hyperparams.eta > 0:
-            pen = float(np.sum((np.log(shape) - z @ gamma) ** 2)) / (2.0 * n)
-            total += hyperparams.eta * (pen + hyperparams.alpha_gamma * float(np.sum(np.abs(gamma))))
+        total = _penalized(-float(np.sum(lis)), hyperparams, z, scale, shape, beta, gamma)
         if not math.isfinite(total):
             raise NumericsError("non-finite objective during descent")
         return total
@@ -978,12 +971,11 @@ def _fit_cox(seg: _Segments, opts: FitOptions):
         offset = float(np.sum(seg.m * log_scale - seg.sum_log))
 
         def grad_hess(k):
-            _, s1, s2 = seg.power_sums(log_scale, np.full(n, k))
-            return offset - m_total / k + float(np.sum(s1)), m_total / (k * k) + float(np.sum(s2))
+            _, s1, s2 = seg.power_sums(log_scale, np.repeat(k, n))
+            return offset - m_total / k + np.sum(s1), m_total / (k * k) + np.sum(s2)
 
-        shared = _newton_bisect_root(grad_hess, float(shape[0]), *SHAPE_BOUNDS,
-                                     opts.newton_max_iter)
-        shape = np.full(n, shared)
+        shared = _newton_box(grad_hess, shape[:1], SHAPE_BOUNDS, 0.0, opts.newton_max_iter)
+        shape = np.repeat(shared, n)
         trace.append(_pooled_objective(seg, scale, shape))
         if abs(trace[-2] - trace[-1]) <= 1e-10 * max(1.0, abs(trace[-2])):
             return scale, shape, trace, True

@@ -304,7 +304,7 @@ class BasicPredictor:
     ``ModelDynamics`` fills ``scales`` and ``shapes`` with one table take by
     user id. The sums run over replying rows only: a row with no replies
     adds an exact zero, and on large cascades most rows have none. For those
-    rows the join time minus ``time_shift``, the shape, the log scale and the
+    rows the join time minus ``DELAY_SHIFT``, the shape, the log scale and the
     reply count are kept contiguous, and every horizon query fills one
     preallocated buffer in place; a process curve fills one buffer row per
     horizon.
@@ -314,11 +314,8 @@ class BasicPredictor:
     exactly 1 and the prediction reproduces the observed size bit for bit.
     """
 
-    def __init__(self, pc: PartialCascade, dynamics, *, time_shift: float = DELAY_SHIFT):
-        if not time_shift >= 0.0:
-            raise DataError(f"time shift must be a nonnegative real, got {time_shift}")
+    def __init__(self, pc: PartialCascade, dynamics):
         self.pc = pc
-        self.time_shift = time_shift
         self.t_join, self.replynum = pc.times, pc.replynum
         if isinstance(dynamics, ModelDynamics):
             ids = pc.user_ids
@@ -332,12 +329,12 @@ class BasicPredictor:
             self.shapes = np.array([p.shape for p in params])
         self.floor = 1.0 / pc.network_size
         replying = self.replynum > 0.0
-        self._t0 = self.t_join[replying] - time_shift
+        self._t0 = self.t_join[replying] - DELAY_SHIFT
         # every t_e >= t_join, so an elapsed time t_e - t0 of 0, whose log
-        # warns, needs t0 == t_join: a zero shift, or one below the spacing
-        # of floats near some join time, which |t| * 2**-52 bounds
+        # warns, needs t0 == t_join: a shift below the spacing of floats
+        # near some join time, which |t| * 2**-52 bounds
         t_abs = max(-float(self.t_join[0]), pc.t_limit)
-        self._log0 = not time_shift > t_abs * 2.0 ** -52
+        self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
         self._shapes = self.shapes[replying]
         self._log_scales = np.log(self.scales[replying])
         self._replynum = self.replynum[replying]
@@ -352,7 +349,7 @@ class BasicPredictor:
     def deathrate(self) -> np.ndarray:
         """Rate at t_limit of every observed row, replying or not."""
         with np.errstate(divide="ignore"):
-            return _rates(self.t_join - self.time_shift, self.shapes, np.log(self.scales),
+            return _rates(self.t_join - DELAY_SHIFT, self.shapes, np.log(self.scales),
                           self.floor, self.pc.t_limit, np.empty_like(self.t_join))
 
     @property

@@ -132,6 +132,17 @@ class TestFitCommand:
         assert (f"{report['lasso_capped']} LASSO solves stopped at the 1-sweep cap"
                 in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--max-iter", "0", "max_outer"), ("--tol", "nan", "tol"), ("--tol", "-1", "tol"),
+        ("--min-events", "-1", "min_events")])
+    def test_out_of_range_option_refused(self, sim_dir, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "refused"
+        assert run("fit", "--network", str(sim_dir / "network.csv"),
+                   "--cascades", str(sim_dir / "cascades.jsonl"),
+                   "--out", str(out), flag, value) == 1
+        assert not (out / "model.json").exists()
+        assert f"error: {field} must be" in capsys.readouterr().err
+
     def test_bad_input_is_data_error(self, tmp_path):
         missing = tmp_path / "nope.csv"
         assert run("fit", "--network", str(missing),

@@ -36,6 +36,7 @@ from cascadyn.fitting import (
     user_log_likelihood,
     write_subcascades_jsonl,
 )
+from cascadyn.fitting import _newton_box
 from cascadyn.predict import ModelDynamics
 from cascadyn.simulate import dynamics_from_coefficients, gen_feature_matrix, sample_delays
 from cascadyn.survival import (
@@ -79,6 +80,78 @@ class TestHyperparamDefaults:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             Hyperparams(mu=-1.0)
+
+
+class TestFitOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", math.nan), ("tol", math.inf), ("tol", -1.0),
+        ("lasso_tol", math.nan), ("lasso_tol", -1e-12),
+        ("max_outer", 0),
+        ("newton_max_iter", 0),
+        ("lasso_max_iter", -1),
+        ("min_events", -1),
+    ])
+    def test_out_of_range_value_names_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            FitOptions(**{field: value})
+
+    def test_range_ends_accepted(self):
+        FitOptions(tol=0.0, lasso_tol=0.0, max_outer=1, newton_max_iter=1, lasso_max_iter=1,
+                   min_events=0)
+
+
+def exp_linear_batch(a, r, c):
+    """grad_hess of f_i(x) = a_i e^{c_i x} - b_i x with b_i = a_i c_i e^{c_i r_i},
+    strictly convex for a_i > 0 and c_i != 0 and stationary at r_i, for a
+    batch of entries."""
+    b = a * c * np.exp(c * r)
+
+    def grad_hess(x):
+        e = a * c * np.exp(c * x)
+        return e - b, e * c
+    return grad_hess
+
+
+# stationary points past the box too, so some entries pin to an end
+exp_linear_st = st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-14.0, 14.0),
+                                   st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
+                                   st.floats(-12.0, 12.0), st.sampled_from([0.0, 1e-10, 1e-3])),
+                         min_size=1, max_size=8)
+box_st = st.tuples(st.floats(-10.0, 9.0), st.floats(0.01, 10.0)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+class TestNewtonBox:
+    @given(exp_linear_st, box_st, st.integers(1, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_each_entry_alone(self, entries, bounds, max_iter):
+        a, r, c, x0, gtol = (np.array(col) for col in zip(*entries))
+        together = _newton_box(exp_linear_batch(a, r, c), x0, bounds, gtol, max_iter)
+        for i in range(len(a)):
+            one = slice(i, i + 1)
+            alone = _newton_box(exp_linear_batch(a[one], r[one], c[one]), x0[one], bounds,
+                                gtol[one], max_iter)
+            assert together[one].tobytes() == alone.tobytes()
+
+    @given(exp_linear_st, box_st)
+    @settings(max_examples=300, deadline=None)
+    def test_minimizer_on_the_box(self, entries, bounds):
+        a, r, c, x0, _ = (np.array(col) for col in zip(*entries))
+        grad_hess = exp_linear_batch(a, r, c)
+        x = _newton_box(grad_hess, x0, bounds, 0.0, 100)
+        lo, hi = bounds
+        g_lo = grad_hess(np.full(len(a), lo))[0]
+        g_hi = grad_hess(np.full(len(a), hi))[0]
+        delta = 1e-9 * np.maximum(1.0, np.abs(x))
+        g_below = grad_hess(np.maximum(x - delta, lo))[0]
+        g_above = grad_hess(np.minimum(x + delta, hi))[0]
+        for i in range(len(a)):
+            if g_lo[i] >= 0.0:
+                assert x[i] == lo
+            elif g_hi[i] <= 0.0:
+                assert x[i] == hi
+            else:
+                assert g_below[i] <= 0.0 <= g_above[i]
 
 
 class TestLogLikelihood:

@@ -46,7 +46,7 @@ def random_partial_cascade(rng, n_users=30, network_size=1000, gap_scale=20.0):
     return PartialCascade("rc", events, t_limit, network_size), dynamics
 
 
-def reference_size(pc, dynamics, t_e, time_shift=DELAY_SHIFT):
+def reference_size(pc, dynamics, t_e):
     """The basic model summed over every observed row, replying or not."""
     t_join = np.array([e.t for e in pc.events])
     replynum = np.array([float(sum(f.parent == e.user for f in pc.events)) for e in pc.events])
@@ -54,9 +54,9 @@ def reference_size(pc, dynamics, t_e, time_shift=DELAY_SHIFT):
     shapes = np.array([dynamics[e.user].shape for e in pc.events])
     floor = 1.0 / pc.network_size
     deathrate = np.maximum(
-        1.0 - oracle_weibull_survival(scales, shapes, pc.t_limit - t_join + time_shift), floor)
+        1.0 - oracle_weibull_survival(scales, shapes, pc.t_limit - t_join + DELAY_SHIFT), floor)
     fdrate = np.maximum(
-        1.0 - oracle_weibull_survival(scales, shapes, t_e - t_join + time_shift), floor)
+        1.0 - oracle_weibull_survival(scales, shapes, t_e - t_join + DELAY_SHIFT), floor)
     return 1.0 + float(np.sum(replynum * (fdrate / deathrate))), deathrate
 
 
@@ -130,31 +130,18 @@ class TestBasicModel:
         with pytest.raises(DataError):
             predictor.size_at(float("nan"))
 
-    def test_rejects_negative_time_shift(self):
-        pc, dyn = worked_example()
-        with pytest.raises(DataError):
-            BasicPredictor(pc, dyn, time_shift=-1.0)
-
-    @pytest.mark.parametrize("time_shift", [DELAY_SHIFT, 0.0])
-    def test_matches_reference_sum_over_all_rows(self, time_shift):
+    def test_matches_reference_sum_over_all_rows(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             pc, dyn = random_partial_cascade(rng)
-            if time_shift == 0.0:
-                # a replying user and its reply both at t_limit: the summed
-                # row's elapsed time is exactly 0
-                last = pc.events[-1]
-                dyn["tail"] = WeibullParams(50.0, 1.5)
-                events = pc.events + [CascadeEvent("tail", last.user, last.t)]
-                pc = PartialCascade(pc.cascade_id, events, last.t, pc.network_size)
-            predictor = BasicPredictor(pc, dyn, time_shift=time_shift)
+            predictor = BasicPredictor(pc, dyn)
             assert np.any(predictor.replynum == 0.0)  # rows that add nothing
             assert predictor.size_at(pc.t_limit) == float(pc.size)
-            _, deathrate = reference_size(pc, dyn, pc.t_limit, time_shift)
+            _, deathrate = reference_size(pc, dyn, pc.t_limit)
             assert len(predictor.deathrate) == pc.size
             np.testing.assert_allclose(predictor.deathrate, deathrate, rtol=1e-12, atol=0.0)
             for gap in (0.5, 1.0, 10.0, 100.0, 1e3, 1e4, 1e6):
-                expected, _ = reference_size(pc, dyn, pc.t_limit + gap, time_shift)
+                expected, _ = reference_size(pc, dyn, pc.t_limit + gap)
                 assert predictor.size_at(pc.t_limit + gap) == pytest.approx(expected, rel=1e-12)
 
     def test_missing_dynamics_names_user(self):
@@ -744,10 +731,7 @@ class TestSlicedObservation:
 
 
 class TestQuietArithmetic:
-    @pytest.mark.parametrize("time_shift", [DELAY_SHIFT, 0.0])
-    def test_no_floating_point_error_escapes(self, time_shift):
-        # "a" joins at the cut and is replied to there, so with no shift its
-        # elapsed time at t_limit is 0: only the library may silence its log
+    def test_no_floating_point_error_escapes(self):
         cascade = Cascade("tied", [
             CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0),
             CascadeEvent("b", "a", 5.0), CascadeEvent("c", "b", 9.0)])
@@ -763,7 +747,7 @@ class TestQuietArithmetic:
             for dynamics in (dyn, plain):
                 for pc in (PartialCascade.first_events(cascade, 2, 100),
                            PartialCascade.from_cascade(cascade, 9.0, 100)):
-                    predictor = BasicPredictor(pc, dynamics, time_shift=time_shift)
+                    predictor = BasicPredictor(pc, dynamics)
                     assert predictor.deathrate.shape == (pc.size,)
                     assert predictor.size_at(pc.t_limit) == float(pc.size)
                     predictor.size_at(pc.t_limit + 30.0)
@@ -785,8 +769,21 @@ class TestQuietArithmetic:
         dyn = ModelDynamics(model)
         with np.errstate(all="raise"):
             batch = PrefixBatch([(cascade, 1), (cascade, 2)], 100).final_sizes(dyn)
-            basic = [BasicPredictor(PartialCascade.first_events(cascade, k, 100),
-                                    dyn).final_size() for k in (1, 2)]
+            basic = []
+            for k in (1, 2):
+                pc = PartialCascade.first_events(cascade, k, 100)
+                predictor = BasicPredictor(pc, dyn)
+                assert predictor.deathrate.shape == (pc.size,)
+                assert predictor.size_at(t) == float(pc.size)
+                # past the cut by whole float spacings (256 at 2**60), short
+                # of where the survival underflows
+                later = [t + gap for gap in (512.0, 1024.0, 2048.0)]
+                assert len(set(later)) == 3 and min(later) > t
+                sizes = [predictor.size_at(t_e) for t_e in later]
+                basic.append(predictor.final_size())
+                predictor.outbreak_time(pc.size + 1, t + 2048.0)
+                curve = predictor.process_curve([t, *later]).sizes
+                assert curve == [float(pc.size), *sizes]
         assert batch.tolist() == basic
 
 
