@@ -222,8 +222,8 @@ def _cmd_fit(args) -> int:
     print(f"fitted {args.model} for {len(model.user_params)} users "
           f"({report.iterations} iterations, converged={report.converged})")
     if report.lasso_capped:
-        print(f"{report.lasso_capped} LASSO solves stopped at the {opts.lasso_max_iter}-sweep "
-              f"cap before converging")
+        print(f"{report.lasso_capped} LASSO solves stopped at the {opts.lasso_max_iter}-step "
+              f"cap before their optimality was certified")
     return 0
 
 

@@ -10,11 +10,12 @@ log parameters to log covariates:
 
 Minimization is block coordinate descent in the order scale, shape, beta,
 gamma. The scale/shape blocks separate per user into one-dimensional smooth
-problems; beta/gamma are LASSO problems solved by cyclic coordinate descent
-with soft thresholding, on covariance updates. One safeguarded Newton
-routine, run in lockstep over users and capped by
-``FitOptions.newton_max_iter``, solves the scale block, the shape block and
-cox's shared shape.
+problems; beta/gamma are LASSO problems solved exactly by feature-sign
+search on the Gram matrix of the log covariates, each solve certified by
+its KKT conditions. One safeguarded Newton routine, run in lockstep over
+users and capped by ``FitOptions.newton_max_iter``, solves the scale block,
+the shape block and cox's shared shape; a shape solve forms each delay's
+log ratio to its user's fixed scale once, not once per Newton step.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
     "user_log_likelihood",
     "newer_objective",
     "smooth_partials",
-    "lasso_cd",
+    "lasso",
     "fit_newer",
     "fit_model",
     "regress_out_of_sample",
@@ -257,8 +258,9 @@ class FitOptions:
     - ``newton_max_iter`` (>= 1): cap on the iterations of the safeguarded
       Newton routine that solves the scale block, the shape block and cox's
       shared shape.
-    - ``lasso_tol`` (finite, >= 0) and ``lasso_max_iter`` (>= 1): stopping
-      rule and sweep cap of each LASSO solve.
+    - ``lasso_tol`` (finite, >= 0): a LASSO solve is certified once its KKT
+      conditions hold within ``lasso_tol`` relative to max(1, ||Z'y/N||_inf).
+    - ``lasso_max_iter`` (>= 1): cap on each LASSO solve's active-set steps.
     """
 
     tol: float = 1e-7
@@ -284,7 +286,8 @@ class FitOptions:
 class FitReport:
     """The objective after each outer iteration, whether it settled, and how
     many LASSO solves (NEWER's beta and gamma blocks) stopped at
-    ``FitOptions.lasso_max_iter`` sweeps without meeting ``lasso_tol``."""
+    ``FitOptions.lasso_max_iter`` steps uncertified, their KKT conditions
+    not met within ``lasso_tol``."""
 
     objective_trace: list[float]
     converged: bool
@@ -561,7 +564,10 @@ def smooth_partials(model: NewerModel, samples, X: FeatureMatrix | None = None):
         raise DataError("feature matrix required when mu or eta is nonzero")
     users, seg, scale, shape = _model_segments(model, samples)
     log_scale = np.log(scale)
-    s0, s1, _ = seg.power_sums(log_scale, shape)
+    dz = seg.log_ratios(log_scale)
+    w = seg.powers(dz, shape)
+    s0 = np.add.reduceat(w, seg.starts)
+    s1 = np.add.reduceat(w * dz, seg.starts)
     d_scale = (shape / scale) * (seg.m - s0)
     d_shape = -seg.m / shape - seg.sum_log + seg.m * log_scale + s1
     if hp.mu > 0 or hp.eta > 0:
@@ -625,9 +631,8 @@ class _Segments:
     User i owns the ``m[i]`` entries of ``flat`` from ``starts[i]`` on. The
     kernels spread per-user values over their entries with ``np.repeat``
     (faster here than a take by owner index into a kept buffer), work in
-    place on that copy and on one preallocated flat buffer, and reduce each
-    user's entries with ``reduceat``; the results are new arrays. Per-user
-    inputs must be float arrays.
+    place on that copy, and reduce each user's entries with ``reduceat``;
+    the results are new arrays. Per-user inputs must be float arrays.
     """
 
     def __init__(self, flat: np.ndarray, m: np.ndarray):
@@ -636,7 +641,6 @@ class _Segments:
         self.starts = np.cumsum(m) - m
         self.sum_log = np.add.reduceat(flat, self.starts)
         self.n_users = len(m)
-        self._dz = np.empty_like(flat)
 
     def lse(self, shape: np.ndarray) -> np.ndarray:
         """Per-user logsumexp of shape * log T."""
@@ -647,28 +651,35 @@ class _Segments:
         sums = np.add.reduceat(np.exp(z, out=z), self.starts)
         return zmax + np.log(sums)
 
-    def _weights(self, log_scale: np.ndarray, shape: np.ndarray):
-        """dz = log(T/scale), in the kept buffer, and w = (T/scale)^shape."""
-        dz = np.subtract(self.flat, np.repeat(log_scale, self.m), out=self._dz)
-        w = np.repeat(shape, self.m)
-        w *= dz
-        np.minimum(w, _EXP_CLAMP, out=w)
-        return dz, np.exp(w, out=w)
+    def log_ratios(self, log_scale: np.ndarray) -> np.ndarray:
+        """dz = log(T/scale) of every entry. A shape solve holds the scales
+        fixed, so it forms dz once."""
+        return self.flat - np.repeat(log_scale, self.m)
 
-    def power_sums(self, log_scale: np.ndarray, shape: np.ndarray):
-        """Per-user sums of (T/scale)^shape weighted by (log(T/scale))^{0,1,2}."""
-        dz, w = self._weights(log_scale, shape)
-        s0 = np.add.reduceat(w, self.starts)
+    def powers(self, dz: np.ndarray, shape: np.ndarray) -> np.ndarray:
+        """w = (T/scale)^shape of every entry, a new array, from dz;
+        ``shape`` holds each user's shape, or one shape for all."""
+        if shape.size == 1:
+            w = dz * shape
+        else:
+            w = np.repeat(shape, self.m)
+            w *= dz
+        np.minimum(w, _EXP_CLAMP, out=w)
+        return np.exp(w, out=w)
+
+    def shape_sums(self, dz: np.ndarray, shape: np.ndarray):
+        """Per-user sums of w * dz and w * dz^2 (``powers``): the shape
+        derivatives' terms."""
+        w = self.powers(dz, shape)
         w *= dz
         s1 = np.add.reduceat(w, self.starts)
         w *= dz
-        s2 = np.add.reduceat(w, self.starts)
-        return s0, s1, s2
+        return s1, np.add.reduceat(w, self.starts)
 
     def log_likelihoods(self, log_scale: np.ndarray, shape: np.ndarray) -> np.ndarray:
-        s0 = np.add.reduceat(self._weights(log_scale, shape)[1], self.starts)
+        w = self.powers(self.log_ratios(log_scale), shape)
         return (self.m * np.log(shape) + (shape - 1.0) * self.sum_log
-                - self.m * shape * log_scale - s0)
+                - self.m * shape * log_scale - np.add.reduceat(w, self.starts))
 
 
 def _pooled_objective(seg: _Segments, scale: np.ndarray, shape: np.ndarray) -> float:
@@ -707,9 +718,10 @@ def _shape_block(seg: _Segments, log_scale: np.ndarray, targets: np.ndarray,
         + (eta/2N)(log k - target)^2
 
     whose likelihood part is strictly convex in k, by ``_newton_box``."""
+    dz = seg.log_ratios(log_scale)
 
     def grad_hess(k):
-        _, s1, s2 = seg.power_sums(log_scale, k)
+        s1, s2 = seg.shape_sums(dz, k)
         g = -seg.m / k - seg.sum_log + seg.m * log_scale + s1
         h = seg.m / (k * k) + s2
         if eta_over_n > 0.0:
@@ -726,42 +738,73 @@ def _shape_block(seg: _Segments, log_scale: np.ndarray, targets: np.ndarray,
 # LASSO subsolver
 # ---------------------------------------------------------------------------
 
-def lasso_cd(Z: np.ndarray, y: np.ndarray, alpha: float, *,
-             warm: np.ndarray | None = None, tol: float = 1e-12,
-             max_iter: int = 10000) -> tuple[np.ndarray, bool]:
-    """Minimize (1/2N)||y - Z b||^2 + alpha*||b||_1 by cyclic coordinate
-    descent with soft thresholding, on covariance updates (Friedman, Hastie
-    & Tibshirani 2010): the Gram matrix Z'Z/N is formed once, and the
-    gradient Z'(y - Z b)/N is kept as r values that each changed coordinate
-    updates through its Gram column, so a sweep costs O(r^2), not O(N r).
+def lasso(Z: np.ndarray, y: np.ndarray, alpha: float, *,
+          warm: np.ndarray | None = None, tol: float = 1e-12,
+          max_iter: int = 10000) -> tuple[np.ndarray, bool]:
+    """Minimize (1/2N)||y - Z b||^2 + alpha*||b||_1 by feature-sign search
+    (Lee, Battle, Raina & Ng 2007), on the Gram matrix Z'Z/N and the
+    correlations Z'y/N, each formed once.
 
-    Returns the coefficients and whether a sweep moved every coordinate by
-    at most ``tol`` relative to the largest one before ``max_iter`` sweeps.
+    The active set is the nonzero coordinates, starting from ``warm``'s,
+    with their signs. A step solves the active block's quadratic at those
+    signs and moves toward its minimizer, stopping where a coordinate
+    first reaches 0 and leaving it out; once the active coordinates are
+    optimal, the inactive coordinate that most violates its optimality
+    condition joins, with the sign of its gradient. Every step lowers the
+    objective. When the active block is singular and its quadratic is
+    unbounded below, the step walks along the block's null space until a
+    coordinate reaches 0, so the solve also ends at an optimum when N < r.
+    An all-zero column moves no prediction, so its coefficient is 0.
+
+    Returns the coefficients and whether they are certified: the KKT
+    conditions hold within ``tol`` relative to max(1, ||Z'y/N||_inf) after
+    at most ``max_iter`` steps.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     n, r = Z.shape
-    b = np.zeros(r) if warm is None else np.array(warm, dtype=float)
-    gram = (Z.T @ Z / n).tolist()
-    grad = (Z.T @ (y - Z @ b) / n).tolist()
-    coef = b.tolist()
-    # small r: plain floats beat numpy's per-call overhead
-    for _ in range(max_iter):
-        max_delta = 0.0
-        for j, col in enumerate(gram):
-            g_jj = col[j]
-            old = coef[j]
-            rho = grad[j] + g_jj * old
-            # an all-zero column moves no prediction, so its penalty alone sets it to 0
-            new = math.copysign(max(abs(rho) - alpha, 0.0), rho) / g_jj if g_jj else 0.0
-            if new != old:
-                step = old - new
-                grad = [g + c * step for g, c in zip(grad, col)]
-                coef[j] = new
-                max_delta = max(max_delta, abs(step))
-        if max_delta <= tol * max(1.0, max(map(abs, coef), default=0.0)):
-            return np.array(coef), True
-    return np.array(coef), False
+    gram = Z.T @ Z / n
+    corr = Z.T @ y / n
+    live = np.diag(gram) > 0.0
+    b = np.zeros(r) if warm is None else np.where(live, warm, 0.0)
+    kkt_tol = tol * max(1.0, float(np.max(np.abs(corr), initial=0.0)))
+    for step in range(max_iter + 1):
+        grad = corr - gram @ b  # minus the gradient of the smooth part
+        active = b != 0.0
+        sign = np.sign(b)
+        off = float(np.max(np.abs(grad - alpha * sign)[active], initial=0.0))
+        excess = np.where(active | ~live, 0.0, np.abs(grad) - alpha)
+        if max(off, float(np.max(excess, initial=0.0))) <= kkt_tol:
+            return b, True
+        if step == max_iter:
+            break
+        if off <= kkt_tol:
+            j = int(np.argmax(excess))
+            active[j] = True
+            sign[j] = math.copysign(1.0, grad[j])
+        at = np.flatnonzero(active)
+        sign = sign[at]
+        rhs = grad[at] - alpha * sign  # minus the gradient of the signed quadratic
+        w, v = np.linalg.eigh(gram[np.ix_(at, at)])
+        null = w <= w[-1] * len(at) * np.finfo(float).eps
+        slope = v[:, null].T @ rhs
+        if np.max(np.abs(slope), initial=0.0) > kkt_tol:
+            move, reach = v[:, null] @ slope, math.inf  # unbounded below
+        else:
+            move, reach = v[:, ~null] @ ((v[:, ~null].T @ rhs) / w[~null]), 1.0
+        cur = b[at]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stops = np.where(sign * move < 0.0, -cur / move, math.inf)
+        k = int(np.argmin(stops))
+        reach = min(reach, float(stops[k]))
+        if not math.isfinite(reach):
+            break
+        new = cur + reach * move
+        new[sign * new <= 0.0] = 0.0
+        if reach == stops[k]:
+            new[k] = 0.0
+        b[at] = new
+    return b, False
 
 
 # ---------------------------------------------------------------------------
@@ -856,13 +899,13 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
             shape = new_shape
 
         if hyperparams.mu > 0:
-            beta, settled = lasso_cd(z, np.log(scale), hyperparams.alpha_beta, warm=beta,
-                                     tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
-            lasso_capped += not settled
+            beta, certified = lasso(z, np.log(scale), hyperparams.alpha_beta, warm=beta,
+                                    tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
+            lasso_capped += not certified
         if hyperparams.eta > 0:
-            gamma, settled = lasso_cd(z, np.log(shape), hyperparams.alpha_gamma, warm=gamma,
-                                      tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
-            lasso_capped += not settled
+            gamma, certified = lasso(z, np.log(shape), hyperparams.alpha_gamma, warm=gamma,
+                                     tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
+            lasso_capped += not certified
 
         current = objective()
         previous = trace[-1]
@@ -969,9 +1012,10 @@ def _fit_cox(seg: _Segments, opts: FitOptions):
         scale = _scale_block(seg, shape, zeros, 0.0, opts.newton_max_iter)
         log_scale = np.log(scale)
         offset = float(np.sum(seg.m * log_scale - seg.sum_log))
+        dz = seg.log_ratios(log_scale)
 
         def grad_hess(k):
-            _, s1, s2 = seg.power_sums(log_scale, np.repeat(k, n))
+            s1, s2 = seg.shape_sums(dz, k)  # k: the one shared shape
             return offset - m_total / k + np.sum(s1), m_total / (k * k) + np.sum(s2)
 
         shared = _newton_box(grad_hess, shape[:1], SHAPE_BOUNDS, 0.0, opts.newton_max_iter)

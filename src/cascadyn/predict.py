@@ -37,7 +37,7 @@ from .features import (
     flatten_user_ids,
 )
 from .fitting import FeatureMatrix, NewerModel, regress_params
-from .survival import _EXP_CLAMP, WeibullParams, _survival
+from .survival import WeibullParams, _survival
 from .userids import by_id, lookup
 
 __all__ = [
@@ -53,6 +53,9 @@ __all__ = [
 
 DEFAULT_SEARCH_WINDOW = 30 * 86400.0  # binary search horizon beyond t_limit
 _CURVE_BLOCK = 1 << 16  # process-curve buffer entries (horizons x replying rows)
+# exp(-exp(x)) is at least exp(-708) ~ 3e-308, a normal float, for x up to
+# log 708, and every rate past it rounds to 1 all the same
+_RATE_CLAMP = math.log(708.0)
 
 
 @dataclass
@@ -277,14 +280,15 @@ def _rates(t0, shapes, log_scales, floor, t_e, out):
     """Response rates max(1 - S(t_e - t0), floor) into ``out``, in place.
 
     S is the Weibull survival exp(-exp(min(shape * (log e - log scale),
-    clamp))); an elapsed time e of exactly 0 gives log e = -inf and so S = 1.
-    Callers that may pass such an e silence numpy's divide warning.
+    log 708))), which never underflows; an elapsed time e of exactly 0 gives
+    log e = -inf and so S = 1. Callers that may pass such an e silence
+    numpy's divide warning.
     """
     np.subtract(t_e, t0, out=out)
     np.log(out, out=out)
     out -= log_scales
     out *= shapes
-    np.minimum(out, _EXP_CLAMP, out=out)
+    np.minimum(out, _RATE_CLAMP, out=out)
     np.exp(out, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)

@@ -129,7 +129,7 @@ class TestFitCommand:
                    "--out", str(out), "--model", "newer", "--min-events", "3") == 0
         report = json.loads((out / "fit_report.json").read_text())
         assert 0 < report["lasso_capped"] <= 2 * report["iterations"]
-        assert (f"{report['lasso_capped']} LASSO solves stopped at the 1-sweep cap"
+        assert (f"{report['lasso_capped']} LASSO solves stopped at the 1-step cap"
                 in capsys.readouterr().out)
 
     @pytest.mark.parametrize("flag, value, field", [

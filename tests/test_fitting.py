@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from cascadyn.fitting import (
     SubcascadeTable,
     fit_model,
     fit_newer,
-    lasso_cd,
+    lasso,
     mean_params,
     median_params,
     newer_objective,
@@ -36,7 +37,7 @@ from cascadyn.fitting import (
     user_log_likelihood,
     write_subcascades_jsonl,
 )
-from cascadyn.fitting import _newton_box
+from cascadyn.fitting import _newton_box, _Segments
 from cascadyn.predict import ModelDynamics
 from cascadyn.simulate import dynamics_from_coefficients, gen_feature_matrix, sample_delays
 from cascadyn.survival import (
@@ -47,7 +48,7 @@ from cascadyn.survival import (
     weibull_survival,
 )
 from cascadyn.userids import intern
-from worlds import oracle_lasso_cd, sim_world, worlds
+from worlds import oracle_lasso_cd, oracle_power_sums, sim_world, worlds
 
 
 def make_sample(user, delays):
@@ -289,7 +290,7 @@ class TestLasso:
         Z = rng.normal(size=(40, 6))
         y = rng.normal(size=40)
         expected, *_ = np.linalg.lstsq(Z, y, rcond=None)
-        got, _ = lasso_cd(Z, y, alpha=0.0)
+        got, _ = lasso(Z, y, alpha=0.0)
         assert np.allclose(got, expected, atol=1e-6)
 
     def test_large_penalty_gives_zero(self):
@@ -297,15 +298,19 @@ class TestLasso:
         Z = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
         alpha = float(np.max(np.abs(Z.T @ y)) / 30) + 1.0
-        assert np.all(lasso_cd(Z, y, alpha=alpha)[0] == 0.0)
+        assert np.all(lasso(Z, y, alpha=alpha)[0] == 0.0)
+
+    def test_no_columns_certified_at_once(self):
+        b, certified = lasso(np.empty((3, 0)), np.ones(3), alpha=0.1)
+        assert b.shape == (0,) and certified
 
     def test_soft_threshold_shrinks_toward_zero(self):
         rng = np.random.default_rng(7)
         Z = rng.normal(size=(200, 3))
         b_true = np.array([2.0, 0.0, -1.0])
         y = Z @ b_true + 0.01 * rng.normal(size=200)
-        small, _ = lasso_cd(Z, y, alpha=1e-4)
-        big, _ = lasso_cd(Z, y, alpha=0.5)
+        small, _ = lasso(Z, y, alpha=1e-4)
+        big, _ = lasso(Z, y, alpha=0.5)
         assert np.sum(np.abs(big)) < np.sum(np.abs(small))
 
 
@@ -331,14 +336,17 @@ def lasso_problems(draw):
     return Z, y, alpha, warm
 
 
+def lasso_objective(Z, y, alpha, b) -> float:
+    return float(np.sum((y - Z @ b) ** 2)) / (2.0 * len(y)) + alpha * float(np.sum(np.abs(b)))
+
+
 class TestLassoProperties:
     @given(lasso_problems())
     @settings(max_examples=300, deadline=None)
     def test_converged_solves_meet_kkt(self, problem):
         Z, y, alpha, warm = problem
-        b, converged = lasso_cd(Z, y, alpha, warm=warm, max_iter=3000)
-        if not converged:
-            return
+        b, certified = lasso(Z, y, alpha, warm=warm, max_iter=3000)
+        assert certified
         n = len(y)
         grad = Z.T @ (y - Z @ b) / n
         kkt = np.where(b != 0.0, np.abs(grad - alpha * np.sign(b)),
@@ -352,13 +360,37 @@ class TestLassoProperties:
     @settings(max_examples=300, deadline=None)
     def test_matches_residual_loop_at_full_column_rank(self, problem):
         Z, y, alpha, warm = problem
-        if np.linalg.matrix_rank(Z) < Z.shape[1]:
+        b, _ = lasso(Z, y, alpha, warm=warm, max_iter=2000)
+        expected, converged = oracle_lasso_cd(Z, y, alpha, warm=warm, max_iter=2000)
+        # never worse than cyclic descent, converged or not, at any rank
+        want = lasso_objective(Z, y, alpha, expected)
+        assert lasso_objective(Z, y, alpha, b) <= want + 1e-12 * max(1.0, want)
+        # a strictly convex problem has one optimum, which a converged loop nears
+        if converged and np.linalg.matrix_rank(Z) == Z.shape[1]:
+            assert np.all(np.abs(b - expected)
+                          <= 1e-9 * max(1.0, float(np.max(np.abs(expected)))))
+
+    @given(lasso_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_never_raises_the_warm_start_objective(self, problem):
+        Z, y, alpha, warm = problem
+        if warm is None:
             return
-        # a strictly convex problem: the two descents stay together sweep by
-        # sweep, whether or not they meet the stopping test in time
-        b, _ = lasso_cd(Z, y, alpha, warm=warm, max_iter=2000)
-        expected = oracle_lasso_cd(Z, y, alpha, warm=warm, max_iter=2000)
-        assert np.all(np.abs(b - expected) <= 1e-9 * max(1.0, float(np.max(np.abs(expected)))))
+        start = np.where(np.any(Z != 0.0, axis=0), warm, 0.0)
+        for max_iter in (1, 2, 3000):
+            b, _ = lasso(Z, y, alpha, warm=warm, max_iter=max_iter)
+            before = lasso_objective(Z, y, alpha, start)
+            assert lasso_objective(Z, y, alpha, b) <= before + 1e-12 * max(1.0, before)
+
+    def test_fewer_rows_than_columns_ends_with_at_most_n_nonzeros(self):
+        # columns in general position: the one optimum has at most n nonzeros,
+        # while the warm start holds all six
+        rng = np.random.default_rng(11)
+        Z = rng.normal(size=(5, 6))
+        y = rng.normal(size=5)
+        b, certified = lasso(Z, y, 6e-5, warm=np.ones(6))
+        assert certified
+        assert np.count_nonzero(b) <= 5
 
 
 # one user's delays by how its fit ends: anywhere, at the shape's upper bound
@@ -676,6 +708,26 @@ world_st = st.lists(st.lists(delay_st, min_size=1, max_size=8), min_size=1, max_
 
 
 class TestBaselineKernels:
+    @given(world_st, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shape_sums_match_per_step_oracle_bit_for_bit(self, world, data):
+        n = len(world)
+        m = np.array([len(d) for d in world])
+        flat = np.log(np.concatenate(world))
+        per_user = partial(st.lists, min_size=n, max_size=n)
+        log_scale = np.array(data.draw(per_user(st.floats(*map(math.log, SCALE_BOUNDS)))))
+        shape = np.array(data.draw(per_user(st.floats(*SHAPE_BOUNDS))))
+        seg = _Segments(flat, m)
+        dz = seg.log_ratios(log_scale)
+        # the shape block: one shape per user; cox: one shared shape
+        for got, shapes in ((seg.shape_sums(dz, shape), shape),
+                            (seg.shape_sums(dz, shape[:1]), np.repeat(shape[:1], n))):
+            _, s1, s2 = oracle_power_sums(flat, m, log_scale, shapes)
+            assert (got[0].tobytes(), got[1].tobytes()) == (s1.tobytes(), s2.tobytes())
+        s0 = oracle_power_sums(flat, m, log_scale, shape)[0]
+        want = m * np.log(shape) + (shape - 1.0) * seg.sum_log - m * shape * log_scale - s0
+        assert seg.log_likelihoods(log_scale, shape).tobytes() == want.tobytes()
+
     def test_cox_matches_scalar_oracle(self):
         X, samples = uneven_instance()
         model, report = fit_model("cox", samples, X, options=FitOptions(min_events=1))

@@ -775,10 +775,10 @@ class TestQuietArithmetic:
                 predictor = BasicPredictor(pc, dyn)
                 assert predictor.deathrate.shape == (pc.size,)
                 assert predictor.size_at(t) == float(pc.size)
-                # past the cut by whole float spacings (256 at 2**60), short
-                # of where the survival underflows
-                later = [t + gap for gap in (512.0, 1024.0, 2048.0)]
-                assert len(set(later)) == 3 and min(later) > t
+                # past the cut by whole float spacings (256 at 2**60), and
+                # far past it, where the survival is below the smallest float
+                later = [t + gap for gap in (512.0, 1024.0, 2048.0, 1e6)]
+                assert len(set(later)) == 4 and min(later) > t
                 sizes = [predictor.size_at(t_e) for t_e in later]
                 basic.append(predictor.final_size())
                 predictor.outbreak_time(pc.size + 1, t + 2048.0)

@@ -13,6 +13,7 @@ from cascadyn.errors import DataError
 from cascadyn.features import SECONDS_PER_DAY, Cascade, CascadeEvent
 from cascadyn.fitting import SubcascadeSample
 from cascadyn.simulate import SimConfig, gen_cascades, gen_network
+from cascadyn.survival import _EXP_CLAMP
 
 
 @st.composite
@@ -172,8 +173,10 @@ def oracle_sigma_precision(records, sigma) -> float:
 
 
 def oracle_lasso_cd(Z, y, alpha, *, warm=None, tol=1e-12, max_iter=10000):
-    """``lasso_cd`` on a residual vector: each coordinate step takes two
-    passes over the N rows. Returns the coefficients alone."""
+    """The LASSO by cyclic coordinate descent with soft thresholding on a
+    residual vector: each coordinate step takes two passes over the N rows.
+    Returns the coefficients and whether a sweep moved every coordinate by
+    at most ``tol`` relative to the largest one before ``max_iter`` sweeps."""
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(y, dtype=float)
     n, r = Z.shape
@@ -193,8 +196,26 @@ def oracle_lasso_cd(Z, y, alpha, *, warm=None, tol=1e-12, max_iter=10000):
                 b[j] = new
                 max_delta = max(max_delta, abs(new - old))
         if max_delta <= tol * max(1.0, float(np.max(np.abs(b)))):
-            break
-    return b
+            return b, True
+    return b, False
+
+
+def oracle_power_sums(flat, m, log_scale, shape):
+    """Per-user sums of w = (T/scale)^shape weighted by dz^0, dz^1 and dz^2,
+    dz = log(T/scale), for users owning ``m`` entries each of the log delays
+    ``flat``: one pass from the log scales and per-user shapes, as each
+    Newton step computed them before the shape solves formed dz once."""
+    starts = np.cumsum(m) - m
+    dz = flat - np.repeat(log_scale, m)
+    w = np.repeat(shape, m)
+    w *= dz
+    np.minimum(w, _EXP_CLAMP, out=w)
+    np.exp(w, out=w)
+    s0 = np.add.reduceat(w, starts)
+    w *= dz
+    s1 = np.add.reduceat(w, starts)
+    w *= dz
+    return s0, s1, np.add.reduceat(w, starts)
 
 
 @cache
