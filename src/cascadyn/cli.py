@@ -248,6 +248,14 @@ def _observe(cascade, args, network_size: int) -> PartialCascade:
 
 
 def _cmd_predict(args) -> int:
+    if args.te not in ("inf", "now"):
+        try:
+            float(args.te)
+        except ValueError:
+            raise CascadynError(f"--te must be 'inf', 'now' or a number, got {args.te!r}")
+    if args.mode == "sampling" and args.te != "inf":
+        raise CascadynError(f"--te {args.te} applies to --mode basic only; --mode sampling "
+                            f"estimates the final size, as --te inf does")
     model = NewerModel.load(args.model)
     net = read_network_csv(args.network)
     cascades = read_cascades_jsonl(args.cascades)
@@ -259,15 +267,10 @@ def _cmd_predict(args) -> int:
         feats = extract_features(net, cascades)
     dynamics = ModelDynamics(model, feats)
 
-    if args.te not in ("inf", "now"):
-        try:
-            float(args.te)
-        except ValueError:
-            raise CascadynError(f"--te must be 'inf', 'now' or a number, got {args.te!r}")
-
     def predict_one(cascade) -> dict:
         pc = _observe(cascade, args, net.n_nodes)
-        predictor = BasicPredictor(pc, dynamics)
+        basic = args.mode == "basic" or args.task != "size"
+        predictor = BasicPredictor(pc, dynamics) if basic else None
         rec: dict = {"cascade": cascade.cascade_id, "t_limit": pc.t_limit}
         if args.mode == "sampling":
             sampler = SamplingPredictor(net.n_nodes, args.epsilon, dynamics)

@@ -97,11 +97,15 @@ def _rmsle(ids: Sequence[str], truth, predicted) -> float:
     return math.sqrt(sum(map(pow, d.tolist(), repeat(2))) / n)
 
 
+def _in_band(truth: np.ndarray, predicted: np.ndarray, sigma: float) -> np.ndarray:
+    """Whether each prediction lies within truth * (1 +- sigma)."""
+    with np.errstate(over="ignore"):  # a band edge past the largest float is inf
+        return (truth * (1.0 - sigma) <= predicted) & (predicted <= truth * (1.0 + sigma))
+
+
 def _sigma_precision(ids: Sequence[str], truth, predicted, sigma: float) -> float:
     t, p = _finite("sigma_precision", ids, truth, predicted)
-    with np.errstate(over="ignore"):  # a band edge past the largest float is inf
-        hits = np.count_nonzero((t * (1.0 - sigma) <= p) & (p <= t * (1.0 + sigma)))
-    return int(hits) / t.size  # a Python float, as the report's CSV takes its repr
+    return int(np.count_nonzero(_in_band(t, p, sigma))) / t.size  # a float for the CSV's repr
 
 
 def rmsle(records: Iterable[PredictionRecord]) -> float:
@@ -122,11 +126,9 @@ def process_precision(curve_pred: ProcessCurve, curve_truth: ProcessCurve,
     _check_sigma(sigma)
     if list(curve_pred.times) != list(curve_truth.times):
         raise DataError("process curves are defined on different time grids")
-    hits = sum(
-        1 for p, t in zip(curve_pred.sizes, curve_truth.sizes)
-        if t * (1.0 - sigma) <= p <= t * (1.0 + sigma)
-    )
-    return hits / len(curve_pred.times)
+    hits = _in_band(np.array(curve_truth.sizes, dtype=float),
+                    np.array(curve_pred.sizes, dtype=float), sigma)
+    return int(np.count_nonzero(hits)) / len(curve_pred.times)
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +250,19 @@ LOGLINEAR_SKIPPED = {
 }
 
 
-class _Scored:
-    """One (model, sweep)'s cascade ids, truths and predictions, gathered a
-    batch at a time and joined into arrays when scored."""
-
-    __slots__ = ("ids", "truth", "predicted")
-
-    def __init__(self):
-        self.ids: list[str] = []
-        self.truth: list = []
-        self.predicted: list = []
-
-    def extend(self, ids: Sequence[str], truth, predicted) -> None:
-        self.ids.extend(ids)
-        self.truth.append(truth)
-        self.predicted.append(predicted)
-
-    def columns(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        return self.ids, np.concatenate(self.truth), np.concatenate(self.predicted)
-
-
-def _aggregate(scored: dict[tuple[str, object], _Scored], sigma: float,
-               precisions: dict[tuple[str, object], list[float]]) -> list[dict]:
-    """One row per (model, sweep). When ``precisions`` holds one value per
-    process curve, ``n`` counts curves and ``precision`` is their mean."""
-    if not precisions:
-        _check_sigma(sigma)
+def _aggregate(scored: dict[tuple[str, object], list[tuple]], sigma: float,
+               precisions: dict[tuple[str, object], list[np.ndarray]]) -> list[dict]:
+    """One row per (model, sweep) from its batches of (cascade ids, truths,
+    predictions). When ``precisions`` holds arrays of one value per process
+    curve, ``n`` counts curves and ``precision`` is their mean."""
     rows = []
     for key in sorted(scored, key=lambda key: (key[0], str(key[1]))):
-        columns = scored[key].columns()
+        ids, truth, predicted = zip(*scored[key])
+        columns = ([i for batch in ids for i in batch], np.concatenate(truth),
+                   np.concatenate(predicted))
         if precisions:
-            n, precision = len(precisions[key]), float(np.mean(precisions[key]))
+            curves = np.concatenate(precisions[key])
+            n, precision = len(curves), float(np.mean(curves))
         else:
             n, precision = len(columns[0]), _sigma_precision(*columns, sigma)
         rows.append({
@@ -291,28 +275,24 @@ def _aggregate(scored: dict[tuple[str, object], _Scored], sigma: float,
     return rows
 
 
-def _check_against_reference(batch: PrefixBatch, scored: list[tuple[Cascade, int]],
-                             sizes: np.ndarray, dynamics: ModelDynamics,
-                             network_size: int) -> None:
-    """Recompute the batch's longest prefix with ``BasicPredictor``, the
-    per-cascade reference, and refuse a batched final size that differs by
-    more than summation rounding.
+def _check_against_reference(batch: PrefixBatch, sizes: np.ndarray,
+                             dynamics: ModelDynamics) -> None:
+    """Recompute the batch's longest observation with a ``BasicPredictor``
+    and refuse a batched final size that differs by more than rounding.
 
-    ``PrefixBatch`` repeats ``BasicPredictor``'s final-size arithmetic (delay
-    shift, rate floor, reply counts, events tied with the cut, table rows)
-    over its own flattened rows, so the two could drift apart without any
-    error, and the property tests compare them on small random worlds only.
-    One reference prediction per split and model, on the prefix with the
-    most rows, checks their agreement on the data each run actually scores.
+    This guards the many-cut layout (rows concatenated, parent positions
+    shifted, replies counted by one global ``bincount``) against the
+    one-cut layout a predictor reads from its partial cascade, on the data
+    each run scores; property tests cover small random worlds only. It
+    stays while the benchmark's crossval ``predict.build_s`` and
+    ``predict.lookups.*`` count the predictor built here, until a benchmark
+    change moves those counters.
     """
-    if not scored:
-        return
     j = int(np.argmax(batch.lengths))
-    cascade, count = scored[j]
-    pc = PartialCascade.first_events(cascade, count, network_size)
+    pc = batch.observations[j]
     reference = BasicPredictor(pc, dynamics).final_size()
     if not math.isclose(sizes[j], reference, rel_tol=1e-9):
-        raise NumericsError(f"batched final size {sizes[j]} of cascade {cascade.cascade_id!r} "
+        raise NumericsError(f"batched final size {sizes[j]} of cascade {pc.cascade_id!r} "
                             f"differs from the predictor's {reference}")
 
 
@@ -332,16 +312,18 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
     every cascade with some users' samples hidden, and scores the prefixes
     holding a hidden user. Only ``size`` scores ``loglinear``.
 
-    The final-size protocols (``size``, ``out_of_sample``) score each split
-    in array passes: one ``PrefixBatch.final_sizes`` per model and one
-    ``LogLinearModel.predict_final`` per prefix size. ``outbreak`` and
-    ``process`` build one ``BasicPredictor`` per observation.
+    Each split's scored observations form one ``PrefixBatch``, which each
+    model queries once (``final_sizes``, ``outbreak_times``, or ``sizes_at``
+    on each observation's grid), plus one ``LogLinearModel.predict_final``
+    per prefix size. True curves take one ``searchsorted`` per observation,
+    and the curves' sigma-band precisions one array pass.
     """
     if protocol not in PROTOCOLS:
         raise DataError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     for kind in models:
         if kind not in SURVIVAL_MODEL_KINDS and kind != "loglinear":
             raise DataError(f"unknown model kind {kind!r}")
+    _check_sigma(sigma)
     if protocol == "process":
         for frac in early_fractions:
             if not 0.0 <= frac <= 1.0:  # also refuses NaN; infinities lie outside
@@ -352,14 +334,17 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                 raise DataError(f"prefix size {s!r} is not an integer >= 1")
     opts = options or FitOptions()
     cascades = list(cascades)
+    n_nodes = net.n_nodes
     kinds = [m for m in models if m != "loglinear"]
     with_loglinear = protocol == "size" and "loglinear" in models
     notes = [LOGLINEAR_SKIPPED[protocol]] if protocol != "size" and "loglinear" in models else []
 
+    sweeps = early_fractions if protocol == "process" else prefix_sizes
     if protocol == "outbreak":
         if not any(c.size >= outbreak_threshold for c in cascades):
             raise DataError(f"no cascade reaches the outbreak threshold {outbreak_threshold}")
         horizon = max(c.events[-1].t for c in cascades)
+        sweeps = [s for s in prefix_sizes if s < outbreak_threshold]
     # each split: training cascades, test cascades, and the training samples
     # when they are not simply those of the training cascades
     if protocol == "out_of_sample":
@@ -377,39 +362,25 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
         splits = [([c for i, c in enumerate(cascades) if i not in held],
                    [c for i, c in enumerate(cascades) if i in held], None) for held in held_out]
 
-    def observations(cascade: Cascade):
-        """(sweep, observed part, truth) for each point the outbreak or the
-        process protocol scores on one test cascade."""
-        t0, t_end = cascade.root.t, cascade.events[-1].t
+    def scored(cascade: Cascade, sweep) -> PartialCascade | None:
+        """The observation scored on a test cascade at one sweep value, if any."""
         if protocol == "process":
+            t0, t_end = cascade.root.t, cascade.events[-1].t
             if t_end <= t0:
-                return
-            for frac in early_fractions:
-                t_lim = t0 + frac * (t_end - t0)
-                grid = np.linspace(t_lim, t_end, grid_points).tolist()
-                truth = ProcessCurve(times=grid, sizes=[float(cascade.size_at(t)) for t in grid])
-                yield frac, PartialCascade.from_cascade(cascade, t_lim, net.n_nodes), truth
-            return
-        if cascade.size < outbreak_threshold:
-            return
-        truth = cascade.events[outbreak_threshold - 1].t - t0 + 1.0
-        for s in prefix_sizes:
-            if cascade.size > s and s < outbreak_threshold:
-                yield s, PartialCascade.first_events(cascade, s, net.n_nodes), truth
+                return None
+            return PartialCascade.from_cascade(cascade, t0 + sweep * (t_end - t0), n_nodes)
+        if cascade.size <= sweep or (protocol == "outbreak" and cascade.size < outbreak_threshold):
+            return None
+        if protocol == "out_of_sample" and not {e.user for e in cascade.events[:sweep]} & hidden:
+            return None
+        return PartialCascade.first_events(cascade, sweep, n_nodes)
 
-    def scored_prefixes(test: list[Cascade]) -> list[tuple[Cascade, int]]:
-        """(cascade, prefix size) of each final size the size or the
-        out_of_sample protocol scores, in cascade then sweep order."""
-        return [(cascade, s) for cascade in test for s in prefix_sizes
-                if cascade.size > s and (protocol == "size"
-                                         or {e.user for e in cascade.events[:s]} & hidden)]
-
-    scores: dict[tuple[str, object], _Scored] = {}
-    precisions: dict[tuple[str, object], list[float]] = {}
+    scores: dict[tuple[str, object], list[tuple]] = {}
+    precisions: dict[tuple[str, object], list[np.ndarray]] = {}
 
     def score(kind: str, sweep, ids: Sequence[str], truth, predicted) -> None:
         if len(ids):
-            scores.setdefault((kind, sweep), _Scored()).extend(ids, truth, predicted)
+            scores.setdefault((kind, sweep), []).append((ids, truth, predicted))
 
     for train, test, samples in splits:
         if samples is None:
@@ -419,44 +390,49 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                   for kind in kinds}
         loglinear = ({s: LogLinearModel.fit(train, s, net) for s in prefix_sizes}
                      if with_loglinear else {})
-        if protocol in ("size", "out_of_sample"):
-            # final sizes: one batched pass per model over every scored
-            # prefix, scored per sweep in the prefixes' order
-            scored = scored_prefixes(test)
-            batch = PrefixBatch(scored, net.n_nodes)
-            sweeps = np.array([s for _, s in scored])
-            truths = np.array([cascade.size for cascade, _ in scored], dtype=float)
-            by_sweep = {}
-            for s in dict.fromkeys(prefix_sizes):
-                at = np.flatnonzero(sweeps == s)
-                cs = [scored[j][0] for j in at.tolist()]
-                by_sweep[s] = at, cs, [c.cascade_id for c in cs]
-            for kind, dyn in fitted.items():
-                sizes = batch.final_sizes(dyn)
-                _check_against_reference(batch, scored, sizes, dyn, net.n_nodes)
-                for s, (at, _, ids) in by_sweep.items():
-                    score(kind, s, ids, truths[at], sizes[at])
-            for s, model in loglinear.items():
-                at, cs, ids = by_sweep[s]
-                score("loglinear", s, ids, truths[at], model.predict_final(cs, s, net))
+        # every scored observation of the split, in cascade then sweep order
+        points = [(cascade, sweep, pc) for cascade in test for sweep in sweeps
+                  if (pc := scored(cascade, sweep)) is not None]
+        if not points:
             continue
-        for cascade in test:
-            cid = cascade.cascade_id
-            for sweep, pc, truth in observations(cascade):
-                for kind, dyn in fitted.items():
-                    predictor = BasicPredictor(pc, dyn)
-                    if protocol == "outbreak":
-                        t0 = cascade.root.t
-                        t_max = pc.t_limit + 2.0 * (horizon - t0) + 1.0
-                        pred_t = predictor.outbreak_time(outbreak_threshold, t_max)
-                        if pred_t is None:
-                            pred_t = t_max  # "never" capped at the search horizon
-                        score(kind, sweep, [cid], [truth], [pred_t - t0 + 1.0])
-                    else:
-                        curve = predictor.process_curve(truth.times)
-                        precisions.setdefault((kind, sweep), []).append(
-                            process_precision(curve, truth, sigma))
-                        score(kind, sweep, [cid] * len(curve.sizes), truth.sizes, curve.sizes)
+        batch = PrefixBatch([pc for _, _, pc in points])
+        if protocol == "process":
+            t_end = np.array([cascade.events[-1].t for cascade, _, _ in points])
+            grids = np.linspace(batch.t_limits, t_end, grid_points, axis=1)
+            truths = np.array([np.searchsorted(cascade.times, grid, side="right")
+                               for (cascade, _, _), grid in zip(points, grids)], dtype=float)
+        elif protocol == "outbreak":
+            t0 = np.array([cascade.root.t for cascade, _, _ in points])
+            t_max = batch.t_limits + 2.0 * (horizon - t0) + 1.0
+            truths = np.array([c.times[outbreak_threshold - 1] for c, _, _ in points]) - t0 + 1.0
+        else:
+            truths = np.array([cascade.size for cascade, _, _ in points], dtype=float)
+        by_sweep = {}
+        for s in dict.fromkeys(sweeps):
+            at = [j for j, (_, sweep, _) in enumerate(points) if sweep == s]
+            by_sweep[s] = at, [points[j][0] for j in at], [points[j][0].cascade_id for j in at]
+        for kind, dyn in fitted.items():
+            if protocol == "process":
+                curves = np.maximum.accumulate(batch.sizes_at(dyn, grids), axis=1)
+                hits = np.count_nonzero(_in_band(truths, curves, sigma), axis=1) / grid_points
+                for s, (at, _, ids) in by_sweep.items():
+                    if len(at):
+                        precisions.setdefault((kind, s), []).append(hits[at])
+                    score(kind, s, [cid for cid in ids for _ in range(grid_points)],
+                          truths[at].ravel(), curves[at].ravel())
+                continue
+            if protocol == "outbreak":
+                pred_t = batch.outbreak_times(dyn, outbreak_threshold, t_max)
+                # "never" is capped at the search horizon
+                predicted = np.where(np.isnan(pred_t), t_max, pred_t) - t0 + 1.0
+            else:
+                predicted = batch.final_sizes(dyn)
+                _check_against_reference(batch, predicted, dyn)
+            for s, (at, _, ids) in by_sweep.items():
+                score(kind, s, ids, truths[at], predicted[at])
+        for s, model in loglinear.items():
+            at, cs, ids = by_sweep[s]
+            score("loglinear", s, ids, truths[at], model.predict_final(cs, s, net))
     if not scores:
         if protocol == "out_of_sample":
             raise DataError("no test cascade contains a hidden user in its prefix")

@@ -866,8 +866,9 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
     mu_over_n = hyperparams.mu / n
     eta_over_n = hyperparams.eta / n
 
-    def objective() -> float:
-        lis = seg.log_likelihoods(np.log(scale), shape)
+    def objective(lis: np.ndarray) -> float:
+        """The penalized objective, from the per-user likelihoods at the
+        current scales and shapes."""
         if not np.all(np.isfinite(lis)):
             bad = users[int(np.argmin(np.isfinite(lis)))]
             raise NumericsError(f"non-finite likelihood for user {bad!r}", bad)
@@ -876,7 +877,7 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
             raise NumericsError("non-finite objective during descent")
         return total
 
-    trace = [objective()]
+    trace = [objective(seg.log_likelihoods(np.log(scale), shape))]
     converged = False
     iterations = lasso_capped = 0
     for _ in range(opts.max_outer):
@@ -887,16 +888,16 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
         shape_targets = z @ gamma if hyperparams.eta > 0 else np.zeros(n)
         new_shape = _shape_block(seg, np.log(scale), shape_targets, eta_over_n,
                                  shape, opts.newton_max_iter)
-        # belt-and-braces for the monotone trace: never accept a per-user
-        # shape that scores worse than the one it replaces
+        lis = seg.log_likelihoods(np.log(scale), new_shape)
+        # belt-and-braces for the monotone trace: never accept a per-user shape
+        # that scores worse than the one it replaces; a user's likelihood reads
+        # that user's delays alone, so the accepted ones are the objective's
         if eta_over_n > 0.0:
-            old_obj = -seg.log_likelihoods(np.log(scale), shape) \
-                + eta_over_n / 2.0 * (np.log(shape) - shape_targets) ** 2
-            new_obj = -seg.log_likelihoods(np.log(scale), new_shape) \
-                + eta_over_n / 2.0 * (np.log(new_shape) - shape_targets) ** 2
-            shape = np.where(new_obj <= old_obj, new_shape, shape)
-        else:
-            shape = new_shape
+            old_lis = seg.log_likelihoods(np.log(scale), shape)
+            accept = (-lis + eta_over_n / 2.0 * (np.log(new_shape) - shape_targets) ** 2
+                      <= -old_lis + eta_over_n / 2.0 * (np.log(shape) - shape_targets) ** 2)
+            new_shape, lis = np.where(accept, new_shape, shape), np.where(accept, lis, old_lis)
+        shape = new_shape
 
         if hyperparams.mu > 0:
             beta, certified = lasso(z, np.log(scale), hyperparams.alpha_beta, warm=beta,
@@ -907,7 +908,7 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
                                      tol=opts.lasso_tol, max_iter=opts.lasso_max_iter)
             lasso_capped += not certified
 
-        current = objective()
+        current = objective(lis)
         previous = trace[-1]
         trace.append(current)
         if abs(previous - current) <= opts.tol * max(1.0, abs(previous)):

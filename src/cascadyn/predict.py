@@ -20,7 +20,6 @@ import json
 import math
 import operator
 from array import array
-from contextlib import nullcontext, suppress
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -32,17 +31,17 @@ from .features import (
     Cascade,
     CascadeEvent,
     _read_only,
-    flat_events,
     flatten_prefixes,
     flatten_user_ids,
 )
 from .fitting import FeatureMatrix, NewerModel, regress_params
 from .survival import WeibullParams, _survival
-from .userids import by_id, lookup
+from .userids import by_id, intern, lookup
 
 __all__ = [
     "PartialCascade",
     "ProcessCurve",
+    "PrefixBatch",
     "BasicPredictor",
     "SamplingPredictor",
     "ModelDynamics",
@@ -121,15 +120,18 @@ class PartialCascade:
     @classmethod
     def from_cascade(cls, cascade: Cascade, t_limit: float, network_size: int) -> "PartialCascade":
         # a NaN t_limit observes nothing, as no e.t <= NaN holds
-        k = 0 if math.isnan(t_limit) else int(np.searchsorted(cascade.times, t_limit, "right"))
+        k = 0 if math.isnan(t_limit) else int(cascade.times.searchsorted(t_limit, "right"))
         return cls(cascade.cascade_id, cascade.events[:k], t_limit, network_size, cascade)
 
     @classmethod
     def first_events(cls, cascade: Cascade, count: int, network_size: int) -> "PartialCascade":
-        if count < 1 or count > cascade.size:
-            raise DataError(f"cannot observe {count} events of a size-{cascade.size} cascade")
-        # include every event tied with the cut timestamp
-        return cls.from_cascade(cascade, cascade.events[count - 1].t, network_size)
+        events = cascade.events
+        if count < 1 or count > len(events):
+            raise DataError(f"cannot observe {count} events of a size-{len(events)} cascade")
+        t, k = events[count - 1].t, count
+        while k < len(events) and events[k].t == t:  # every event tied with the cut comes along
+            k += 1
+        return cls(cascade.cascade_id, events[:k], t, network_size, cascade)
 
 
 @dataclass
@@ -150,18 +152,6 @@ class ProcessCurve:
 
 def _no_dynamics(user: str) -> DataError:
     return DataError(f"no behavioral dynamics for observed user {user!r}")
-
-
-def _resolver(dynamics):
-    """user -> params from a mapping or callable; ``DataError`` if it has none."""
-    find = dynamics.get if isinstance(dynamics, Mapping) else dynamics
-
-    def resolve(user: str) -> WeibullParams:
-        with suppress(KeyError):
-            if (params := find(user)) is not None:
-                return params
-        raise _no_dynamics(user)
-    return resolve
 
 
 class ModelDynamics:
@@ -187,7 +177,8 @@ class ModelDynamics:
     refused on lookup. Whether every row is covered and finite is recorded
     once, so batch reads check one flag; a non-finite row (a coefficient
     made NaN after fitting) is refused as ``self(user)`` refuses it, never
-    served as a NaN size.
+    served as a NaN size. ``ModelDynamics.of`` makes a plain mapping of user
+    names to ``WeibullParams`` such a table too.
     """
 
     def __init__(self, model: NewerModel, features: FeatureMatrix | None = None,
@@ -196,8 +187,8 @@ class ModelDynamics:
                 and list(features.names) != list(model.feature_names)):
             raise DataError(f"feature columns {list(features.names)} do not match the "
                             f"model's feature names {list(model.feature_names)}")
-        self.model = model
-        self.features = features
+        self.model, self.features = model, features
+        self._keys = None  # a mapping's table: its ids in order, then -1 for the last row
         self._build_table(fallback)
 
     def _build_table(self, fallback: WeibullParams | None) -> None:
@@ -242,11 +233,36 @@ class ModelDynamics:
         scales[rows] = fitted.scales
         shapes[rows] = fitted.shapes
         covered[rows] = True
-        # one (scale, shape) row per id, read with take(ids, axis=0, mode="clip")
-        self._params = np.column_stack([scales, shapes])[row_of]
+        # one (scale, shape, log scale) row per id, read with take(mode="clip")
+        self._params = np.column_stack([scales, shapes, np.log(scales)])[row_of]
         self._covered = covered[row_of]
         self._all_served = bool(covered.all() and np.isfinite(scales).all()
                                 and np.isfinite(shapes).all())
+
+    @classmethod
+    def of(cls, dynamics: "ModelDynamics | Mapping[str, WeibullParams]") -> "ModelDynamics":
+        """``dynamics`` itself, or a table serving exactly a mapping's users,
+        whose rows are kept in id order and found by binary search, so that
+        it costs in proportion to the mapping, not to every interned id."""
+        if isinstance(dynamics, cls):
+            return dynamics
+        self = cls.__new__(cls)
+        self.model = self.features = None
+        ids = intern(dynamics, len(dynamics))
+        order = np.append(np.argsort(ids), len(ids))
+        self._keys = np.append(ids, -1)[order]
+        params = np.array([(p.scale, p.shape) for p in dynamics.values()] + [(1.0, 1.0)])
+        self._params = np.column_stack([params, np.log(params[:, 0])])[order]
+        self._covered, self._all_served = self._keys >= 0, False
+        return self
+
+    def _rows(self, ids):
+        """The row of each id (an array or one int): past the table, and in a
+        mapping's table for an id it lacks, its last row."""
+        if self._keys is None:
+            return ids
+        at = self._keys[:-1].searchsorted(ids)
+        return np.where(self._keys[at] == ids, at, len(self._keys) - 1)
 
     def __call__(self, user: str) -> WeibullParams:
         return WeibullParams(*self._scale_shape(user))
@@ -254,6 +270,8 @@ class ModelDynamics:
     def _scale_shape(self, user: str) -> tuple[float, float]:
         """The scale and shape ``self(user)`` holds, not checked to be finite."""
         i = lookup(user)
+        if self._keys is not None and i is not None:
+            i = int(self._rows(i))
         last = len(self._covered) - 1
         if i is None or i > last:
             i = last
@@ -266,14 +284,15 @@ class ModelDynamics:
         finite, raise the error ``self(user_at(i))`` raises."""
         if self._all_served:
             return
-        served = self._covered.take(ids, mode="clip") & np.isfinite(self._take(ids)).all(axis=1)
+        served = (self._covered.take(self._rows(ids), mode="clip")
+                  & np.isfinite(self._take(ids)).all(axis=1))
         unserved = np.flatnonzero(~served)
         if unserved.size:
             self(user_at(int(unserved[0])))
 
     def _take(self, ids: np.ndarray) -> np.ndarray:
-        """The (scale, shape) row of each id, covered or not."""
-        return self._params.take(ids, axis=0, mode="clip")
+        """The (scale, shape, log scale) row of each id, covered or not."""
+        return self._params.take(self._rows(ids), axis=0, mode="clip")
 
 
 def _rates(t0, shapes, log_scales, floor, t_e, out):
@@ -296,233 +315,233 @@ def _rates(t0, shapes, log_scales, floor, t_e, out):
     return np.maximum(out, floor, out=out)
 
 
-class BasicPredictor:
-    """Prepared basic-model evaluator for one partial cascade.
+class PrefixBatch:
+    """The observed rows of many ``PartialCascade`` observations, laid out
+    so that one array pass per dynamics table evaluates the basic model on
+    all of them; ``BasicPredictor`` is its one-cut view. One observation
+    reads its partial cascade's arrays and cached reply counts without a
+    copy; many are concatenated by ``flatten_prefixes``, so one ``bincount``
+    counts every row's replies. Only replying rows are summed, as a row
+    with no replies adds an exact zero.
 
-    Per-user arrays are built once so repeated horizon queries (process
-    curves, outbreak search) stay cheap. The public arrays (``t_join``,
-    ``replynum``, ``scales``, ``shapes``, ``deathrate``) hold one entry per
-    observed row; ``deathrate`` is computed when read, and so is ``users``,
-    the rows' names. ``t_join`` and ``replynum`` are the partial cascade's
-    read-only arrays, shared by every predictor built on it, and a
-    ``ModelDynamics`` fills ``scales`` and ``shapes`` with one table take by
-    user id. The sums run over replying rows only: a row with no replies
-    adds an exact zero, and on large cascades most rows have none. For those
-    rows the join time minus ``DELAY_SHIFT``, the shape, the log scale and the
-    reply count are kept contiguous, and every horizon query fills one
-    preallocated buffer in place; a process curve fills one buffer row per
-    horizon.
+    A query binds a ``ModelDynamics`` by user id (the last binding is kept).
+    The deathrate is the rate the query kernel returns at t_limit, so each
+    fdrate / deathrate ratio is exactly 1 at t_limit and the size there is
+    the observed size. A final size sums its terms in row order
+    (``bincount``), a size at a horizon adds the pairwise sum of the later
+    rows to the first (``reduceat``); each reads its own observation's rows
+    only, so an observation gets the same floats from any batch.
+    """
 
-    The summed rows' deathrate is the rate the query routine itself returns
-    at ``t_limit``, so at ``t_e == t_limit`` each fdrate / deathrate ratio is
-    exactly 1 and the prediction reproduces the observed size bit for bit.
+    def __init__(self, observations: Sequence[PartialCascade]):
+        self.observations = obs = list(observations)
+        self.size = n = len(obs)
+        # every t_e >= t_join, so an elapsed time t_e - t0 of 0, whose log
+        # warns, needs t0 == t_join: a shift below the spacing of floats
+        # near some join time, which t_abs * 2**-52 bounds
+        if n == 1:
+            (pc,) = obs
+            network_size = pc.network_size
+            self.lengths, self.t_limits = np.array([pc.size]), np.array([pc.t_limit])
+            times, self._ids, replynum = pc.times, pc.user_ids, pc.replynum
+            t_abs = max(-float(times[0]), pc.t_limit)
+            self._obs_of = np.zeros(np.count_nonzero(replynum), dtype=np.intp)
+            self._has_rows = self._starts = self._obs_of[:1]
+        else:
+            network_sizes = {pc.network_size for pc in obs} or {1}
+            if len(network_sizes) > 1:
+                raise DataError(f"observations of one batch must share a network size, "
+                                f"got {sorted(network_sizes)}")
+            network_size = network_sizes.pop()
+            self.lengths = np.fromiter((pc.size for pc in obs), np.intp, n)
+            self.t_limits = np.fromiter((pc.t_limit for pc in obs), float, n)
+            sources = [pc._cascade for pc in obs]
+            times, parents = flatten_prefixes(sources, self.lengths)
+            self._ids = flatten_user_ids(sources, self.lengths)
+            replynum = np.bincount(parents[parents >= 0], minlength=len(times)).astype(float)
+            t_abs = max(-float(times.min()), float(self.t_limits.max())) if n else 0.0
+            self._obs_of = np.repeat(np.arange(n), self.lengths)[replynum > 0.0]
+            counts = np.bincount(self._obs_of, minlength=n)
+            self._has_rows = np.flatnonzero(counts)  # observations with a replying row
+            self._starts = (np.cumsum(counts) - counts)[self._has_rows]
+        self.floor = 1.0 / network_size
+        self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
+        self._times = times
+        replying = replynum > 0.0
+        self._t0 = times[replying] - DELAY_SHIFT
+        self._replynum = replynum[replying]
+        self._replying_ids = self._ids[replying]
+        self._t_limit = self._per_row(self.t_limits)
+        self._bound_to = None
+
+    def _per_row(self, values: np.ndarray) -> np.ndarray:
+        """Per-observation values (last axis) spread to the replying rows."""
+        return values if self.size == 1 else values[..., self._obs_of]
+
+    def _user_at(self, row: int) -> str:
+        ends = np.cumsum(self.lengths)
+        j = int(np.searchsorted(ends, row, side="right"))
+        return self.observations[j].events[row - int(ends[j] - self.lengths[j])].user
+
+    def _bind(self, dynamics: ModelDynamics) -> tuple[np.ndarray, ...]:
+        """The replying rows' shapes, log scales and deathrates, and every
+        final size less the root; refuses the first row whose user
+        ``dynamics`` lacks."""
+        if self._bound_to is not dynamics:
+            dynamics._refuse_unserved(self._ids, self._user_at)
+            params = dynamics._take(self._replying_ids)
+            shapes, log_scales = params[:, 1], params[:, 2]
+            deathrate = self._rates(shapes, log_scales, self._t_limit, np.empty_like(self._t0))
+            sums = np.bincount(self._obs_of, self._replynum / deathrate, self.size)
+            self._bound_to, self._bound = dynamics, (shapes, log_scales, deathrate, sums)
+        return self._bound
+
+    def _rates(self, shapes, log_scales, t_e, out: np.ndarray) -> np.ndarray:
+        if self._log0:
+            with np.errstate(divide="ignore"):
+                return _rates(self._t0, shapes, log_scales, self.floor, t_e, out)
+        return _rates(self._t0, shapes, log_scales, self.floor, t_e, out)
+
+    def _sums(self, bound, t_e, out: np.ndarray) -> np.ndarray:
+        """Sizes less the root at horizons ``t_e`` spread to the replying
+        rows: one per observation, a row of them per horizon of a block."""
+        shapes, log_scales, deathrate, _ = bound
+        # dividing the rates first makes the ratio exactly 1 at t_e == t_limit
+        ratio = self._rates(shapes, log_scales, t_e, out)
+        ratio /= deathrate
+        ratio *= self._replynum
+        if len(self._starts) == self.size:
+            return np.add.reduceat(ratio, self._starts, axis=-1)
+        sums = np.zeros(ratio.shape[:-1] + (self.size,))
+        if len(self._starts):
+            sums[..., self._has_rows] = np.add.reduceat(ratio, self._starts, axis=-1)
+        return sums
+
+    def deathrates(self, dynamics: ModelDynamics) -> np.ndarray:
+        """Every row's rate at its observation's t_limit, replying or not."""
+        self._bind(dynamics)
+        params = dynamics._take(self._ids)
+        with np.errstate(divide="ignore"):
+            return _rates(self._times - DELAY_SHIFT, params[:, 1], params[:, 2],
+                          self.floor, np.repeat(self.t_limits, self.lengths),
+                          np.empty(len(self._times)))
+
+    def final_sizes(self, dynamics: ModelDynamics) -> np.ndarray:
+        """Each observation's predicted final size, where every fdrate is 1."""
+        return 1.0 + self._bind(dynamics)[3]
+
+    def sizes_at(self, dynamics: ModelDynamics, horizons) -> np.ndarray:
+        """Each observation's predicted size at each of its horizons, none
+        before its t_limit: one grid row per observation in ``horizons`` and
+        in the result. Rates fill a (horizons x replying rows) buffer, a
+        block of horizons at a time."""
+        horizons = np.asarray(horizons, dtype=float)
+        late = horizons >= self.t_limits[:, None]  # also refuses NaN
+        if not late.all():
+            j, k = np.unravel_index(late.argmin(), late.shape)
+            raise DataError(f"prediction horizon {float(horizons[j, k])} precedes "
+                            f"t_limit {float(self.t_limits[j])}")
+        bound, out = self._bind(dynamics), np.empty_like(horizons)
+        block = max(1, _CURVE_BLOCK // max(1, len(self._t0)))
+        buf = np.empty((min(block, horizons.shape[1]), len(self._t0)))
+        for start in range(0, horizons.shape[1], block):
+            t_e = horizons[:, start:start + block].T
+            sums = self._sums(bound, self._per_row(t_e), buf[:len(t_e)])
+            np.add(sums.T, 1.0, out=out[:, start:start + len(t_e)])
+        return out
+
+    def outbreak_times(self, dynamics: ModelDynamics, threshold: int,
+                       t_max=None) -> np.ndarray:
+        """Each observation's earliest integer-second time at which its
+        predicted size reaches ``threshold``, NaN where it does not within
+        [t_limit, t_max] (by default t_limit + ``DEFAULT_SEARCH_WINDOW``).
+        One bisection runs all searches: an ended one holds lo == hi, where
+        the size is known to reach the threshold, so more steps keep it."""
+        if threshold < 1:
+            raise DataError(f"outbreak threshold must be >= 1, got {threshold}")
+        if t_max is not None and not np.isfinite(t_max).all():
+            raise DataError(f"outbreak search horizon {t_max} is not finite")
+        bound = self._bind(dynamics)
+        if 1.0 + max(bound[3].tolist(), default=-math.inf) < threshold:  # nor observed sizes
+            return np.full(self.size, np.nan)
+        t_limits, reached = self.t_limits, self.lengths >= threshold
+        out = np.where(reached, t_limits, np.nan)
+        hi = np.ceil((t_limits + DEFAULT_SEARCH_WINDOW if t_max is None else t_max) - t_limits)
+        search = (1.0 + bound[3] >= threshold) > reached  # reachable, not reached yet
+        search &= hi >= 1.0
+        if not search.any():
+            return out
+        hi, buf = (hi * search).astype(np.int64), np.empty_like(self._t0)
+        search &= 1.0 + self._sums(bound, self._per_row(t_limits + hi), buf) >= threshold
+        hi *= search
+        lo = np.zeros_like(hi)
+        if self.size == 1:  # on plain ints, as array bookkeeping costs a step's sizes
+            (t_limit,), (low,), (high,) = t_limits.tolist(), lo.tolist(), hi.tolist()
+            while low < high:
+                mid = (low + high) // 2
+                if 1.0 + float(self._sums(bound, t_limit + mid, buf)[0]) >= threshold:
+                    high = mid
+                else:
+                    low = mid + 1
+            lo[0] = low
+        for _ in range(int(hi.max()).bit_length() if self.size > 1 else 0):
+            mid = (lo + hi) >> 1
+            hit = 1.0 + self._sums(bound, self._per_row(t_limits + mid), buf) >= threshold
+            hi, lo = np.where(hit, mid, hi), np.where(hit, lo, mid + 1)
+        np.copyto(out, t_limits + lo, where=search)
+        return out
+
+
+class BasicPredictor(PrefixBatch):
+    """The basic model on one partial cascade: the one-cut ``PrefixBatch``
+    bound to one dynamics table, a ``ModelDynamics`` or a mapping of user
+    names to ``WeibullParams`` (see ``ModelDynamics.of``), refusing here a
+    user it cannot serve. Every query is the batch's own, so it equals a
+    batch's answer for the same observation bit for bit, and a process
+    curve equals ``size_at`` at each of its horizons.
     """
 
     def __init__(self, pc: PartialCascade, dynamics):
+        super().__init__((pc,))
         self.pc = pc
-        self.t_join, self.replynum = pc.times, pc.replynum
-        if isinstance(dynamics, ModelDynamics):
-            ids = pc.user_ids
-            dynamics._refuse_unserved(ids, lambda i: pc.events[i].user)
-            params = dynamics._take(ids)
-            self.scales, self.shapes = params[:, 0], params[:, 1]
-        else:
-            resolve = _resolver(dynamics)
-            params = [resolve(e.user) for e in pc.events]
-            self.scales = np.array([p.scale for p in params])
-            self.shapes = np.array([p.shape for p in params])
-        self.floor = 1.0 / pc.network_size
-        replying = self.replynum > 0.0
-        self._t0 = self.t_join[replying] - DELAY_SHIFT
-        # every t_e >= t_join, so an elapsed time t_e - t0 of 0, whose log
-        # warns, needs t0 == t_join: a shift below the spacing of floats
-        # near some join time, which |t| * 2**-52 bounds
-        t_abs = max(-float(self.t_join[0]), pc.t_limit)
-        self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
-        self._shapes = self.shapes[replying]
-        self._log_scales = np.log(self.scales[replying])
-        self._replynum = self.replynum[replying]
-        self._buf = np.empty_like(self._t0)
-        self._deathrate = self._fdrate(pc.t_limit).copy()
+        self._dynamics = ModelDynamics.of(dynamics)
+        self._bind(self._dynamics)
 
     @property
-    def users(self) -> list[str]:
-        return [e.user for e in self.pc.events]
+    def replynum(self) -> np.ndarray:
+        return self.pc.replynum
 
     @property
     def deathrate(self) -> np.ndarray:
         """Rate at t_limit of every observed row, replying or not."""
-        with np.errstate(divide="ignore"):
-            return _rates(self.t_join - DELAY_SHIFT, self.shapes, np.log(self.scales),
-                          self.floor, self.pc.t_limit, np.empty_like(self.t_join))
+        return self.deathrates(self._dynamics)
 
     @property
     def observed_size(self) -> int:
         return self.pc.size
 
-    def _fdrate(self, t_e: float) -> np.ndarray:
-        """Rates of the replying rows at horizon t_e, in the shared buffer."""
-        args = (self._t0, self._shapes, self._log_scales, self.floor, t_e, self._buf)
-        if self._log0 and t_e == self.pc.t_limit:
-            # every t0 <= t_limit, so an elapsed time of 0 can occur here only
-            with np.errstate(divide="ignore"):
-                return _rates(*args)
-        return _rates(*args)
-
     def size_at(self, t_e: float) -> float:
         """Predicted cumulative size at horizon t_e >= t_limit."""
         if not t_e >= self.pc.t_limit:  # also refuses NaN
             raise DataError(f"prediction horizon {t_e} precedes t_limit {self.pc.t_limit}")
-        ratio = self._fdrate(t_e)
-        # dividing the rates first makes the ratio exactly 1 at t_e == t_limit,
-        # so the boundary prediction reproduces the observed size bit-exactly
-        ratio /= self._deathrate
-        ratio *= self._replynum
-        return 1.0 + float(ratio.sum())
+        return 1.0 + float(self._sums(self._bound, t_e, np.empty_like(self._t0))[0])
 
     def final_size(self) -> float:
         """Predicted final size: horizon at infinity, so fdrate is 1."""
-        return 1.0 + float((self._replynum / self._deathrate).sum())
+        return 1.0 + float(self._bound[3][0])
 
     def outbreak_time(self, threshold_size: int, t_max: float | None = None) -> float | None:
         """Earliest integer-second time the predicted size reaches the
         threshold; None when it never does within [t_limit, t_max]."""
-        if threshold_size < 1:
-            raise DataError(f"outbreak threshold must be >= 1, got {threshold_size}")
-        t_limit = self.pc.t_limit
-        if self.observed_size >= threshold_size:
-            return t_limit
-        if self.final_size() < threshold_size:
-            return None
-        if t_max is None:
-            t_max = t_limit + DEFAULT_SEARCH_WINDOW
-        span = int(math.ceil(t_max - t_limit))
-        if span < 1 or self.size_at(t_limit + span) < threshold_size:
-            return None
-        lo, hi = 0, span  # size(t_limit + hi) >= threshold
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.size_at(t_limit + mid) >= threshold_size:
-                hi = mid
-            else:
-                lo = mid + 1
-        return t_limit + float(lo)
-
-    def _sizes_at(self, times: np.ndarray) -> np.ndarray:
-        """``size_at`` of every horizon in ``times``, each >= t_limit.
-
-        Rates fill a (horizons x replying rows) buffer, a block of horizons
-        at a time; each buffer row is summed as ``size_at`` sums its vector,
-        so every entry equals the scalar query.
-        """
-        rows = self._t0.size
-        if not rows:
-            return np.ones(len(times))
-        out = np.empty(len(times))
-        block = max(1, _CURVE_BLOCK // rows)
-        buf = np.empty((min(block, len(times)), rows))
-        with np.errstate(divide="ignore") if self._log0 else nullcontext():
-            for start in range(0, len(times), block):
-                t_e = times[start:start + block, None]
-                ratio = _rates(self._t0, self._shapes, self._log_scales, self.floor, t_e,
-                               buf[:len(t_e)])
-                ratio /= self._deathrate
-                ratio *= self._replynum
-                ratio.sum(axis=1, out=out[start:start + len(t_e)])
-        out += 1.0
-        return out
+        t = float(self.outbreak_times(self._dynamics, threshold_size, t_max)[0])
+        return None if math.isnan(t) else t
 
     def process_curve(self, grid: Sequence[float]) -> ProcessCurve:
+        """Predicted sizes at the sorted horizons of ``grid``."""
         times = np.array(grid, dtype=float)
-        if (times[1:] < times[:-1]).any():
-            raise DataError("prediction grid must be sorted")
-        early = ~(times >= self.pc.t_limit)  # also refuses NaN
-        if early.any():
-            raise DataError(f"prediction horizon {float(times[early.argmax()])} precedes "
-                            f"t_limit {self.pc.t_limit}")
         # the estimator is monotone; the running maximum guards float wobble
-        sizes = np.maximum.accumulate(self._sizes_at(times))
+        sizes = np.maximum.accumulate(self.sizes_at(self._dynamics, times[None, :])[0])
         return ProcessCurve(times=times.tolist(), sizes=sizes.tolist())
-
-
-class PrefixBatch:
-    """The observed prefixes of many cascades, flattened so that one pass per
-    model gives every prefix's final size.
-
-    Prefix j is the first ``count`` events of its cascade plus every later
-    event tied with the cut, as ``PartialCascade.first_events`` observes it;
-    ``t_limit`` is the cut's timestamp. Each distinct cascade is laid end to
-    end once, and a run-end index over equal timestamps within a cascade
-    gives every prefix's cut and tie-extended length in one take. The rows
-    of all prefixes are gathered from that layout and laid end to end: user
-    ids, and, for the rows with replies only, the join time minus
-    ``DELAY_SHIFT``, the reply count, the prefix's ``t_limit`` and the
-    prefix the row belongs to. ``final_sizes`` takes each replying row's
-    scale and shape from the ``ModelDynamics`` table by id, its deathrate
-    with the kernel ``BasicPredictor`` uses, and sums each prefix with
-    ``np.bincount``. The deathrates are bit for bit those of
-    ``BasicPredictor``; only the order of the final sum differs.
-    """
-
-    def __init__(self, prefixes: Sequence[tuple[Cascade, int]], network_size: int):
-        if network_size < 1:
-            raise DataError("network size must be >= 1")
-        self.floor = 1.0 / network_size
-        self.size = n = len(prefixes)
-        distinct = {id(cascade): cascade for cascade, _ in prefixes}
-        self._cascades = cascades = list(distinct.values())
-        slot = {key: i for i, key in enumerate(distinct)}
-        which = np.fromiter((slot[id(cascade)] for cascade, _ in prefixes), np.intp, n)
-        counts = np.fromiter((count for _, count in prefixes), np.intp, n)
-        sizes = np.fromiter((c.size for c in cascades), np.intp, len(cascades))[which]
-        bad = np.flatnonzero((counts < 1) | (counts > sizes))
-        if bad.size:
-            j = int(bad[0])
-            raise DataError(f"cannot observe {counts[j]} events of a size-{sizes[j]} cascade")
-        times, parents = flatten_prefixes(cascades)
-        starts = parents < 0  # each cascade's root comes first
-        # one past the last event tied with each event, within its cascade
-        new_run = starts.copy()
-        new_run[1:] |= times[1:] != times[:-1]
-        run_end = np.append(np.flatnonzero(new_run)[1:], len(times))[np.cumsum(new_run) - 1]
-        first = np.flatnonzero(starts)[which]
-        cut = first + counts - 1
-        t_limits = times[cut]
-        self.lengths = lengths = run_end[cut] - first  # observed rows
-        # row r of prefix j is event pos[r] = r + shift[r] of the layout, and
-        # a reply's parent row within the prefix is its parent's position
-        # minus the same shift
-        shift = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-        self._pos = pos = np.arange(len(shift)) + shift
-        parent_of = parents[pos]
-        child = parent_of >= 0
-        replynum = np.bincount(parent_of[child] - shift[child], minlength=len(pos))
-        self._ids = flatten_user_ids(cascades)[pos]
-        t_join = times[pos]
-        prefix_of = np.repeat(np.arange(n), lengths)
-        replying = np.flatnonzero(replynum)
-        self._replying_ids = self._ids[replying]
-        self._t0 = t_join[replying] - DELAY_SHIFT
-        self._replynum = replynum[replying].astype(float)
-        self._t_limit = t_limits[prefix_of[replying]]
-        self._prefix_of = prefix_of[replying]
-        # as in BasicPredictor: an elapsed time of 0 needs a shift below the
-        # spacing of floats near some join time, which |t| * 2**-52 bounds
-        t_abs = max(-float(t_join.min()), float(t_limits.max())) if n else 0.0
-        self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
-
-    def final_sizes(self, dynamics: ModelDynamics) -> np.ndarray:
-        """Each prefix's ``BasicPredictor(pc, dynamics).final_size()``."""
-        dynamics._refuse_unserved(
-            self._ids,
-            lambda row: flat_events(self._cascades, None, self._pos[row:row + 1])[0][1].user)
-        params = dynamics._take(self._replying_ids)
-        deathrate = np.empty_like(self._t0)
-        with np.errstate(divide="ignore") if self._log0 else nullcontext():
-            _rates(self._t0, params[:, 1], np.log(params[:, 0]), self.floor, self._t_limit,
-                   deathrate)
-        return 1.0 + np.bincount(self._prefix_of, weights=self._replynum / deathrate,
-                                 minlength=self.size)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +558,7 @@ class SamplingPredictor:
     inverting the owner's survival function. A min-heap of (time, row,
     epoch) over those times drives the lazy work. Each observed user has a
     row, ``states[user]``, in one flat array per field; their scale and shape
-    are read once, when they join (from a ``ModelDynamics`` by user id).
+    are read once, when they join, by user id (see ``ModelDynamics.of``).
     """
 
     def __init__(self, network_size: int, epsilon: float, dynamics):
@@ -549,12 +568,8 @@ class SamplingPredictor:
             raise DataError("network size must be >= 1")
         self.network_size = network_size
         self.epsilon = epsilon
-        self.dynamics = dynamics
-        if isinstance(dynamics, ModelDynamics):
-            self._scale_shape = dynamics._scale_shape
-        else:
-            resolve, fields = _resolver(dynamics), operator.attrgetter("scale", "shape")
-            self._scale_shape = lambda user: fields(resolve(user))
+        self.dynamics = ModelDynamics.of(dynamics)
+        self._scale_shape = self.dynamics._scale_shape
         self.floor = 1.0 / network_size
         self.states: dict[str, int] = {}  # user -> row, in join order
         self._t0, self._shape, self._log_scale = array("d"), array("d"), array("d")

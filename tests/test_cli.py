@@ -182,6 +182,17 @@ class TestPredictCommand:
             ratio = sampling[cid] / b
             assert 1.0 / 1.1 <= ratio <= 1.1
 
+    @pytest.mark.parametrize("te", ["now", "10"])
+    def test_sampling_refuses_a_finite_horizon(self, tmp_path, capsys, te):
+        # refused before any input is read: none of these files exists
+        missing = tmp_path / "missing"
+        assert run("predict", "--model", str(missing), "--network", str(missing),
+                   "--cascades", str(missing), "--out", str(tmp_path / "p.jsonl"),
+                   "--mode", "sampling", "--te", te) == 1
+        err = capsys.readouterr().err
+        assert f"--te {te}" in err and "--mode sampling" in err
+        assert not (tmp_path / "p.jsonl").exists()
+
     def test_saved_model_predicts_identically(self, sim_dir, fit_dir, tmp_path):
         # loading the model file and predicting must equal predicting again:
         # rerun the same command and compare bytes

@@ -19,8 +19,9 @@ from cascadyn.evaluate import (
     stratified_folds,
 )
 from cascadyn.features import Cascade, CascadeEvent, Network, extract_subcascades
-from cascadyn.fitting import FitOptions
-from cascadyn.predict import BasicPredictor, PartialCascade, ProcessCurve
+from cascadyn.features import extract_features
+from cascadyn.fitting import FitOptions, fit_model
+from cascadyn.predict import BasicPredictor, ModelDynamics, PartialCascade, ProcessCurve
 from cascadyn.simulate import SimConfig, gen_cascades, gen_network
 from worlds import oracle_design_row, oracle_rmsle, oracle_sigma_precision, worlds
 
@@ -315,6 +316,62 @@ class TestLogLinear:
         assert model.predict_final(cascades[:1], 6, net)[0] >= 6.0
 
 
+def per_observation_report(protocol, cascades, net, *, models, folds, prefix_sizes, seed,
+                           outbreak_threshold, options, early_fractions=(0.1, 0.25, 0.5),
+                           sigma=0.2, grid_points=20, **_):
+    """The outbreak and process protocols as ``run_experiment`` scored them
+    one observation at a time, each with its own ``BasicPredictor`` and, for
+    process, a true curve of ``Cascade.size_at`` per grid point: a test-only
+    reference for the batched fold loop."""
+    horizon = max(c.events[-1].t for c in cascades)
+    kinds = [m for m in models if m != "loglinear"]
+    records, precisions = {}, {}
+    for fold in stratified_folds(cascades, folds, seed):
+        train = [c for i, c in enumerate(cascades) if i not in fold]
+        feats = extract_features(net, train)
+        samples = extract_subcascades(train)
+        fitted = {kind: ModelDynamics(fit_model(kind, samples, feats, options=options)[0], feats)
+                  for kind in kinds}
+        for cascade in (cascades[i] for i in fold):
+            t0, t_end = cascade.root.t, cascade.events[-1].t
+            observed = []
+            if protocol == "process" and t_end > t0:
+                for frac in early_fractions:
+                    t_lim = t0 + frac * (t_end - t0)
+                    grid = np.linspace(t_lim, t_end, grid_points).tolist()
+                    truth = ProcessCurve(times=grid,
+                                         sizes=[float(cascade.size_at(t)) for t in grid])
+                    observed.append((frac, PartialCascade.from_cascade(cascade, t_lim,
+                                                                       net.n_nodes), truth))
+            elif protocol == "outbreak" and cascade.size >= outbreak_threshold:
+                truth = cascade.events[outbreak_threshold - 1].t - t0 + 1.0
+                observed = [(s, PartialCascade.first_events(cascade, s, net.n_nodes), truth)
+                            for s in prefix_sizes if cascade.size > s and s < outbreak_threshold]
+            for sweep, pc, truth in observed:
+                for kind, dyn in fitted.items():
+                    predictor = BasicPredictor(pc, dyn)
+                    got = records.setdefault((kind, sweep), [])
+                    if protocol == "outbreak":
+                        t_max = pc.t_limit + 2.0 * (horizon - t0) + 1.0
+                        pred_t = predictor.outbreak_time(outbreak_threshold, t_max)
+                        pred_t = t_max if pred_t is None else pred_t
+                        got.append(rec(pred_t - t0 + 1.0, truth, cascade.cascade_id))
+                    else:
+                        curve = predictor.process_curve(truth.times)
+                        precisions.setdefault((kind, sweep), []).append(
+                            process_precision(curve, truth, sigma))
+                        got += [rec(p, t, cascade.cascade_id)
+                                for p, t in zip(curve.sizes, truth.sizes)]
+    rows = [{"model": kind, "sweep": sweep,
+             "n": len(precisions.get((kind, sweep), got)),
+             "rmsle": rmsle(got),
+             "precision": (float(np.mean(precisions[(kind, sweep)])) if protocol == "process"
+                           else sigma_precision(got, sigma))}
+            for (kind, sweep), got in sorted(records.items(),
+                                             key=lambda kv: (kv[0][0], str(kv[0][1])))]
+    return evaluate.ExperimentReport(protocol=protocol, sigma=sigma, rows=rows, notes=[])
+
+
 @pytest.fixture(scope="module")
 def sim_data():
     cfg = SimConfig(n_nodes=400, n_cascades=120, seed=31, retweet_scale=0.6,
@@ -457,28 +514,32 @@ class TestRunExperiment:
                     for fold in stratified_folds(cascades, 3, seed=4)]
         assert trained_on == expected
 
-    @pytest.mark.parametrize("protocol", ["size", "out_of_sample"])
+    @pytest.mark.parametrize("protocol", ["size", "out_of_sample", "outbreak", "process"])
     def test_batched_final_sizes_match_per_prefix_reference(self, sim_data, monkeypatch,
                                                             protocol):
         net, cascades = sim_data
         kwargs = dict(models=("newer", "weibull", "cox", "loglinear"), folds=2,
                       prefix_sizes=(1, 5, 10), seed=2, hidden_fraction=0.2,
-                      options=FitOptions(tol=1e-6))
+                      outbreak_threshold=30, options=FitOptions(tol=1e-6))
         batched = run_experiment(protocol, cascades, net, **kwargs)
 
         class PerPrefix:
             """One BasicPredictor per scored prefix, as the fold loop ran before."""
 
-            def __init__(self, prefixes, network_size):
-                self.pcs = [PartialCascade.first_events(c, s, network_size)
-                            for c, s in prefixes]
-                self.lengths = np.array([pc.size for pc in self.pcs], dtype=np.intp)
+            def __init__(self, observations):
+                self.observations = list(observations)
+                self.lengths = np.array([pc.size for pc in self.observations], dtype=np.intp)
+                self.size = len(self.observations)
 
             def final_sizes(self, dynamics):
-                return np.array([BasicPredictor(pc, dynamics).final_size() for pc in self.pcs])
+                return np.array([BasicPredictor(pc, dynamics).final_size()
+                                 for pc in self.observations])
 
-        monkeypatch.setattr(evaluate, "PrefixBatch", PerPrefix)
-        reference = run_experiment(protocol, cascades, net, **kwargs)
+        if protocol in ("outbreak", "process"):
+            reference = per_observation_report(protocol, cascades, net, **kwargs)
+        else:
+            monkeypatch.setattr(evaluate, "PrefixBatch", PerPrefix)
+            reference = run_experiment(protocol, cascades, net, **kwargs)
         # loglinear scores only in the size protocol
         assert len(batched.rows) == len(reference.rows) == (12 if protocol == "size" else 9)
         for got, want in zip(batched.rows, reference.rows):

@@ -535,6 +535,20 @@ class TestFitNewer:
         assert users[0] not in model.user_params
         assert all(u in model.user_params for u in users[1:])
 
+    @pytest.mark.parametrize("eta, per_iteration", [(0.0, 1), (1.0, 2)])
+    def test_likelihood_passes_per_outer_iteration(self, monkeypatch, eta, per_iteration):
+        # the shape safeguard's likelihoods at the accepted shapes are the
+        # objective's, so no third pass runs when eta > 0
+        X, samples, _ = synthetic_instance(15, 40, seed=20, beta=[0.3, 0, 0, 0])
+        calls = []
+        log_likelihoods = _Segments.log_likelihoods
+        monkeypatch.setattr(_Segments, "log_likelihoods",
+                            lambda self, *a: calls.append(1) or log_likelihoods(self, *a))
+        _, report = fit_newer(samples, X, Hyperparams(mu=1.0, eta=eta),
+                              FitOptions(min_events=1, max_outer=3, tol=0.0))
+        assert report.iterations == 3
+        assert len(calls) == 1 + per_iteration * report.iterations
+
     def test_missing_feature_row_rejected(self):
         X, samples, _ = synthetic_instance(3, 10, seed=19)
         samples["ghost"] = make_sample("ghost", np.full(10, 2.0))

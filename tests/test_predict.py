@@ -60,6 +60,11 @@ def reference_size(pc, dynamics, t_e):
     return 1.0 + float(np.sum(replynum * (fdrate / deathrate))), deathrate
 
 
+def first_events(prefixes, network_size):
+    """A ``PartialCascade.first_events`` observation of each (cascade, count)."""
+    return [PartialCascade.first_events(c, k, network_size) for c, k in prefixes]
+
+
 def worked_example():
     """Two-level cascade engineered so deathrates come out 0.4 and 1/3."""
     t_limit = 4.0
@@ -511,9 +516,9 @@ class TestModelDynamics:
         with pytest.raises(ValueError, match="scale must be a positive finite real, got nan"):
             BasicPredictor(pc, dyn)
         with pytest.raises(ValueError, match="scale must be a positive finite real, got nan"):
-            PrefixBatch([(cascade, 1), (cascade, 3)], 10).final_sizes(dyn)
+            PrefixBatch(first_events([(cascade, 1), (cascade, 3)], 10)).final_sizes(dyn)
         # rows that are finite are still served
-        assert PrefixBatch([(cascade, 1)], 10).final_sizes(dyn).tolist() == [1.0]
+        assert PrefixBatch(first_events([(cascade, 1)], 10)).final_sizes(dyn).tolist() == [1.0]
         assert BasicPredictor(PartialCascade.from_cascade(cascade, 0.5, 10),
                               dyn).final_size() == 1.0
 
@@ -723,9 +728,9 @@ class TestSlicedObservation:
                 assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
             for name in ("times", "parent_positions", "user_ids"):
                 assert np.shares_memory(getattr(got, name), getattr(cascade, name))
-            # the table, a mapping and a callable serve the same floats
+            # the table and a mapping serve the same floats
             expected = outcome(lambda: forecast(want, plain))
-            for dynamics in (dyn, plain, plain.__getitem__):
+            for dynamics in (dyn, plain):
                 assert outcome(lambda: forecast(got, dynamics)) == expected
                 assert outcome(lambda: forecast(want, dynamics)) == expected
 
@@ -754,7 +759,7 @@ class TestQuietArithmetic:
                     predictor.final_size()
                     predictor.outbreak_time(pc.size + 1, pc.t_limit + 600.0)
                     predictor.process_curve([pc.t_limit, pc.t_limit, pc.t_limit + 50.0])
-            PrefixBatch([(cascade, k) for k in range(1, 5)], 100).final_sizes(dyn)
+            PrefixBatch(first_events([(cascade, k) for k in range(1, 5)], 100)).final_sizes(dyn)
 
     def test_no_log_of_zero_beyond_two_to_the_53(self):
         # at t = 2**60 the 1 s shift rounds away, so the root, replied to at
@@ -768,7 +773,7 @@ class TestQuietArithmetic:
                            user_events={"r": 9, "a": 9})
         dyn = ModelDynamics(model)
         with np.errstate(all="raise"):
-            batch = PrefixBatch([(cascade, 1), (cascade, 2)], 100).final_sizes(dyn)
+            batch = PrefixBatch(first_events([(cascade, 1), (cascade, 2)], 100)).final_sizes(dyn)
             basic = []
             for k in (1, 2):
                 pc = PartialCascade.first_events(cascade, k, 100)
@@ -842,7 +847,7 @@ class TestPrefixBatch:
         # timestamp included) and whole cascades occur
         prefixes = [(c, k) for c in cascades for k in range(1, c.size + 1)]
         network_size = net.n_nodes + int(rng.integers(0, 50))
-        batch = PrefixBatch(prefixes, network_size)
+        batch = PrefixBatch(first_events(prefixes, network_size))
         sizes = batch.final_sizes(dyn)
         assert sizes.shape == (len(prefixes),)
         for (c, k), length, size in zip(prefixes, batch.lengths, sizes):
@@ -856,7 +861,7 @@ class TestPrefixBatch:
         cascade = Cascade("worked", pc.events)
         for count in (0, 5):
             with pytest.raises(DataError, match=f"cannot observe {count} events"):
-                PrefixBatch([(cascade, count)], 10)
+                PrefixBatch(first_events([(cascade, count)], 10))
 
     def test_uncovered_user_named(self):
         model = NewerModel(kind="newer", feature_names=["f1", "f2"], hyperparams=Hyperparams(),
@@ -865,11 +870,103 @@ class TestPrefixBatch:
         cascade = Cascade("c", [CascadeEvent("fresh", None, 0.0),
                                 CascadeEvent("ghost", "fresh", 1.0)])
         with pytest.raises(DataError, match="'ghost'"):
-            PrefixBatch([(cascade, 2)], 10).final_sizes(ModelDynamics(model, features))
+            PrefixBatch(first_events([(cascade, 2)], 10)).final_sizes(
+                ModelDynamics(model, features))
 
     def test_empty_batch(self):
         model = NewerModel(kind="weibull", feature_names=[], hyperparams=Hyperparams(),
                            beta=np.zeros(0), gamma=np.zeros(0),
                            user_params={"a": WeibullParams(1.0, 1.0)}, user_events={"a": 5})
-        sizes = PrefixBatch([], 10).final_sizes(ModelDynamics(model))
+        sizes = PrefixBatch(first_events([], 10)).final_sizes(ModelDynamics(model))
         assert sizes.dtype == float and sizes.shape == (0,)
+
+
+def oracle_observation(pc, dynamics, horizons):
+    """Final size and size at each horizon of one observation, summed row by
+    row from ``weibull_survival`` with the rates floored at 1/|V|."""
+    floor = 1.0 / pc.network_size
+    final, sizes = 1.0, [1.0] * len(horizons)
+    for e in pc.events:
+        replies = sum(f.parent == e.user for f in pc.events)
+        params = dynamics[e.user]
+        death = max(1.0 - weibull_survival(params, pc.t_limit - e.t + DELAY_SHIFT), floor)
+        final += replies / death
+        for k, t_e in enumerate(horizons):
+            rate = max(1.0 - weibull_survival(params, t_e - e.t + DELAY_SHIFT), floor)
+            sizes[k] += replies * rate / death
+    return final, sizes
+
+
+@st.composite
+def observation_batches(draw):
+    """(observations, dynamics, threshold, span): cuts of a random tied world
+    made by ``first_events`` (one-event cuts and ties at the cut included)
+    and by ``from_cascade`` (at, between and past event times, so some cuts
+    have no replying row), one network size, a mapping of per-user
+    dynamics, an outbreak threshold and a search span in seconds."""
+    _, _, cascades = draw(worlds(max_cascades=4).filter(lambda w: w[2]))
+    network_size = draw(st.integers(12, 5000))
+    observations = []
+    for cascade in cascades:
+        for k in draw(st.lists(st.integers(1, cascade.size), max_size=4)):
+            observations.append(PartialCascade.first_events(cascade, k, network_size))
+        cuts = st.sampled_from(cascade.times.tolist()) | st.floats(cascade.root.t,
+                                                                   cascade.root.t + 80.0)
+        for t in draw(st.lists(cuts, max_size=3)):
+            observations.append(PartialCascade.from_cascade(cascade, t, network_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    users = sorted({e.user for pc in observations for e in pc.events})
+    dynamics = {u: WeibullParams(float(np.exp(rng.uniform(0, 7))), float(rng.uniform(0.3, 3.0)))
+                for u in users}
+    return (draw(st.permutations(observations)), dynamics, draw(st.integers(1, 40)),
+            draw(st.integers(0, 3000)))
+
+
+def _tied_batch():
+    """A one-event cut with no replying row, a cut that brings along the
+    reply tied with it, and a cut between events, of one cascade."""
+    cascade = Cascade("tied", [CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 10.0),
+                               CascadeEvent("b", "a", 10.0), CascadeEvent("c", "r", 20.0)])
+    observations = [PartialCascade.first_events(cascade, 1, 50),
+                    PartialCascade.first_events(cascade, 2, 50),
+                    PartialCascade.from_cascade(cascade, 15.0, 50)]
+    dynamics = {u: WeibullParams(30.0 + 10 * i, 0.8 + 0.3 * i) for i, u in enumerate("rabc")}
+    return observations, dynamics, 4, 400
+
+
+class TestSinglePath:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=observation_batches())
+    @example(batch=_tied_batch())
+    def test_batch_matches_oracle_scan_and_one_cut_views(self, batch):
+        observations, dynamics, threshold, span = batch
+        table = ModelDynamics.of(dynamics)
+        prefixes = PrefixBatch(observations)
+        gaps = np.array([0.0, 0.5, 10.0, 1e3, 1e6])
+        t_limits = np.array([pc.t_limit for pc in observations])
+        finals = prefixes.final_sizes(table)
+        sizes = prefixes.sizes_at(table, t_limits[:, None] + gaps)
+        t_max = t_limits + span
+        outbreaks = prefixes.outbreak_times(table, threshold, t_max)
+        # the batch's own sizes at every second of the search span
+        scan = prefixes.sizes_at(table, t_limits[:, None] + np.arange(span + 1.0))
+        for j, pc in enumerate(observations):
+            final, expected = oracle_observation(pc, dynamics, (pc.t_limit + gaps).tolist())
+            assert finals[j] == pytest.approx(final, rel=1e-12)
+            np.testing.assert_allclose(sizes[j], expected, rtol=1e-12, atol=0.0)
+            assert sizes[j, 0] == float(pc.size)
+            first = np.flatnonzero(scan[j] >= threshold)
+            want = pc.t_limit + first[0] if first.size else np.nan
+            np.testing.assert_equal(outbreaks[j], want)
+            if first.size and first[0] > 0:  # the oracle crosses the threshold there too
+                _, (before, at) = oracle_observation(pc, dynamics,
+                                                     [want - 1.0, want])
+                assert before <= threshold * (1 + 1e-12) and at >= threshold * (1 - 1e-12)
+            for dyn in (table, dynamics):
+                one = BasicPredictor(pc, dyn)
+                assert one.final_size() == finals[j]
+                assert [one.size_at(t) for t in pc.t_limit + gaps] == sizes[j].tolist()
+                curve = one.process_curve(pc.t_limit + np.arange(span + 1.0))
+                assert curve.sizes == np.maximum.accumulate(scan[j]).tolist()
+                assert one.outbreak_time(threshold, t_max[j]) == (
+                    None if np.isnan(want) else want)
