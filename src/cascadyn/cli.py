@@ -37,6 +37,7 @@ from .fitting import (
     FitOptions,
     Hyperparams,
     NewerModel,
+    check_warm_start,
     fit_model,
     write_subcascades_jsonl,
 )
@@ -94,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exclude users with fewer subcascade events from the likelihood")
     p_fit.add_argument("--tol", type=float, default=1e-7)
     p_fit.add_argument("--max-iter", type=int, default=200)
-    p_fit.add_argument("--warm-start", help="existing model JSON to start from")
+    p_fit.add_argument("--warm-start", help="existing model JSON to start from "
+                                            "(newer and weibull only)")
 
     p_pred = sub.add_parser("predict", help="predict cascade outcomes from early stages")
     p_pred.add_argument("--model", required=True, help="fitted model JSON")
@@ -203,6 +205,8 @@ def _cmd_fit(args) -> int:
     hyper = Hyperparams(mu=args.mu, eta=args.eta,
                         alpha_beta=args.alpha_beta, alpha_gamma=args.alpha_gamma)
     opts = FitOptions(tol=args.tol, max_outer=args.max_iter, min_events=args.min_events)
+    if args.warm_start:
+        check_warm_start(args.model)
     net = read_network_csv(args.network)
     cascades = filter_cascades(read_cascades_jsonl(args.cascades), args.min_size)
     if not cascades:

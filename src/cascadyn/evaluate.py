@@ -19,14 +19,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericsError
-from .features import Cascade, Network, extract_features, extract_subcascades, network_rows
+from .features import Cascade, CascadeArrays, Network, extract_features, extract_subcascades
 from .fitting import (
     DEFAULT_HYPERPARAMS,
     FitOptions,
     Hyperparams,
     fit_model,
 )
-from .predict import BasicPredictor, ModelDynamics, PartialCascade, PrefixBatch, ProcessCurve
+from .predict import BasicPredictor, ModelDynamics, Observations, PrefixBatch, ProcessCurve
+from .userids import intern
 
 __all__ = [
     "PredictionRecord",
@@ -79,7 +80,15 @@ def _finite(metric: str, ids: Sequence[str], truth, predicted) -> tuple[np.ndarr
     return t, p
 
 
-def _rmsle(ids: Sequence[str], truth, predicted) -> float:
+def _libm_log(values: np.ndarray) -> np.ndarray:
+    """libm's log of each value, in order, as a loop over records takes it:
+    numpy's vector log differs from it in the last bit for about one value
+    in a few thousand."""
+    return np.fromiter(map(math.log, values.tolist()), float, values.size)
+
+
+def _rmsle(ids: Sequence[str], truth, predicted, log_truth: np.ndarray | None = None) -> float:
+    """RMSLE, reusing ``log_truth`` when given: the truths' ``_libm_log``."""
     t, p = _finite("rmsle", ids, truth, predicted)
     bad = (t <= 0) | (p <= 0)
     if bad.any():
@@ -88,13 +97,9 @@ def _rmsle(ids: Sequence[str], truth, predicted) -> float:
             f"rmsle requires positive values, got ({predicted[i]}, {truth[i]}) "
             f"for cascade {ids[i]!r}"
         )
-    # libm's log and pow, in record order, as a loop over records takes them:
-    # numpy's vector log and square differ from them in the last bit for
-    # about one value in a few thousand
-    n = t.size
-    d = (np.fromiter(map(math.log, p.tolist()), float, n)
-         - np.fromiter(map(math.log, t.tolist()), float, n))
-    return math.sqrt(sum(map(pow, d.tolist(), repeat(2))) / n)
+    # and libm's pow, as the loop over records takes it
+    d = _libm_log(p) - (_libm_log(t) if log_truth is None else log_truth)
+    return math.sqrt(sum(map(pow, d.tolist(), repeat(2))) / t.size)
 
 
 def _in_band(truth: np.ndarray, predicted: np.ndarray, sigma: float) -> np.ndarray:
@@ -136,26 +141,26 @@ def process_precision(curve_pred: ProcessCurve, curve_truth: ProcessCurve,
 # ---------------------------------------------------------------------------
 
 def stratified_folds(cascades: Sequence[Cascade], n_folds: int, seed: int) -> list[list[int]]:
-    """Fold indices stratified by log-size decile to tame power-law variance."""
+    """Fold indices stratified by log-size decile to tame power-law variance:
+    each stratum's members, shuffled, are dealt to the folds in turn, the
+    turn carried from one stratum to the next."""
     if n_folds < 2:
         raise DataError(f"need at least 2 folds, got {n_folds}")
     if len(cascades) < n_folds:
         raise DataError(f"{len(cascades)} cascades cannot fill {n_folds} folds")
-    log_sizes = np.log([c.size for c in cascades])
+    n = len(cascades)
+    log_sizes = np.log(np.fromiter((len(c.events) for c in cascades), np.intp, n))
     edges = np.quantile(log_sizes, np.linspace(0.1, 0.9, 9))
     strata = np.searchsorted(edges, log_sizes, side="right")
     rng = np.random.default_rng([seed, 7])
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    cursor = 0
-    for s in sorted(set(strata.tolist())):
-        members = [i for i in range(len(cascades)) if strata[i] == s]
+    dealt = []
+    for s in np.unique(strata).tolist():
+        members = np.flatnonzero(strata == s)
         rng.shuffle(members)
-        for i in members:
-            folds[cursor % n_folds].append(i)
-            cursor += 1
-    if any(not f for f in folds):
-        raise DataError("insufficient cascades for a fold")
-    return [sorted(f) for f in folds]
+        dealt.append(members)
+    fold_of = np.empty(n, dtype=np.intp)
+    fold_of[np.concatenate(dealt)] = np.arange(n) % n_folds  # n >= n_folds fills every fold
+    return [np.flatnonzero(fold_of == f).tolist() for f in range(n_folds)]
 
 
 class LogLinearModel:
@@ -170,25 +175,26 @@ class LogLinearModel:
     @staticmethod
     def design_rows(cascades: Sequence[Cascade], prefix: int, net: Network) -> np.ndarray:
         """Log features of each cascade's first ``prefix`` events, one row
-        per cascade in ``FEATURES`` order, in one pass over the cascades'
-        cached arrays."""
-        cascades = list(cascades)
-        if not cascades:
+        per cascade in ``FEATURES`` order, in one pass over the flat arrays
+        of a ``CascadeArrays`` (or a ``take`` of one); other sequences are
+        flattened first."""
+        flat = CascadeArrays.of(cascades)
+        if not len(flat):
             return np.empty((0, len(LogLinearModel.FEATURES)))
-        lengths = np.array([min(prefix, c.size) for c in cascades], dtype=np.intp)
+        lengths = np.minimum(flat.sizes, prefix)
+        at = flat.positions(lengths)
         starts = np.cumsum(lengths) - lengths
-        times = np.concatenate([c.times[:prefix] for c in cascades])
-        depths = np.concatenate([c.depths[:prefix] for c in cascades])
-        rows = network_rows(net, cascades, lengths)
+        times, depths = flat.times[at], flat.depths[at]
+        rows = flat.network_rows(net, at)
         followers = net.follower_ptr[rows + 1] - net.follower_ptr[rows]
         duration = times[starts + lengths - 1] - times[starts] + 1.0
         # the root has depth 0, so the depth sums and maxima run over the
         # later events alone; a one-event prefix has neither
         later = lengths - 1
         mean_depth = np.divide(np.add.reduceat(depths, starts), later,
-                               out=np.zeros(len(cascades)), where=later > 0)
+                               out=np.zeros(len(flat)), where=later > 0)
         return np.log(np.column_stack([
-            np.full(len(cascades), float(prefix)),
+            np.full(len(flat), float(prefix)),
             prefix / duration,
             followers[starts] + 1.0,
             np.add.reduceat(followers, starts) / lengths + 1.0,
@@ -198,11 +204,13 @@ class LogLinearModel:
 
     @classmethod
     def fit(cls, cascades: Sequence[Cascade], prefix: int, net: Network) -> "LogLinearModel":
-        usable = [c for c in cascades if c.size > prefix]
-        if not usable:
+        flat = CascadeArrays.of(cascades)
+        usable = np.flatnonzero(flat.sizes > prefix)
+        if not usable.size:
             raise DataError(f"no training cascade is larger than prefix {prefix}")
-        design = np.column_stack([cls.design_rows(usable, prefix, net), np.ones(len(usable))])
-        y = np.log([c.size for c in usable])
+        design = np.column_stack([cls.design_rows(flat.take(usable), prefix, net),
+                                  np.ones(len(usable))])
+        y = np.log(flat.sizes[usable])
         w, *_ = np.linalg.lstsq(design, y, rcond=None)
         return cls(w)
 
@@ -253,11 +261,12 @@ LOGLINEAR_SKIPPED = {
 def _aggregate(scored: dict[tuple[str, object], list[tuple]], sigma: float,
                precisions: dict[tuple[str, object], list[np.ndarray]]) -> list[dict]:
     """One row per (model, sweep) from its batches of (cascade ids, truths,
-    predictions). When ``precisions`` holds arrays of one value per process
-    curve, ``n`` counts curves and ``precision`` is their mean."""
+    predictions, the truths' ``_libm_log``). When ``precisions`` holds
+    arrays of one value per process curve, ``n`` counts curves and
+    ``precision`` is their mean."""
     rows = []
     for key in sorted(scored, key=lambda key: (key[0], str(key[1]))):
-        ids, truth, predicted = zip(*scored[key])
+        ids, truth, predicted, log_truth = zip(*scored[key])
         columns = ([i for batch in ids for i in batch], np.concatenate(truth),
                    np.concatenate(predicted))
         if precisions:
@@ -269,7 +278,7 @@ def _aggregate(scored: dict[tuple[str, object], list[tuple]], sigma: float,
             "model": key[0],
             "sweep": key[1],
             "n": n,
-            "rmsle": _rmsle(*columns),
+            "rmsle": _rmsle(*columns, np.concatenate(log_truth)),
             "precision": precision,
         })
     return rows
@@ -348,41 +357,58 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
     # each split: training cascades, test cascades, and the training samples
     # when they are not simply those of the training cascades
     if protocol == "out_of_sample":
-        all_samples = extract_subcascades(cascades)
+        every = CascadeArrays(cascades)
+        all_samples = extract_subcascades(every)
         eligible = sorted(u for u, s in all_samples.items() if s.n >= opts.min_events)
         if len(eligible) < 2:
             raise DataError("too few users with samples to hide any")
         rng = np.random.default_rng([seed, 91])
         n_hidden = max(1, int(round(hidden_fraction * len(eligible))))
-        hidden = set(rng.choice(eligible, size=n_hidden, replace=False).tolist())
-        visible = {u: s for u, s in all_samples.items() if u not in hidden}
-        splits = [(cascades, cascades, visible)]
+        hidden = rng.choice(eligible, size=n_hidden, replace=False).tolist()
+        hidden_set = set(hidden)
+        visible = {u: s for u, s in all_samples.items() if u not in hidden_set}
+        hidden_ids = intern(hidden, len(hidden))
+        splits = [(every, every, visible)]
     else:
-        held_out = [set(fold) for fold in stratified_folds(cascades, folds, seed)]
-        splits = [([c for i, c in enumerate(cascades) if i not in held],
-                   [c for i, c in enumerate(cascades) if i in held], None) for held in held_out]
+        splits = []
+        for fold in stratified_folds(cascades, folds, seed):
+            held = np.zeros(len(cascades), dtype=bool)
+            held[fold] = True
+            splits.append(([cascades[i] for i in np.flatnonzero(~held).tolist()],
+                           [cascades[i] for i in fold], None))
+    sweep_grid = np.array(sweeps, dtype=float if protocol == "process" else np.intp)
 
-    def scored(cascade: Cascade, sweep) -> PartialCascade | None:
-        """The observation scored on a test cascade at one sweep value, if any."""
-        if protocol == "process":
-            t0, t_end = cascade.root.t, cascade.events[-1].t
-            if t_end <= t0:
-                return None
-            return PartialCascade.from_cascade(cascade, t0 + sweep * (t_end - t0), n_nodes)
-        if cascade.size <= sweep or (protocol == "outbreak" and cascade.size < outbreak_threshold):
-            return None
-        if protocol == "out_of_sample" and not {e.user for e in cascade.events[:sweep]} & hidden:
-            return None
-        return PartialCascade.first_events(cascade, sweep, n_nodes)
+    def observe(test: CascadeArrays) -> tuple[Observations, np.ndarray]:
+        """Every observation scored on the test cascades, in cascade then
+        sweep order, and the sweep column of each."""
+        first, last = test.times[test.starts], test.times[test.starts + test.sizes - 1]
+        if protocol == "process":  # a curve needs a cascade that spans some time
+            j, k = np.nonzero(np.broadcast_to((last > first)[:, None], (len(test), len(sweeps))))
+            t_limits = first[j] + sweep_grid[k] * (last[j] - first[j])
+            return Observations.at_times(test.take(j), t_limits, n_nodes), k
+        scored = test.sizes[:, None] > sweep_grid
+        if protocol == "outbreak":
+            scored &= (test.sizes >= outbreak_threshold)[:, None]
+        if protocol == "out_of_sample":  # a prefix holding a hidden user
+            is_hidden = np.isin(test.user_ids, hidden_ids)
+            seen = np.cumsum(is_hidden)
+            before = seen[test.starts] - is_hidden[test.starts]
+            last_seen = test.starts[:, None] + np.minimum(sweep_grid, test.sizes[:, None]) - 1
+            scored &= seen[last_seen] > before[:, None]
+        j, k = np.nonzero(scored)
+        return Observations.first_events(test.take(j), sweep_grid[k], n_nodes), k
 
     scores: dict[tuple[str, object], list[tuple]] = {}
     precisions: dict[tuple[str, object], list[np.ndarray]] = {}
 
-    def score(kind: str, sweep, ids: Sequence[str], truth, predicted) -> None:
+    def score(kind: str, sweep, ids: Sequence[str], truth, predicted, log_truth) -> None:
         if len(ids):
-            scores.setdefault((kind, sweep), []).append((ids, truth, predicted))
+            scores.setdefault((kind, sweep), []).append((ids, truth, predicted, log_truth))
 
-    for train, test, samples in splits:
+    def score_split(train: Sequence[Cascade], test: Sequence[Cascade], samples) -> None:
+        """Fit on ``train``, score on ``test``. Each side is flattened once,
+        and everything made here is let go before the next split."""
+        train, test = CascadeArrays.of(train, whole=True), CascadeArrays.of(test, whole=True)
         if samples is None:
             samples = extract_subcascades(train)
         feats = extract_features(net, train)
@@ -390,36 +416,43 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                   for kind in kinds}
         loglinear = ({s: LogLinearModel.fit(train, s, net) for s in prefix_sizes}
                      if with_loglinear else {})
-        # every scored observation of the split, in cascade then sweep order
-        points = [(cascade, sweep, pc) for cascade in test for sweep in sweeps
-                  if (pc := scored(cascade, sweep)) is not None]
-        if not points:
-            continue
-        batch = PrefixBatch([pc for _, _, pc in points])
+        observations, sweep_of = observe(test)
+        if not len(observations):
+            return
+        batch = PrefixBatch(observations)
+        observed = observations.cascades
         if protocol == "process":
-            t_end = np.array([cascade.events[-1].t for cascade, _, _ in points])
+            t_end = observed.times[observed.starts + observed.sizes - 1]
             grids = np.linspace(batch.t_limits, t_end, grid_points, axis=1)
             truths = np.array([np.searchsorted(cascade.times, grid, side="right")
-                               for (cascade, _, _), grid in zip(points, grids)], dtype=float)
+                               for cascade, grid in zip(observed, grids)], dtype=float)
         elif protocol == "outbreak":
-            t0 = np.array([cascade.root.t for cascade, _, _ in points])
+            t0 = observed.times[observed.starts]
             t_max = batch.t_limits + 2.0 * (horizon - t0) + 1.0
-            truths = np.array([c.times[outbreak_threshold - 1] for c, _, _ in points]) - t0 + 1.0
+            truths = observed.times[observed.starts + outbreak_threshold - 1] - t0 + 1.0
         else:
-            truths = np.array([cascade.size for cascade, _, _ in points], dtype=float)
+            truths = observed.sizes.astype(float)
+        # per sweep value: its observations, their cascade ids, and their
+        # truths with logs, taken once for every model (each truth is a size
+        # or a time past the root plus 1 s, so at least 1)
         by_sweep = {}
-        for s in dict.fromkeys(sweeps):
-            at = [j for j, (_, sweep, _) in enumerate(points) if sweep == s]
-            by_sweep[s] = at, [points[j][0] for j in at], [points[j][0].cascade_id for j in at]
+        for k, s in enumerate(sweeps):
+            if s in by_sweep:
+                continue
+            at = np.flatnonzero(sweep_grid[sweep_of] == sweep_grid[k])
+            ids = [observed[j].cascade_id for j in at.tolist()]
+            if protocol == "process":
+                ids = [cid for cid in ids for _ in range(grid_points)]
+            truth = truths[at].ravel()
+            by_sweep[s] = at, ids, truth, _libm_log(truth)
         for kind, dyn in fitted.items():
             if protocol == "process":
                 curves = np.maximum.accumulate(batch.sizes_at(dyn, grids), axis=1)
                 hits = np.count_nonzero(_in_band(truths, curves, sigma), axis=1) / grid_points
-                for s, (at, _, ids) in by_sweep.items():
+                for s, (at, ids, truth, log_truth) in by_sweep.items():
                     if len(at):
                         precisions.setdefault((kind, s), []).append(hits[at])
-                    score(kind, s, [cid for cid in ids for _ in range(grid_points)],
-                          truths[at].ravel(), curves[at].ravel())
+                    score(kind, s, ids, truth, curves[at].ravel(), log_truth)
                 continue
             if protocol == "outbreak":
                 pred_t = batch.outbreak_times(dyn, outbreak_threshold, t_max)
@@ -428,11 +461,15 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             else:
                 predicted = batch.final_sizes(dyn)
                 _check_against_reference(batch, predicted, dyn)
-            for s, (at, _, ids) in by_sweep.items():
-                score(kind, s, ids, truths[at], predicted[at])
+            for s, (at, ids, truth, log_truth) in by_sweep.items():
+                score(kind, s, ids, truth, predicted[at], log_truth)
         for s, model in loglinear.items():
-            at, cs, ids = by_sweep[s]
-            score("loglinear", s, ids, truths[at], model.predict_final(cs, s, net))
+            at, ids, truth, log_truth = by_sweep[s]
+            score("loglinear", s, ids, truth, model.predict_final(observed.take(at), s, net),
+                  log_truth)
+
+    for split in splits:
+        score_split(*split)
     if not scores:
         if protocol == "out_of_sample":
             raise DataError("no test cascade contains a hidden user in its prefix")

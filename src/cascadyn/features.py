@@ -7,6 +7,7 @@ subcascade delay samples.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -24,6 +25,7 @@ __all__ = [
     "CascadeEvent",
     "Cascade",
     "Network",
+    "CascadeArrays",
     "FEATURE_SCHEMA",
     "DELAY_SHIFT",
     "extract_subcascades",
@@ -251,43 +253,94 @@ def filter_cascades(cascades: Iterable[Cascade], min_size: int = 5) -> list[Casc
     return [c for c in cascades if c.size >= min_size]
 
 
-def flatten_prefixes(cascades: Sequence[Cascade],
-                     lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Times and parent positions of the first ``lengths[j]`` events of each
-    cascade j (every event by default), laid end to end; parent positions
-    index the concatenation, and -1 marks a root."""
-    if lengths is None:
-        lengths = np.fromiter((c.size for c in cascades), dtype=np.intp, count=len(cascades))
-    if not len(cascades):
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    counts = lengths.tolist()
-    times = np.concatenate([c.times[:k] for c, k in zip(cascades, counts)])
-    parents = np.concatenate([c.parent_positions[:k] for c, k in zip(cascades, counts)],
-                             dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    parents += np.repeat(starts, lengths)
-    parents[starts[lengths > 0]] = -1  # each cascade's root comes first
-    return times, parents
+class CascadeArrays(Sequence[Cascade]):
+    """A list of cascades whose event arrays are laid end to end once, on
+    first read, and then shared: subcascade and feature extraction, the
+    log-linear design rows and a prediction batch over the same cascades
+    read one copy.
 
+    Cascade j owns ``sizes[j]`` entries of the flat arrays from
+    ``starts[j]`` on: ``times``, ``parents`` (positions in the flat arrays,
+    -1 for a root), ``user_ids`` and ``depths``. ``take`` selects cascades
+    without copying those arrays, so a selection's entries need not be
+    contiguous; the extractions read whole sets, ``positions`` any set.
+    """
 
-def flatten_user_ids(cascades: Sequence[Cascade],
-                     lengths: np.ndarray | None = None) -> np.ndarray:
-    """User ids of the same events as ``flatten_prefixes``, in its order."""
-    counts = [c.size for c in cascades] if lengths is None else lengths.tolist()
-    return np.concatenate([np.empty(0, dtype=np.int32),
-                           *(c.user_ids[:k] for c, k in zip(cascades, counts))])
+    def __init__(self, cascades: Iterable[Cascade]):
+        self.cascades = list(cascades)
+        self.sizes = np.fromiter((len(c.events) for c in self.cascades), np.intp,
+                                 len(self.cascades))
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self._whole = None  # of a ``take``: the set whose flat arrays it reads
+        self._arrays: dict[str, np.ndarray] = {}
 
+    @classmethod
+    def of(cls, cascades: Iterable[Cascade], *, whole: bool = False) -> "CascadeArrays":
+        """``cascades`` itself when it is a set (with ``whole``, one that
+        spans its own flat arrays, not a ``take``), else their flattening."""
+        if isinstance(cascades, cls) and not (whole and cascades._whole is not None):
+            return cascades
+        return cls(cascades)
 
-def flat_events(cascades: Sequence[Cascade], lengths: np.ndarray | None,
-                at: np.ndarray) -> list[tuple[Cascade, CascadeEvent]]:
-    """The cascade and the event at each position in ``at`` of
-    ``flatten_prefixes``'s layout."""
-    if lengths is None:
-        lengths = np.fromiter((c.size for c in cascades), dtype=np.intp, count=len(cascades))
-    starts = np.cumsum(lengths) - lengths
-    js = np.searchsorted(starts, at, side="right") - 1
-    ks = at - starts[js]
-    return [(cascades[j], cascades[j].events[k]) for j, k in zip(js.tolist(), ks.tolist())]
+    def take(self, which: np.ndarray) -> "CascadeArrays":
+        """The cascades at ``which``, reading this set's flat arrays."""
+        view = copy.copy(self)
+        view._whole = self._base
+        view.cascades = [self.cascades[j] for j in which.tolist()]
+        view.sizes, view.starts = self.sizes[which], self.starts[which]
+        return view
+
+    def __len__(self) -> int:
+        return len(self.cascades)
+
+    def __getitem__(self, j):
+        return self.cascades[j]
+
+    def __iter__(self):
+        return iter(self.cascades)
+
+    @property
+    def _base(self) -> "CascadeArrays":
+        return self if self._whole is None else self._whole
+
+    def _flat(self, name: str) -> np.ndarray:
+        """The flat array ``name`` of the set this one reads, built on first
+        read from each cascade's own (read-only)."""
+        base = self._base
+        if name not in base._arrays:
+            dtype = {"times": float, "parent_positions": np.intp}.get(name, np.int32)
+            flat = np.concatenate([np.empty(0, dtype=dtype),
+                                   *(getattr(c, name) for c in base.cascades)], dtype=dtype)
+            if name == "parent_positions":  # to positions in the flat arrays
+                flat += np.repeat(base.starts, base.sizes)
+                flat[base.starts[base.sizes > 0]] = -1  # each cascade's root comes first
+            base._arrays[name] = _read_only(flat)
+        return base._arrays[name]
+
+    times = property(lambda self: self._flat("times"))
+    parents = property(lambda self: self._flat("parent_positions"))
+    user_ids = property(lambda self: self._flat("user_ids"))
+    depths = property(lambda self: self._flat("depths"))
+
+    def positions(self, lengths: np.ndarray) -> np.ndarray:
+        """Flat positions of the first ``lengths[j]`` events of each cascade
+        j, laid end to end in this set's order."""
+        shift = self.starts - (np.cumsum(lengths) - lengths)
+        return np.arange(int(lengths.sum())) + np.repeat(shift, lengths)
+
+    def network_rows(self, net: Network, at: np.ndarray | None = None) -> np.ndarray:
+        """Network row of the user of each event at the flat positions
+        ``at`` (every event by default); refuses a user outside ``net``,
+        naming the first."""
+        rows = net.rows_of(self.user_ids if at is None else self.user_ids[at])
+        absent = np.flatnonzero(rows < 0)
+        if absent.size:
+            base, pos = self._base, int(absent[0] if at is None else at[absent[0]])
+            j = int(np.searchsorted(base.starts, pos, side="right")) - 1
+            cascade = base.cascades[j]
+            raise DataError(f"cascade {cascade.cascade_id!r}: user "
+                            f"{cascade.events[pos - base.starts[j]].user!r} absent from network")
+        return rows
 
 
 def extract_subcascades(cascades: Iterable[Cascade],
@@ -302,14 +355,14 @@ def extract_subcascades(cascades: Iterable[Cascade],
     not be stable, as tied delays are equal floats; the second sorts ranks
     of the narrowest unsigned type, which numpy radix-sorts up to 16 bits.
     """
-    cascades = list(cascades)
-    times, owner = flatten_prefixes(cascades)
+    flat = CascadeArrays.of(cascades, whole=True)
+    times, owner = flat.times, flat.parents
     child = owner >= 0
     owner = owner[child]  # each reply's parent position
     delays = times[child]
     delays -= times[owner]
     delays += shift
-    owner_ids = flatten_user_ids(cascades)[owner]
+    owner_ids = flat.user_ids[owner]
     replied = np.zeros(int(owner_ids.max()) + 1 if owner_ids.size else 0, dtype=bool)
     replied[owner_ids] = True
     user_ids = np.flatnonzero(replied).astype(np.int32)
@@ -333,17 +386,6 @@ def extract_subcascades(cascades: Iterable[Cascade],
     return SubcascadeTable(users, offsets, delays, user_ids)
 
 
-def network_rows(net: Network, cascades: Sequence[Cascade],
-                 lengths: np.ndarray | None = None) -> np.ndarray:
-    """Network row of the user of each event ``flatten_prefixes`` lays out."""
-    rows = net.rows_of(flatten_user_ids(cascades, lengths))
-    absent = np.flatnonzero(rows < 0)
-    if absent.size:
-        cascade, ev = flat_events(cascades, lengths, absent[:1])[0]
-        raise DataError(f"cascade {cascade.cascade_id!r}: user {ev.user!r} absent from network")
-    return rows
-
-
 def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix:
     """Behavioral covariates for every network node, add-one smoothed.
 
@@ -351,16 +393,16 @@ def extract_features(net: Network, cascades: Iterable[Cascade]) -> FeatureMatrix
     count (smoothed by +1 and normalized), since heavy retweeters contribute
     more to a user's observed dynamics.
     """
-    cascades = list(cascades)
+    flat = CascadeArrays.of(cascades, whole=True)
     n = net.n_nodes
-    rows = network_rows(net, cascades)
-    times, parents = flatten_prefixes(cascades)
+    rows = flat.network_rows(net)
+    times, parents = flat.times, flat.parents
     child = parents >= 0
     posts_made = np.bincount(rows, minlength=n)
     retweets_made = np.bincount(rows[child], minlength=n)
     children = np.bincount(rows[parents[child]], minlength=n)
     window_days = (max((times.max() - times.min()) / SECONDS_PER_DAY, 1.0)
-                   if cascades else 1.0)
+                   if times.size else 1.0)
 
     # a node receives the posts of everyone it follows
     follower_rows = np.repeat(np.arange(n), np.diff(net.followee_ptr))

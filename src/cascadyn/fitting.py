@@ -13,16 +13,21 @@ gamma. The scale/shape blocks separate per user into one-dimensional smooth
 problems; beta/gamma are LASSO problems solved exactly by feature-sign
 search on the Gram matrix of the log covariates, each solve certified by
 its KKT conditions. One safeguarded Newton routine, run in lockstep over
-users and capped by ``FitOptions.newton_max_iter``, solves the scale block,
-the shape block and cox's shared shape; a shape solve forms each delay's
-log ratio to its user's fixed scale once, not once per Newton step.
+users and capped by ``FitOptions.newton_max_iter``, solves the scale block
+and the shape block; a shape solve forms each delay's log ratio to its
+user's fixed scale once, not once per Newton step.
+
+The unpenalized baselines need no descent. At a fixed shape each user's
+scale is closed form, and the likelihood profiled over those scales is
+concave in the shape (Cohen 1965), so the same Newton routine fits
+``weibull`` (a shape per user) and ``cox`` (one shared shape) exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -242,9 +247,10 @@ class FeatureMatrix:
         rows = np.stack([self.row(u) for u in users]) if users else np.empty((0, len(self.names)))
         return FeatureMatrix(users=users, names=list(self.names), values=rows)
 
-    @property
+    @cached_property
     def log_values(self) -> np.ndarray:
-        return np.log(self.values)
+        """Log of ``values``, taken on first read (read-only)."""
+        return _read_only(np.log(self.values))
 
 
 @dataclass
@@ -252,12 +258,12 @@ class FitOptions:
     """Stopping rules and the event floor of every fit.
 
     - ``tol`` (finite, >= 0): NEWER stops once an outer iteration changes
-      the objective by at most ``tol`` relative.
-    - ``max_outer`` (>= 1): cap on NEWER's outer iterations and cox's rounds.
+      the objective by at most ``tol`` relative. NEWER only.
+    - ``max_outer`` (>= 1): cap on NEWER's outer iterations. NEWER only.
     - ``min_events`` (>= 0): users with fewer delays are left out of the fit.
     - ``newton_max_iter`` (>= 1): cap on the iterations of the safeguarded
-      Newton routine that solves the scale block, the shape block and cox's
-      shared shape.
+      Newton routine: each of NEWER's scale and shape blocks, and the
+      profile solve of weibull's shapes and of cox's shared shape.
     - ``lasso_tol`` (finite, >= 0): a LASSO solve is certified once its KKT
       conditions hold within ``lasso_tol`` relative to max(1, ||Z'y/N||_inf).
     - ``lasso_max_iter`` (>= 1): cap on each LASSO solve's active-set steps.
@@ -284,10 +290,20 @@ class FitOptions:
 
 @dataclass
 class FitReport:
-    """The objective after each outer iteration, whether it settled, and how
-    many LASSO solves (NEWER's beta and gamma blocks) stopped at
-    ``FitOptions.lasso_max_iter`` steps uncertified, their KKT conditions
-    not met within ``lasso_tol``."""
+    """How a fit ended.
+
+    - newer: ``objective_trace`` holds the objective before the descent and
+      after each outer iteration, ``iterations`` counts those iterations,
+      and ``converged`` says the last one changed the objective by at most
+      ``FitOptions.tol`` relative. ``lasso_capped`` counts the LASSO solves
+      (the beta and gamma blocks) that stopped at ``lasso_max_iter`` steps
+      uncertified, their KKT conditions not met within ``lasso_tol``.
+    - weibull and cox: ``objective_trace`` holds the one negative
+      log-likelihood at the profile solve's answer, ``iterations`` counts
+      that solve's Newton iterations (lockstep over users for weibull), and
+      ``converged`` says it ended before ``newton_max_iter`` of them.
+    - exponential and rayleigh: one objective, 0 iterations, converged.
+    """
 
     objective_trace: list[float]
     converged: bool
@@ -676,6 +692,18 @@ class _Segments:
         w *= dz
         return s1, np.add.reduceat(w, self.starts)
 
+    def moments(self, shape: np.ndarray):
+        """Per-user sums of w, w * x and w * x^2 over the entries x of
+        ``flat``, w = exp(shape * x); ``shape`` holds each user's shape, or
+        one shape for all. Unclamped: the profile fit's x are <= 0."""
+        w = self.flat * shape if shape.size == 1 else np.repeat(shape, self.m) * self.flat
+        np.exp(w, out=w)
+        a0 = np.add.reduceat(w, self.starts)
+        w *= self.flat
+        a1 = np.add.reduceat(w, self.starts)
+        w *= self.flat
+        return a0, a1, np.add.reduceat(w, self.starts)
+
     def log_likelihoods(self, log_scale: np.ndarray, shape: np.ndarray) -> np.ndarray:
         w = self.powers(self.log_ratios(log_scale), shape)
         return (self.m * np.log(shape) + (shape - 1.0) * self.sum_log
@@ -988,43 +1016,66 @@ def _feature_rows(X: FeatureMatrix, table: SubcascadeTable, rows: np.ndarray) ->
     return x_rows
 
 
-def _fit_restricted(kind: str, seg: _Segments, opts: FitOptions):
-    """Scales and shapes, in ``seg`` order, of a fixed- or shared-shape
-    baseline, with its objective trace and whether the trace settled."""
-    if kind == "cox":
-        return _fit_cox(seg, opts)
-    shape = np.full(seg.n_users, _FIXED_SHAPES[kind])
-    scale = _scale_block(seg, shape, np.zeros(seg.n_users), 0.0, opts.newton_max_iter)
-    return scale, shape, [_pooled_objective(seg, scale, shape)], True
+def check_warm_start(kind: str) -> None:
+    """Refuse a warm start for a kind whose fit would ignore it: only
+    newer's descent and weibull's shape solves start from one."""
+    if kind not in ("newer", "weibull"):
+        raise DataError(f"a {kind} fit takes no warm start; only newer and weibull do")
 
 
-def _fit_cox(seg: _Segments, opts: FitOptions):
-    """Alternate the closed-form per-user scales at the current shared shape
-    with the pooled likelihood's shared shape at those scales, solved to
-    convergence, until the objective settles to a relative 1e-10 or
-    ``opts.max_outer`` rounds have run."""
-    n = seg.n_users
-    zeros = np.zeros(n)
-    m_total = float(np.sum(seg.m))
-    shape = np.ones(n)
-    scale = _scale_block(seg, shape, zeros, 0.0, opts.newton_max_iter)
-    trace = [_pooled_objective(seg, scale, shape)]
-    for _ in range(opts.max_outer):
-        scale = _scale_block(seg, shape, zeros, 0.0, opts.newton_max_iter)
-        log_scale = np.log(scale)
-        offset = float(np.sum(seg.m * log_scale - seg.sum_log))
-        dz = seg.log_ratios(log_scale)
+def _fit_profile(seg: _Segments, shared: bool, shape0: np.ndarray, max_iter: int):
+    """Exact maximum-likelihood Weibull fit, one shape per user or one
+    shared by all, with each user's scale in closed form.
 
-        def grad_hess(k):
-            s1, s2 = seg.shape_sums(dz, k)  # k: the one shared shape
-            return offset - m_total / k + np.sum(s1), m_total / (k * k) + np.sum(s2)
+    At a fixed shape k a user's best scale is (sum(T^k) / m)^(1/k). The
+    negative log-likelihood profiled over it has the derivative
+    -m/k - sum(y) + m * sum(T^k y) / sum(T^k) in k, where y = log T less the
+    user's largest log T, and a second derivative of m/k^2 plus m times the
+    variance of y under the weights T^k: it is strictly convex. Every T^k
+    is read as exp(k y) <= 1, so no power overflows. ``_newton_box`` solves
+    each user's derivative, or their sum for the shared shape, from
+    ``shape0``; a NaN there starts from Menon's (1963) moment estimate
+    pi / (sd(log T) sqrt(6)), pooled over users for the shared shape.
+    Returns the scales, the shapes, the objective, the Newton iterations
+    run and whether the solve ended before ``max_iter`` of them.
+    """
+    top = np.maximum.reduceat(seg.flat, seg.starts)
+    ys = _Segments(seg.flat - np.repeat(top, seg.m), seg.m)
+    m, sum_y = ys.m, ys.sum_log
+    unset = np.isnan(shape0)
+    if unset.any():
+        var = np.maximum(np.add.reduceat(ys.flat * ys.flat, ys.starts) / m - (sum_y / m) ** 2,
+                         0.0)
+        if shared:
+            var = np.sum(m * var) / np.sum(m)
+        with np.errstate(divide="ignore"):
+            shape0 = np.where(unset, math.pi / np.sqrt(6.0 * var), shape0)
+    calls = 0
 
-        shared = _newton_box(grad_hess, shape[:1], SHAPE_BOUNDS, 0.0, opts.newton_max_iter)
-        shape = np.repeat(shared, n)
-        trace.append(_pooled_objective(seg, scale, shape))
-        if abs(trace[-2] - trace[-1]) <= 1e-10 * max(1.0, abs(trace[-2])):
-            return scale, shape, trace, True
-    return scale, shape, trace, False
+    def grad_hess(k):
+        nonlocal calls
+        calls += 1
+        a0, a1, a2 = ys.moments(k)
+        mean = a1 / a0
+        g = m * mean - m / k - sum_y
+        h = m / (k * k) + m * (a2 / a0 - mean * mean)
+        return (np.sum(g), np.sum(h)) if shared else (g, h)
+
+    gtol = 1e-10 * (np.sum(m) if shared else np.maximum(1.0, m))
+    shape = _newton_box(grad_hess, shape0, SHAPE_BOUNDS, gtol, max_iter)
+    iterations = calls - 2  # the first two read the box's ends
+    if shared:
+        shape = np.repeat(shape, seg.n_users)
+    a0 = ys.moments(shape)[0]
+    bounds = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
+    log_scale = np.clip(top + (np.log(a0) - np.log(m)) / shape, *bounds)
+    # sum((T/scale)^k) = exp(k (top - log scale)) * a0, which is m unclipped
+    lis = (m * np.log(shape) + (shape - 1.0) * (sum_y + m * top) - m * shape * log_scale
+           - np.exp(np.minimum(shape * (top - log_scale), _EXP_CLAMP)) * a0)
+    objective = -float(np.sum(lis))
+    if not math.isfinite(objective):
+        raise NumericsError("non-finite objective of the profile fit")
+    return np.exp(log_scale), shape, objective, iterations, iterations < max_iter
 
 
 def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
@@ -1033,37 +1084,45 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
               warm_start: NewerModel | None = None) -> tuple[NewerModel, FitReport]:
     """Fit any model kind into the common model container.
 
-    weibull is the unregularized NEWER fit; exponential and rayleigh fix
-    every shape to 1 or 2 with the closed-form scale; cox alternates the
-    per-user closed-form scales with a shared shape solved to convergence
-    at those scales. Baselines get scale-regression coefficients via
-    unpenalized least squares on log features so they can serve
-    out-of-sample users; their shape policy (fixed, shared, or averaged)
-    is applied at lookup time by kind.
+    weibull fits each user's shape and cox one shape shared by all users,
+    each exactly, by Newton on the likelihood profiled over the closed-form
+    per-user scales (``_fit_profile``); exponential and rayleigh fix every
+    shape to 1 or 2 with the closed-form scale. A warm start seeds newer's
+    descent, or weibull's shape solves with the model's shapes; other kinds
+    refuse one. Baselines other than weibull get scale-regression
+    coefficients via unpenalized least squares on log features so they can
+    serve out-of-sample users; weibull keeps zero coefficients, as it
+    serves them averaged parameters, and fits without feature rows. The
+    shape policy (fixed, shared, or averaged) is applied at lookup time by
+    kind.
     """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    if warm_start is not None:
+        check_warm_start(kind)
     opts = options or FitOptions()
     if kind == "newer":
         return fit_newer(samples, X, hyperparams, opts, warm_start)
-    if kind == "weibull":
-        model, report = fit_newer(samples, None, Hyperparams(0.0, 0.0, 0.0, 0.0), opts,
-                                  warm_start)
-        if X is not None:
-            model = replace(model, feature_names=list(X.names),
-                            beta=np.zeros(len(X.names)), gamma=np.zeros(len(X.names)))
-        return model, report
-
-    if kind not in ("exponential", "rayleigh", "cox"):
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     table = _as_table(samples)
     rows = _kept_rows(table, opts)
-    scale, shape, trace, converged = _fit_restricted(kind, _table_segments(table, rows), opts)
-    if X is not None:
+    seg = _table_segments(table, rows)
+    if kind in _FIXED_SHAPES:
+        shape = np.full(seg.n_users, _FIXED_SHAPES[kind])
+        scale = _scale_block(seg, shape, np.zeros(seg.n_users), 0.0, opts.newton_max_iter)
+        objective, iterations, converged = _pooled_objective(seg, scale, shape), 0, True
+    else:
+        shape0 = np.full(1 if kind == "cox" else seg.n_users, np.nan)
+        if warm_start is not None:
+            warm = warm_start.user_params
+            at = join(warm.ids, table.user_ids[rows])
+            shape0[at >= 0] = np.clip(warm.shapes[at[at >= 0]], *SHAPE_BOUNDS)
+        scale, shape, objective, iterations, converged = _fit_profile(
+            seg, kind == "cox", shape0, opts.newton_max_iter)
+    names = list(X.names) if X is not None else []
+    beta, gamma = np.zeros(len(names)), np.zeros(len(names))
+    if X is not None and kind != "weibull":
         z = np.log(X.values[_feature_rows(X, table, rows)])
         beta, *_ = np.linalg.lstsq(z, np.log(scale), rcond=None)
-        names = list(X.names)
-        gamma = np.zeros(len(names))
-    else:
-        names, beta, gamma = [], np.zeros(0), np.zeros(0)
     model = NewerModel(
         kind=kind,
         feature_names=names,
@@ -1073,7 +1132,7 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
         user_params=FittedUsers([table.users[i] for i in rows.tolist()], table.user_ids[rows],
                                 scale, shape, table.counts[rows]),
     )
-    report = FitReport(objective_trace=trace, converged=converged, iterations=len(trace) - 1)
+    report = FitReport(objective_trace=[objective], converged=converged, iterations=iterations)
     return model, report
 
 

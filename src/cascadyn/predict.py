@@ -26,20 +26,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .features import (
-    DELAY_SHIFT,
-    Cascade,
-    CascadeEvent,
-    _read_only,
-    flatten_prefixes,
-    flatten_user_ids,
-)
+from .features import DELAY_SHIFT, Cascade, CascadeArrays, CascadeEvent, _read_only
 from .fitting import FeatureMatrix, NewerModel, regress_params
 from .survival import WeibullParams, _survival
 from .userids import by_id, intern, lookup
 
 __all__ = [
     "PartialCascade",
+    "Observations",
     "ProcessCurve",
     "PrefixBatch",
     "BasicPredictor",
@@ -119,19 +113,91 @@ class PartialCascade:
 
     @classmethod
     def from_cascade(cls, cascade: Cascade, t_limit: float, network_size: int) -> "PartialCascade":
-        # a NaN t_limit observes nothing, as no e.t <= NaN holds
-        k = 0 if math.isnan(t_limit) else int(cascade.times.searchsorted(t_limit, "right"))
-        return cls(cascade.cascade_id, cascade.events[:k], t_limit, network_size, cascade)
+        return cls(cascade.cascade_id, cascade.events[:_observed_count(cascade, t_limit)],
+                   t_limit, network_size, cascade)
 
     @classmethod
     def first_events(cls, cascade: Cascade, count: int, network_size: int) -> "PartialCascade":
-        events = cascade.events
-        if count < 1 or count > len(events):
-            raise DataError(f"cannot observe {count} events of a size-{len(events)} cascade")
-        t, k = events[count - 1].t, count
-        while k < len(events) and events[k].t == t:  # every event tied with the cut comes along
-            k += 1
-        return cls(cascade.cascade_id, events[:k], t, network_size, cascade)
+        return Observations.first_events(CascadeArrays([cascade]), np.array([count]),
+                                         network_size)[0]
+
+
+def _observed_count(cascade: Cascade, t_limit: float) -> int:
+    """How many of the cascade's events a time cut at ``t_limit`` observes:
+    those at or before it, none for a NaN t_limit, as no e.t <= NaN holds."""
+    return 0 if math.isnan(t_limit) else int(cascade.times.searchsorted(t_limit, "right"))
+
+
+class Observations(Sequence[PartialCascade]):
+    """Observed prefixes of many cascades as arrays: observation i sees the
+    first ``lengths[i]`` events of ``cascades[i]``, up to ``t_limits[i]``.
+    ``cascades`` is a ``CascadeArrays`` (usually a ``take`` of one), so a
+    ``PrefixBatch`` lays the observations out from its flat arrays; a
+    ``PartialCascade`` is built only when an item is read.
+    """
+
+    def __init__(self, cascades: CascadeArrays, lengths: np.ndarray, t_limits: np.ndarray,
+                 network_size: int):
+        if network_size < 1:
+            raise DataError("network size must be >= 1")
+        self.cascades, self.lengths, self.t_limits = cascades, lengths, t_limits
+        self.network_size = network_size
+
+    @classmethod
+    def first_events(cls, cascades: CascadeArrays, counts: np.ndarray,
+                     network_size: int) -> "Observations":
+        """Each cascade observed through its first ``counts[i]`` events up to
+        the last one's time: every event tied with the cut comes along. One
+        pass per event tied with a cut; ``PartialCascade.first_events`` is
+        the one-cascade case."""
+        bad = np.flatnonzero((counts < 1) | (counts > cascades.sizes))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(f"cannot observe {counts[i]} events of a size-{cascades.sizes[i]} "
+                            f"cascade")
+        times = cascades.times
+        lengths = counts.astype(np.intp)
+        t_limits = times[cascades.starts + lengths - 1]
+        while True:
+            tied = np.flatnonzero(lengths < cascades.sizes)
+            tied = tied[times[cascades.starts[tied] + lengths[tied]] == t_limits[tied]]
+            if not tied.size:
+                return cls(cascades, lengths, t_limits, network_size)
+            lengths[tied] += 1
+
+    @classmethod
+    def at_times(cls, cascades: CascadeArrays, t_limits: np.ndarray,
+                 network_size: int) -> "Observations":
+        """Each cascade observed up to ``t_limits[i]``, as
+        ``PartialCascade.from_cascade`` observes one."""
+        lengths = np.fromiter(map(_observed_count, cascades, t_limits.tolist()), np.intp,
+                              len(cascades))
+        return cls(cascades, lengths, t_limits, network_size)
+
+    @classmethod
+    def of(cls, observations: Sequence[PartialCascade]) -> "Observations":
+        """The arrays of a list of partial cascades, which must share a
+        network size."""
+        network_sizes = {pc.network_size for pc in observations} or {1}
+        if len(network_sizes) > 1:
+            raise DataError(f"observations of one batch must share a network size, "
+                            f"got {sorted(network_sizes)}")
+        n = len(observations)
+        sources = {id(pc._cascade): pc._cascade for pc in observations}
+        index = {key: j for j, key in enumerate(sources)}
+        which = np.fromiter((index[id(pc._cascade)] for pc in observations), np.intp, n)
+        return cls(CascadeArrays(sources.values()).take(which),
+                   np.fromiter((pc.size for pc in observations), np.intp, n),
+                   np.fromiter((pc.t_limit for pc in observations), float, n),
+                   network_sizes.pop())
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> PartialCascade:
+        cascade = self.cascades[i]
+        return PartialCascade(cascade.cascade_id, cascade.events[:self.lengths[i]],
+                              self.t_limits.item(i), self.network_size, cascade)
 
 
 @dataclass
@@ -320,9 +386,10 @@ class PrefixBatch:
     so that one array pass per dynamics table evaluates the basic model on
     all of them; ``BasicPredictor`` is its one-cut view. One observation
     reads its partial cascade's arrays and cached reply counts without a
-    copy; many are concatenated by ``flatten_prefixes``, so one ``bincount``
-    counts every row's replies. Only replying rows are summed, as a row
-    with no replies adds an exact zero.
+    copy. Many, given as ``Observations`` or as a list of partial cascades
+    (turned into ``Observations``), are gathered from their cascades' flat
+    arrays, so one ``bincount`` counts every row's replies. Only replying
+    rows are summed, as a row with no replies adds an exact zero.
 
     A query binds a ``ModelDynamics`` by user id (the last binding is kept).
     The deathrate is the rate the query kernel returns at t_limit, so each
@@ -334,31 +401,33 @@ class PrefixBatch:
     """
 
     def __init__(self, observations: Sequence[PartialCascade]):
-        self.observations = obs = list(observations)
-        self.size = n = len(obs)
+        if not isinstance(observations, Observations):
+            observations = list(observations)
+        self.observations = observations
         # every t_e >= t_join, so an elapsed time t_e - t0 of 0, whose log
         # warns, needs t0 == t_join: a shift below the spacing of floats
         # near some join time, which t_abs * 2**-52 bounds
-        if n == 1:
-            (pc,) = obs
-            network_size = pc.network_size
+        if len(observations) == 1 and isinstance(observations, list):
+            (pc,) = observations
+            self.size, network_size = 1, pc.network_size
             self.lengths, self.t_limits = np.array([pc.size]), np.array([pc.t_limit])
             times, self._ids, replynum = pc.times, pc.user_ids, pc.replynum
             t_abs = max(-float(times[0]), pc.t_limit)
             self._obs_of = np.zeros(np.count_nonzero(replynum), dtype=np.intp)
             self._has_rows = self._starts = self._obs_of[:1]
         else:
-            network_sizes = {pc.network_size for pc in obs} or {1}
-            if len(network_sizes) > 1:
-                raise DataError(f"observations of one batch must share a network size, "
-                                f"got {sorted(network_sizes)}")
-            network_size = network_sizes.pop()
-            self.lengths = np.fromiter((pc.size for pc in obs), np.intp, n)
-            self.t_limits = np.fromiter((pc.t_limit for pc in obs), float, n)
-            sources = [pc._cascade for pc in obs]
-            times, parents = flatten_prefixes(sources, self.lengths)
-            self._ids = flatten_user_ids(sources, self.lengths)
-            replynum = np.bincount(parents[parents >= 0], minlength=len(times)).astype(float)
+            if isinstance(observations, list):
+                observations = Observations.of(observations)
+            self.size = n = len(observations)
+            network_size = observations.network_size
+            self.lengths, self.t_limits = observations.lengths, observations.t_limits
+            source = observations.cascades
+            at = source.positions(self.lengths)
+            times, parents, self._ids = source.times[at], source.parents[at], source.user_ids[at]
+            child = parents >= 0
+            # parents index the source's arrays; shift them to these rows
+            local = parents[child] - (at[child] - np.flatnonzero(child))
+            replynum = np.bincount(local, minlength=len(times)).astype(float)
             t_abs = max(-float(times.min()), float(self.t_limits.max())) if n else 0.0
             self._obs_of = np.repeat(np.arange(n), self.lengths)[replynum > 0.0]
             counts = np.bincount(self._obs_of, minlength=n)

@@ -132,6 +132,16 @@ class TestFitCommand:
         assert (f"{report['lasso_capped']} LASSO solves stopped at the 1-step cap"
                 in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("model", ["exponential", "rayleigh", "cox"])
+    def test_warm_start_a_fit_ignores_is_refused(self, tmp_path, capsys, model):
+        # refused before any input is read: none of these files exists
+        missing = tmp_path / "missing"
+        assert run("fit", "--network", str(missing), "--cascades", str(missing),
+                   "--out", str(tmp_path / "o"), "--model", model,
+                   "--warm-start", str(missing)) == 1
+        assert f"error: a {model} fit takes no warm start" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--max-iter", "0", "max_outer"), ("--tol", "nan", "tol"), ("--tol", "-1", "tol"),
         ("--min-events", "-1", "min_events")])

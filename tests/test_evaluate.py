@@ -204,6 +204,31 @@ class TestStratifiedFolds:
         with pytest.raises(DataError):
             stratified_folds([chain_cascade("c", 3)], 2, seed=0)
 
+    @pytest.mark.parametrize("n_folds", [2, 3, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_the_per_cascade_loop(self, n_folds, seed):
+        sizes = np.random.default_rng(seed + 100).zipf(1.8, 300).clip(2, 300)
+        cascades = [chain_cascade(f"c{i}", int(size)) for i, size in enumerate(sizes)]
+        assert stratified_folds(cascades, n_folds, seed) == loop_folds(cascades, n_folds, seed)
+
+
+def loop_folds(cascades, n_folds, seed):
+    """``stratified_folds`` as the loop over cascades it replaced: each
+    stratum's members, shuffled as a list, dealt to the folds in turn."""
+    log_sizes = np.log([c.size for c in cascades])
+    edges = np.quantile(log_sizes, np.linspace(0.1, 0.9, 9))
+    strata = np.searchsorted(edges, log_sizes, side="right")
+    rng = np.random.default_rng([seed, 7])
+    folds = [[] for _ in range(n_folds)]
+    cursor = 0
+    for s in sorted(set(strata.tolist())):
+        members = [i for i in range(len(cascades)) if strata[i] == s]
+        rng.shuffle(members)
+        for i in members:
+            folds[cursor % n_folds].append(i)
+            cursor += 1
+    return [sorted(f) for f in folds]
+
 
 class TestDominance:
     def test_star_root_owns_everything(self):

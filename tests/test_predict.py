@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
-from cascadyn.features import DELAY_SHIFT, Cascade, CascadeEvent, Network, extract_features
+from cascadyn.features import (
+    DELAY_SHIFT,
+    Cascade,
+    CascadeArrays,
+    CascadeEvent,
+    Network,
+    extract_features,
+)
 from cascadyn.fitting import (
     FeatureMatrix,
     Hyperparams,
@@ -19,6 +26,7 @@ from cascadyn.fitting import (
 from cascadyn.predict import (
     BasicPredictor,
     ModelDynamics,
+    Observations,
     PartialCascade,
     PrefixBatch,
     SamplingPredictor,
@@ -879,6 +887,48 @@ class TestPrefixBatch:
                            user_params={"a": WeibullParams(1.0, 1.0)}, user_events={"a": 5})
         sizes = PrefixBatch(first_events([], 10)).final_sizes(ModelDynamics(model))
         assert sizes.dtype == float and sizes.shape == (0,)
+
+
+class TestObservations:
+    """Many cuts laid out as arrays observe what one ``PartialCascade`` per
+    cut, built from the event list, observes: every event tied with a cut
+    comes along."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(world=worlds(), seed=st.integers(0, 2 ** 32 - 1))
+    # the cut after "a" brings "b" along; the cut after the first cascade's
+    # last event must not reach into the next, which starts at its time
+    @example(world=(["r", "a", "b", "s", "x"], [], [
+        Cascade("ends", [CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 5.0),
+                         CascadeEvent("b", "a", 5.0)]),
+        Cascade("starts", [CascadeEvent("s", None, 5.0), CascadeEvent("x", "s", 5.0)])]),
+        seed=0)
+    def test_many_cuts_tie_as_event_lists_do(self, world, seed):
+        _, _, cascades = world
+        cuts = [(j, k) for j, c in enumerate(cascades) for k in range(1, c.size + 1)]
+        order = np.random.default_rng(seed).permutation(len(cuts))
+        which = np.array([cuts[i][0] for i in order], dtype=np.intp)
+        counts = np.array([cuts[i][1] for i in order], dtype=np.intp)
+        observations = Observations.first_events(CascadeArrays(cascades).take(which), counts, 20)
+        singles = []
+        for j, k in zip(which.tolist(), counts.tolist()):
+            events, t_limit = cascades[j].events, cascades[j].events[k - 1].t
+            singles.append(PartialCascade(cascades[j].cascade_id,
+                                          [e for e in events if e.t <= t_limit], t_limit, 20))
+        assert observations.lengths.tolist() == [pc.size for pc in singles]
+        assert observations.t_limits.tolist() == [pc.t_limit for pc in singles]
+        assert list(observations) == singles
+        dynamics = {e.user: WeibullParams(40.0, 0.9) for c in cascades for e in c.events}
+        table = ModelDynamics.of(dynamics)
+        assert (PrefixBatch(observations).final_sizes(table).tobytes()
+                == PrefixBatch(singles).final_sizes(table).tobytes())
+
+    def test_refuses_a_count_it_cannot_observe(self):
+        pc, _ = worked_example()
+        cascades = CascadeArrays([Cascade("worked", pc.events)])
+        for count in (0, 5):
+            with pytest.raises(DataError, match=f"cannot observe {count} events of a size-4"):
+                Observations.first_events(cascades, np.array([count]), 10)
 
 
 def oracle_observation(pc, dynamics, horizons):
