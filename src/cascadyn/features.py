@@ -343,10 +343,9 @@ class CascadeArrays(Sequence[Cascade]):
         return rows
 
 
-def extract_subcascades(cascades: Iterable[Cascade],
-                        shift: float = DELAY_SHIFT) -> SubcascadeTable:
+def extract_subcascades(cascades: Iterable[Cascade]) -> SubcascadeTable:
     """Per-user response delays: for every non-root event, the gap between
-    child and parent timestamps plus the shift, attributed to the parent.
+    child and parent timestamps plus ``DELAY_SHIFT``, attributed to the parent.
 
     Built in array passes over the cascades' user ids: the distinct users
     with replies are found by id with a mask, each named once, and ranked
@@ -361,7 +360,7 @@ def extract_subcascades(cascades: Iterable[Cascade],
     owner = owner[child]  # each reply's parent position
     delays = times[child]
     delays -= times[owner]
-    delays += shift
+    delays += DELAY_SHIFT
     owner_ids = flat.user_ids[owner]
     replied = np.zeros(int(owner_ids.max()) + 1 if owner_ids.size else 0, dtype=bool)
     replied[owner_ids] = True

@@ -14,13 +14,20 @@ problems; beta/gamma are LASSO problems solved exactly by feature-sign
 search on the Gram matrix of the log covariates, each solve certified by
 its KKT conditions. One safeguarded Newton routine, run in lockstep over
 users and capped by ``FitOptions.newton_max_iter``, solves the scale block
-and the shape block; a shape solve forms each delay's log ratio to its
-user's fixed scale once, not once per Newton step.
+and the shape block.
 
 The unpenalized baselines need no descent. At a fixed shape each user's
 scale is closed form, and the likelihood profiled over those scales is
 concave in the shape (Cohen 1965), so the same Newton routine fits
-``weibull`` (a shape per user) and ``cox`` (one shared shape) exactly.
+``weibull`` (a shape per user) and ``cox`` (one shared shape) exactly;
+``exponential`` and ``rayleigh`` take the same closed-form scales at their
+fixed shapes.
+
+Every fit reads the delays through one kernel, ``_Segments.moments``: each
+user's log delays are stored less that user's largest, y = log T - top <= 0,
+and a pass returns the per-user sums of e^(k y), y e^(k y) and y^2 e^(k y).
+Every sum of powers (T/scale)^k the fits need is one of these times
+e^(k (top - log scale)), a factor clamped once per user.
 """
 
 from __future__ import annotations
@@ -510,8 +517,9 @@ def user_log_likelihood(p: WeibullParams, s: SubcascadeSample) -> float:
     - scale^(-shape) * sum(T^shape)
     """
     seg = _Segments(np.log(s.delays), np.array([s.n]))
-    return float(seg.log_likelihoods(np.array([math.log(p.scale)]),
-                                     np.array([p.shape], dtype=float))[0])
+    shape = np.array([p.shape], dtype=float)
+    return float(seg.log_likelihoods(np.array([math.log(p.scale)]), shape,
+                                     seg.moments(shape))[0])
 
 
 def _as_table(samples) -> SubcascadeTable:
@@ -548,7 +556,7 @@ def newer_objective(model: NewerModel, samples, X: FeatureMatrix | None = None) 
     and a feature row whenever mu or eta is nonzero.
     """
     users, seg, scale, shape = _model_segments(model, samples)
-    g1 = _pooled_objective(seg, scale, shape)
+    g1 = -float(np.sum(seg.log_likelihoods(np.log(scale), shape, seg.moments(shape))))
     hp = model.hyperparams
     if hp.mu == 0.0 and hp.eta == 0.0:
         return g1
@@ -580,10 +588,7 @@ def smooth_partials(model: NewerModel, samples, X: FeatureMatrix | None = None):
         raise DataError("feature matrix required when mu or eta is nonzero")
     users, seg, scale, shape = _model_segments(model, samples)
     log_scale = np.log(scale)
-    dz = seg.log_ratios(log_scale)
-    w = seg.powers(dz, shape)
-    s0 = np.add.reduceat(w, seg.starts)
-    s1 = np.add.reduceat(w * dz, seg.starts)
+    s0, s1, _ = seg.power_sums(log_scale, shape, seg.moments(shape))
     d_scale = (shape / scale) * (seg.m - s0)
     d_shape = -seg.m / shape - seg.sum_log + seg.m * log_scale + s1
     if hp.mu > 0 or hp.eta > 0:
@@ -641,61 +646,28 @@ def _newton_box(grad_hess, x0: np.ndarray, bounds: tuple[float, float],
 
 
 class _Segments:
-    """Flat concatenation of every user's log delays with segment reductions,
-    so the per-user one-dimensional updates run vectorized across users.
+    """Every user's log delays less that user's largest, laid end to end,
+    with one reduction, ``moments``, so the per-user one-dimensional updates
+    run vectorized across users.
 
-    User i owns the ``m[i]`` entries of ``flat`` from ``starts[i]`` on. The
-    kernels spread per-user values over their entries with ``np.repeat``
-    (faster here than a take by owner index into a kept buffer), work in
-    place on that copy, and reduce each user's entries with ``reduceat``;
-    the results are new arrays. Per-user inputs must be float arrays.
+    User i owns the ``m[i]`` entries of ``flat`` from ``starts[i]`` on: the
+    values y = log T - ``top[i]`` <= 0 of that user's delays T, whose logs
+    sum to ``sum_log[i]``. Per-user inputs must be float arrays.
     """
 
-    def __init__(self, flat: np.ndarray, m: np.ndarray):
-        self.flat = flat
+    def __init__(self, log_delays: np.ndarray, m: np.ndarray):
         self.m = m
         self.starts = np.cumsum(m) - m
-        self.sum_log = np.add.reduceat(flat, self.starts)
+        self.top = np.maximum.reduceat(log_delays, self.starts)
+        self.flat = log_delays - np.repeat(self.top, m)
+        self.sum_y = np.add.reduceat(self.flat, self.starts)
+        self.sum_log = self.sum_y + m * self.top
         self.n_users = len(m)
 
-    def lse(self, shape: np.ndarray) -> np.ndarray:
-        """Per-user logsumexp of shape * log T."""
-        z = np.repeat(shape, self.m)
-        z *= self.flat
-        zmax = np.maximum.reduceat(z, self.starts)
-        z -= np.repeat(zmax, self.m)
-        sums = np.add.reduceat(np.exp(z, out=z), self.starts)
-        return zmax + np.log(sums)
-
-    def log_ratios(self, log_scale: np.ndarray) -> np.ndarray:
-        """dz = log(T/scale) of every entry. A shape solve holds the scales
-        fixed, so it forms dz once."""
-        return self.flat - np.repeat(log_scale, self.m)
-
-    def powers(self, dz: np.ndarray, shape: np.ndarray) -> np.ndarray:
-        """w = (T/scale)^shape of every entry, a new array, from dz;
-        ``shape`` holds each user's shape, or one shape for all."""
-        if shape.size == 1:
-            w = dz * shape
-        else:
-            w = np.repeat(shape, self.m)
-            w *= dz
-        np.minimum(w, _EXP_CLAMP, out=w)
-        return np.exp(w, out=w)
-
-    def shape_sums(self, dz: np.ndarray, shape: np.ndarray):
-        """Per-user sums of w * dz and w * dz^2 (``powers``): the shape
-        derivatives' terms."""
-        w = self.powers(dz, shape)
-        w *= dz
-        s1 = np.add.reduceat(w, self.starts)
-        w *= dz
-        return s1, np.add.reduceat(w, self.starts)
-
     def moments(self, shape: np.ndarray):
-        """Per-user sums of w, w * x and w * x^2 over the entries x of
-        ``flat``, w = exp(shape * x); ``shape`` holds each user's shape, or
-        one shape for all. Unclamped: the profile fit's x are <= 0."""
+        """Per-user sums a0, a1, a2 of w, w * y and w * y^2 over the
+        entries y, w = exp(shape * y) <= 1, so no power overflows; ``shape``
+        holds each user's shape, or one shape for all."""
         w = self.flat * shape if shape.size == 1 else np.repeat(shape, self.m) * self.flat
         np.exp(w, out=w)
         a0 = np.add.reduceat(w, self.starts)
@@ -704,26 +676,34 @@ class _Segments:
         w *= self.flat
         return a0, a1, np.add.reduceat(w, self.starts)
 
-    def log_likelihoods(self, log_scale: np.ndarray, shape: np.ndarray) -> np.ndarray:
-        w = self.powers(self.log_ratios(log_scale), shape)
+    def power_sums(self, log_scale: np.ndarray, shape: np.ndarray, moments):
+        """Per-user sums of p, p * x and p * x^2 over the delays T, with
+        x = log(T / scale) and p = (T / scale)^shape, from the ``moments``
+        at ``shape``. x = y + d with d = top - log scale, so each sum is the
+        factor f = exp(shape * d), clamped against overflow, times a sum of
+        moments."""
+        a0, a1, a2 = moments
+        d = self.top - log_scale
+        f = np.exp(np.minimum(shape * d, _EXP_CLAMP))
+        return f * a0, f * (a1 + d * a0), f * (a2 + d * (2.0 * a1 + d * a0))
+
+    def log_likelihoods(self, log_scale: np.ndarray, shape: np.ndarray,
+                        moments) -> np.ndarray:
+        """Each user's log-likelihood, from the ``moments`` at ``shape``."""
         return (self.m * np.log(shape) + (shape - 1.0) * self.sum_log
-                - self.m * shape * log_scale - np.add.reduceat(w, self.starts))
+                - self.m * shape * log_scale - self.power_sums(log_scale, shape, moments)[0])
 
 
-def _pooled_objective(seg: _Segments, scale: np.ndarray, shape: np.ndarray) -> float:
-    """Negative log-likelihood summed over every user."""
-    return -float(np.sum(seg.log_likelihoods(np.log(scale), shape)))
-
-
-def _scale_block(seg: _Segments, shape: np.ndarray, targets: np.ndarray,
+def _scale_block(seg: _Segments, shape: np.ndarray, a0: np.ndarray, targets: np.ndarray,
                  mu_over_n: float, max_iter: int) -> np.ndarray:
     """Per-user minimizers of the scale subproblem over u = log scale:
 
         m*shape*u + sum((T/e^u)^shape) + (mu/2N)(u - target)^2
 
-    strictly convex in u; closed form when mu = 0, else ``_newton_box``.
+    strictly convex in u, from ``a0``, the zeroth ``moments`` at ``shape``;
+    closed form when mu = 0, else ``_newton_box``.
     """
-    lse = seg.lse(shape)
+    lse = shape * seg.top + np.log(a0)  # log sum(T^shape)
     bounds = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
     u_mle = np.clip((lse - np.log(seg.m)) / shape, *bounds)
     if mu_over_n == 0.0:
@@ -746,10 +726,9 @@ def _shape_block(seg: _Segments, log_scale: np.ndarray, targets: np.ndarray,
         + (eta/2N)(log k - target)^2
 
     whose likelihood part is strictly convex in k, by ``_newton_box``."""
-    dz = seg.log_ratios(log_scale)
 
     def grad_hess(k):
-        s1, s2 = seg.shape_sums(dz, k)
+        _, s1, s2 = seg.power_sums(log_scale, k, seg.moments(k))
         g = -seg.m / k - seg.sum_log + seg.m * log_scale + s1
         h = seg.m / (k * k) + s2
         if eta_over_n > 0.0:
@@ -905,27 +884,35 @@ def fit_newer(samples, X: FeatureMatrix | None = None,
             raise NumericsError("non-finite objective during descent")
         return total
 
-    trace = [objective(seg.log_likelihoods(np.log(scale), shape))]
+    # the moments at the current shapes: one pass per outer iteration serves
+    # its objective, the shape safeguard and the next scale block
+    moments = seg.moments(shape)
+    trace = [objective(seg.log_likelihoods(np.log(scale), shape, moments))]
     converged = False
     iterations = lasso_capped = 0
     for _ in range(opts.max_outer):
         iterations += 1
         scale_targets = z @ beta if hyperparams.mu > 0 else np.zeros(n)
-        scale = _scale_block(seg, shape, scale_targets, mu_over_n, opts.newton_max_iter)
+        scale = _scale_block(seg, shape, moments[0], scale_targets, mu_over_n,
+                             opts.newton_max_iter)
+        log_scale = np.log(scale)
 
         shape_targets = z @ gamma if hyperparams.eta > 0 else np.zeros(n)
-        new_shape = _shape_block(seg, np.log(scale), shape_targets, eta_over_n,
+        new_shape = _shape_block(seg, log_scale, shape_targets, eta_over_n,
                                  shape, opts.newton_max_iter)
-        lis = seg.log_likelihoods(np.log(scale), new_shape)
+        new_moments = seg.moments(new_shape)
+        lis = seg.log_likelihoods(log_scale, new_shape, new_moments)
         # belt-and-braces for the monotone trace: never accept a per-user shape
         # that scores worse than the one it replaces; a user's likelihood reads
         # that user's delays alone, so the accepted ones are the objective's
         if eta_over_n > 0.0:
-            old_lis = seg.log_likelihoods(np.log(scale), shape)
+            old_lis = seg.log_likelihoods(log_scale, shape, moments)
             accept = (-lis + eta_over_n / 2.0 * (np.log(new_shape) - shape_targets) ** 2
                       <= -old_lis + eta_over_n / 2.0 * (np.log(shape) - shape_targets) ** 2)
             new_shape, lis = np.where(accept, new_shape, shape), np.where(accept, lis, old_lis)
-        shape = new_shape
+            new_moments = tuple(np.where(accept, new, old)
+                                for new, old in zip(new_moments, moments))
+        shape, moments = new_shape, new_moments
 
         if hyperparams.mu > 0:
             beta, certified = lasso(z, np.log(scale), hyperparams.alpha_beta, warm=beta,
@@ -1023,28 +1010,41 @@ def check_warm_start(kind: str) -> None:
         raise DataError(f"a {kind} fit takes no warm start; only newer and weibull do")
 
 
+def _closed_form_scales(seg: _Segments, shape: np.ndarray):
+    """Each user's maximum-likelihood scale at ``shape``, clipped to its
+    box, and the negative log-likelihood there, from one ``moments`` pass.
+
+    At a fixed shape k a user's best scale is (sum(T^k) / m)^(1/k), with
+    sum(T^k) = e^(k top) a0.
+    """
+    moments = seg.moments(shape)
+    bounds = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
+    log_scale = np.clip(seg.top + (np.log(moments[0]) - np.log(seg.m)) / shape, *bounds)
+    objective = -float(np.sum(seg.log_likelihoods(log_scale, shape, moments)))
+    if not math.isfinite(objective):
+        raise NumericsError("non-finite objective at the closed-form scales")
+    return np.exp(log_scale), objective
+
+
 def _fit_profile(seg: _Segments, shared: bool, shape0: np.ndarray, max_iter: int):
     """Exact maximum-likelihood Weibull fit, one shape per user or one
     shared by all, with each user's scale in closed form.
 
-    At a fixed shape k a user's best scale is (sum(T^k) / m)^(1/k). The
-    negative log-likelihood profiled over it has the derivative
-    -m/k - sum(y) + m * sum(T^k y) / sum(T^k) in k, where y = log T less the
-    user's largest log T, and a second derivative of m/k^2 plus m times the
-    variance of y under the weights T^k: it is strictly convex. Every T^k
-    is read as exp(k y) <= 1, so no power overflows. ``_newton_box`` solves
-    each user's derivative, or their sum for the shared shape, from
-    ``shape0``; a NaN there starts from Menon's (1963) moment estimate
-    pi / (sd(log T) sqrt(6)), pooled over users for the shared shape.
-    Returns the scales, the shapes, the objective, the Newton iterations
-    run and whether the solve ended before ``max_iter`` of them.
+    The negative log-likelihood profiled over the closed-form scales
+    (``_closed_form_scales``) has the derivative
+    -m/k - sum(y) + m * sum(T^k y) / sum(T^k) in k, with y as in
+    ``_Segments``, and a second derivative of m/k^2 plus m times the
+    variance of y under the weights T^k: it is strictly convex.
+    ``_newton_box`` solves each user's derivative, or their sum for the
+    shared shape, from ``shape0``; a NaN there starts from Menon's (1963)
+    moment estimate pi / (sd(log T) sqrt(6)), pooled over users for the
+    shared shape. Returns the scales, the shapes, the objective, the Newton
+    iterations run and whether the solve ended before ``max_iter`` of them.
     """
-    top = np.maximum.reduceat(seg.flat, seg.starts)
-    ys = _Segments(seg.flat - np.repeat(top, seg.m), seg.m)
-    m, sum_y = ys.m, ys.sum_log
+    m, sum_y = seg.m, seg.sum_y
     unset = np.isnan(shape0)
     if unset.any():
-        var = np.maximum(np.add.reduceat(ys.flat * ys.flat, ys.starts) / m - (sum_y / m) ** 2,
+        var = np.maximum(np.add.reduceat(seg.flat * seg.flat, seg.starts) / m - (sum_y / m) ** 2,
                          0.0)
         if shared:
             var = np.sum(m * var) / np.sum(m)
@@ -1055,7 +1055,7 @@ def _fit_profile(seg: _Segments, shared: bool, shape0: np.ndarray, max_iter: int
     def grad_hess(k):
         nonlocal calls
         calls += 1
-        a0, a1, a2 = ys.moments(k)
+        a0, a1, a2 = seg.moments(k)
         mean = a1 / a0
         g = m * mean - m / k - sum_y
         h = m / (k * k) + m * (a2 / a0 - mean * mean)
@@ -1066,16 +1066,8 @@ def _fit_profile(seg: _Segments, shared: bool, shape0: np.ndarray, max_iter: int
     iterations = calls - 2  # the first two read the box's ends
     if shared:
         shape = np.repeat(shape, seg.n_users)
-    a0 = ys.moments(shape)[0]
-    bounds = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
-    log_scale = np.clip(top + (np.log(a0) - np.log(m)) / shape, *bounds)
-    # sum((T/scale)^k) = exp(k (top - log scale)) * a0, which is m unclipped
-    lis = (m * np.log(shape) + (shape - 1.0) * (sum_y + m * top) - m * shape * log_scale
-           - np.exp(np.minimum(shape * (top - log_scale), _EXP_CLAMP)) * a0)
-    objective = -float(np.sum(lis))
-    if not math.isfinite(objective):
-        raise NumericsError("non-finite objective of the profile fit")
-    return np.exp(log_scale), shape, objective, iterations, iterations < max_iter
+    scale, objective = _closed_form_scales(seg, shape)
+    return scale, shape, objective, iterations, iterations < max_iter
 
 
 def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
@@ -1108,8 +1100,8 @@ def fit_model(kind: str, samples, X: FeatureMatrix | None = None,
     seg = _table_segments(table, rows)
     if kind in _FIXED_SHAPES:
         shape = np.full(seg.n_users, _FIXED_SHAPES[kind])
-        scale = _scale_block(seg, shape, np.zeros(seg.n_users), 0.0, opts.newton_max_iter)
-        objective, iterations, converged = _pooled_objective(seg, scale, shape), 0, True
+        scale, objective = _closed_form_scales(seg, shape)
+        iterations, converged = 0, True
     else:
         shape0 = np.full(1 if kind == "cox" else seg.n_users, np.nan)
         if warm_start is not None:

@@ -535,7 +535,12 @@ class PrefixBatch:
             return np.full(self.size, np.nan)
         t_limits, reached = self.t_limits, self.lengths >= threshold
         out = np.where(reached, t_limits, np.nan)
-        hi = np.ceil((t_limits + DEFAULT_SEARCH_WINDOW if t_max is None else t_max) - t_limits)
+        ends = t_limits + DEFAULT_SEARCH_WINDOW if t_max is None else t_max
+        # the largest integer d with t_limit + d <= t_max in floats, which a
+        # rounded t_max - t_limit can miss by one either way
+        hi = np.floor(ends - t_limits)
+        hi -= t_limits + hi > ends
+        hi += t_limits + (hi + 1.0) <= ends
         search = (1.0 + bound[3] >= threshold) > reached  # reachable, not reached yet
         search &= hi >= 1.0
         if not search.any():

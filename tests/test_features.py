@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cascadyn.errors import DataError
 from cascadyn.features import (
+    DELAY_SHIFT,
     FEATURE_SCHEMA,
     Cascade,
     CascadeEvent,
@@ -164,21 +165,20 @@ class TestExtractionMatchesOracle:
     @given(world=worlds())
     def test_subcascades_bit_for_bit(self, world):
         _, _, cascades = world
-        for shift in (1.0, 2.5):
-            got = extract_subcascades(cascades, shift)
-            expected = oracle_extract_subcascades(cascades, shift)
-            assert list(got) == list(expected)
-            for user, sample in expected.items():
-                assert got[user].user == user
-                assert got[user].delays.tobytes() == sample.delays.tobytes()
+        got = extract_subcascades(cascades)
+        expected = oracle_extract_subcascades(cascades, DELAY_SHIFT)
+        assert list(got) == list(expected)
+        for user, sample in expected.items():
+            assert got[user].user == user
+            assert got[user].delays.tobytes() == sample.delays.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(world=worlds())
     def test_flat_layout_bit_for_bit(self, world):
         # the fits read the flat arrays, not the samples built on reading
         _, _, cascades = world
-        got = extract_subcascades(cascades, 1.0)
-        expected = oracle_extract_subcascades(cascades, 1.0)
+        got = extract_subcascades(cascades)
+        expected = oracle_extract_subcascades(cascades, DELAY_SHIFT)
         assert got.users == list(expected)
         assert got.delays.tobytes() == np.concatenate(
             [np.empty(0), *(s.delays for s in expected.values())]).tobytes()
@@ -289,11 +289,12 @@ class TestSubcascadeTable:
         assert len(table) == 0 and list(table) == [] and "r" not in table
 
     def test_first_bad_user_by_name_named(self):
-        # with no shift a reply at its parent's timestamp has a zero delay
-        cs = [cascade("c1", ("b", None, 0), ("b1", "b", 0)),
-              cascade("c2", ("a", None, 0), ("a1", "a", 0), ("a2", "a1", 3))]
+        # a reply 2e308 s after its parent has a delay that overflows to inf
+        cs = [cascade("c1", ("b", None, -1e308), ("b1", "b", 1e308)),
+              cascade("c2", ("a", None, -1e308), ("a1", "a", 1e308), ("a2", "a1", 1e308))]
         with pytest.raises(DataError, match="user 'a' has nonpositive or non-finite delays"):
-            extract_subcascades(cs, 0.0)
+            with np.errstate(over="ignore"):
+                extract_subcascades(cs)
 
 
 class TestExtractFeatures:

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cascadyn import userids
+from cascadyn import fitting, userids
 from cascadyn.errors import DataError
 from cascadyn.features import Network, extract_features, extract_subcascades
 from cascadyn.fitting import (
@@ -535,19 +535,31 @@ class TestFitNewer:
         assert users[0] not in model.user_params
         assert all(u in model.user_params for u in users[1:])
 
-    @pytest.mark.parametrize("eta, per_iteration", [(0.0, 1), (1.0, 2)])
-    def test_likelihood_passes_per_outer_iteration(self, monkeypatch, eta, per_iteration):
-        # the shape safeguard's likelihoods at the accepted shapes are the
-        # objective's, so no third pass runs when eta > 0
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_likelihood_passes_per_outer_iteration(self, monkeypatch, eta):
+        # outside the Newton solves, one moments pass before the descent and
+        # one per outer iteration, at its new shapes: it serves that
+        # iteration's objective, the shape safeguard's likelihoods at the
+        # old shapes when eta > 0, and the next scale block
         X, samples, _ = synthetic_instance(15, 40, seed=20, beta=[0.3, 0, 0, 0])
-        calls = []
-        log_likelihoods = _Segments.log_likelihoods
-        monkeypatch.setattr(_Segments, "log_likelihoods",
-                            lambda self, *a: calls.append(1) or log_likelihoods(self, *a))
+        solving, outside = [], []
+        moments, newton_box = _Segments.moments, fitting._newton_box
+
+        def counted_box(*args):
+            solving.append(1)
+            try:
+                return newton_box(*args)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(fitting, "_newton_box", counted_box)
+        monkeypatch.setattr(_Segments, "moments",
+                            lambda self, k: outside.append(not solving) or moments(self, k))
         _, report = fit_newer(samples, X, Hyperparams(mu=1.0, eta=eta),
                               FitOptions(min_events=1, max_outer=3, tol=0.0))
         assert report.iterations == 3
-        assert len(calls) == 1 + per_iteration * report.iterations
+        assert sum(outside) == 1 + report.iterations
+        assert len(outside) > sum(outside)  # the shape solves read moments too
 
     def test_missing_feature_row_rejected(self):
         X, samples, _ = synthetic_instance(3, 10, seed=19)
@@ -756,26 +768,64 @@ delay_st = st.sampled_from([1.0, 2.0, 7.0, 60.0]) | st.floats(1.0, 1e4)
 world_st = st.lists(st.lists(delay_st, min_size=1, max_size=8), min_size=1, max_size=6)
 
 
+@st.composite
+def kernel_st(draw):
+    """A world of delays with one log scale and one shape per user, each
+    anywhere in its fitting box."""
+    world = draw(world_st)
+    per_user = partial(st.lists, min_size=len(world), max_size=len(world))
+    return (world, draw(per_user(st.floats(*map(math.log, SCALE_BOUNDS)))),
+            draw(per_user(st.floats(*SHAPE_BOUNDS))))
+
+
 class TestBaselineKernels:
-    @given(world_st, st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_shape_sums_match_per_step_oracle_bit_for_bit(self, world, data):
+    @given(kernel_st())
+    @example(([[1.0, 1e4], [60.0, 60.0, 2.0], [7.0]],  # k d > 700 for the first user
+              [math.log(SCALE_BOUNDS[0]), 3.0, math.log(SCALE_BOUNDS[1])],
+              [SHAPE_BOUNDS[1], 0.5, SHAPE_BOUNDS[0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_power_sums_match_per_entry_oracle(self, drawn):
+        world, log_scale, shape = drawn
         n = len(world)
         m = np.array([len(d) for d in world])
         flat = np.log(np.concatenate(world))
-        per_user = partial(st.lists, min_size=n, max_size=n)
-        log_scale = np.array(data.draw(per_user(st.floats(*map(math.log, SCALE_BOUNDS)))))
-        shape = np.array(data.draw(per_user(st.floats(*SHAPE_BOUNDS))))
+        log_scale, shape = np.array(log_scale), np.array(shape)
         seg = _Segments(flat, m)
-        dz = seg.log_ratios(log_scale)
-        # the shape block: one shape per user; cox: one shared shape
-        for got, shapes in ((seg.shape_sums(dz, shape), shape),
-                            (seg.shape_sums(dz, shape[:1]), np.repeat(shape[:1], n))):
-            _, s1, s2 = oracle_power_sums(flat, m, log_scale, shapes)
-            assert (got[0].tobytes(), got[1].tobytes()) == (s1.tobytes(), s2.tobytes())
+        d = seg.top - log_scale
+        y_max = -np.minimum.reduceat(seg.flat, seg.starts)  # largest |y| of each user
+        # one shape per user, as the shape block reads; one shared by all
+        for k, kernel_k in ((shape, shape), (np.repeat(shape[:1], n), shape[:1])):
+            with np.errstate(over="raise"):
+                got = seg.power_sums(log_scale, k, seg.moments(kernel_k))
+            want = oracle_power_sums(flat, m, log_scale, k)
+            clamped = k * d > 700.0  # the oracle clamps some entry of these users
+            # each power p is exp of a sum of terms of magnitude at most
+            # A = k (|y| + |d|) <= 50 * (9.3 + 23.1), rounded to within eps A
+            # by either route, and the sums add the m terms p (|y| + |d|)^j
+            # in another grouping: |got - want| <= 4 eps (A + m + 1) M_j, with
+            # M_j the sum of those terms. A power below the normal range may
+            # flush to 0 on one route only: m (|y| + |d| + 1)^j smallest
+            # normals more
+            a = k * (y_max + np.abs(d))
+            p = np.exp(np.minimum(np.repeat(k * d, m) + np.repeat(k, m) * seg.flat, 700.0))
+            for j in range(3):
+                assert np.all(np.isfinite(got[j]))
+                mag = np.add.reduceat(p * (np.abs(seg.flat) + np.repeat(np.abs(d), m)) ** j,
+                                      seg.starts)
+                tol = (4 * np.finfo(float).eps * (a + m + 1) * mag
+                       + np.finfo(float).tiny * m * (y_max + np.abs(d) + 1) ** j)
+                ok = np.abs(got[j] - want[j]) <= tol
+                assert np.all(ok | clamped), (j, got[j], want[j], tol)
+            # clamped once per user, not per entry: saturated, and no larger
+            s0 = got[0][clamped]
+            assert np.all(s0 >= math.exp(700.0))
+            assert np.all(s0 <= want[0][clamped] * (1 + 1e-12))
         s0 = oracle_power_sums(flat, m, log_scale, shape)[0]
-        want = m * np.log(shape) + (shape - 1.0) * seg.sum_log - m * shape * log_scale - s0
-        assert seg.log_likelihoods(log_scale, shape).tobytes() == want.tobytes()
+        want = m * np.log(shape) + (shape - 1.0) * np.add.reduceat(flat, seg.starts) \
+            - m * shape * log_scale - s0
+        lis = seg.log_likelihoods(log_scale, shape, seg.moments(shape))
+        free = shape * d <= 700.0
+        assert np.all((np.abs(lis - want) <= 1e-12 * (np.abs(want) + s0 + m))[free])
 
     def test_cox_matches_scalar_oracle(self):
         # the oracle stops once a round moves the objective by 1e-10

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadyn.survival import (
@@ -90,16 +90,27 @@ class TestScalarSurvival:
     z = min(shape * (log t - log scale), 700)."""
 
     @given(params_st, st.floats(0.0, 1e12))
+    @example(WeibullParams(1.0, 3.0), 5.122795091327945)  # z = 4.9: one ulp is 4 eps
+    @example(WeibullParams(31.538087716434642, 7.624615293730926), 31.508205129707683)
     @settings(max_examples=500, deadline=None)
     def test_agrees_with_array_branch(self, p, t):
         scalar = weibull_survival(p, t)
         array = float(weibull_survival(p, np.array([t]))[0])
-        # numpy's vectorised exp may round an ulp away from libm's, and the
-        # outer exp turns a relative error in the cumulative hazard w into w
-        # times it in exp(-w): the branches agree to rel 1e-15 in w; a
-        # subnormal result keeps fewer digits than any relative bound
+        # numpy's log and exp may each round an ulp away from libm's, an
+        # error of at most eps relative. z = shape * (log t - log scale):
+        # the two logs of t differ by <= 2 eps |log t|, and the subtraction
+        # and product round by <= eps |z| each side, so z differs by
+        # |dz| <= 4 eps a, with a = shape * (|log t| + |log scale|) >= |z|
+        # (a, not |z|: when t is near the scale the terms cancel, as in the
+        # second example, where |z| = 0.007 but a = 26). The two inner exps
+        # add 2 eps to w's relative error, and the outer exp multiplies that
+        # by w and adds its own 2 eps, so the branches agree within
+        # 4 eps (a + 1) max(1, w) relative; a subnormal result keeps fewer
+        # digits than any relative bound
+        eps = sys.float_info.epsilon
+        a = p.shape * (abs(math.log(t)) + abs(math.log(p.scale))) if t > 0.0 else 0.0
         w = -math.log(array) if array > 0.0 else math.inf
-        assert math.isclose(scalar, array, rel_tol=1e-15 * max(1.0, w),
+        assert math.isclose(scalar, array, rel_tol=4 * eps * (a + 1.0) * max(1.0, w),
                             abs_tol=sys.float_info.min)
         assert isinstance(scalar, float)
 

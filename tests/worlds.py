@@ -203,8 +203,8 @@ def oracle_lasso_cd(Z, y, alpha, *, warm=None, tol=1e-12, max_iter=10000):
 def oracle_power_sums(flat, m, log_scale, shape):
     """Per-user sums of w = (T/scale)^shape weighted by dz^0, dz^1 and dz^2,
     dz = log(T/scale), for users owning ``m`` entries each of the log delays
-    ``flat``: one pass from the log scales and per-user shapes, as each
-    Newton step computed them before the shape solves formed dz once."""
+    ``flat``: one pass from the log scales and per-user shapes, each power
+    formed and clamped on its own entry."""
     starts = np.cumsum(m) - m
     dz = flat - np.repeat(log_scale, m)
     w = np.repeat(shape, m)
