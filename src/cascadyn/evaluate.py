@@ -12,9 +12,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,16 +57,21 @@ def _check_sigma(sigma: float) -> None:
         raise DataError(f"sigma must lie in (0, 1), got {sigma}")
 
 
-def _columns(records: Iterable[PredictionRecord]) -> tuple[list, list, list]:
-    """Cascade ids, truths and predictions of the records, as three lists."""
+def _check_count(what: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DataError(f"{what} {value!r} is not an integer >= 1")
+
+
+def _columns(records: Iterable[PredictionRecord]) -> tuple[Callable[[int], str], list, list]:
+    """The records' cascade ids by position, truths and predictions."""
     records = list(records)
-    return ([r.cascade_id for r in records], [r.truth for r in records],
+    return ([r.cascade_id for r in records].__getitem__, [r.truth for r in records],
             [r.predicted for r in records])
 
 
-def _finite(metric: str, ids: Sequence[str], truth, predicted) -> tuple[np.ndarray, np.ndarray]:
+def _finite(metric: str, name_of, truth, predicted) -> tuple[np.ndarray, np.ndarray]:
     """Truths and predictions as float arrays; refuses none at all and a NaN
-    or infinite value, naming the first such record."""
+    or infinite value, naming the first one's cascade as ``name_of(position)``."""
     t = np.asarray(truth, dtype=float)
     p = np.asarray(predicted, dtype=float)
     if t.size == 0:
@@ -76,30 +80,20 @@ def _finite(metric: str, ids: Sequence[str], truth, predicted) -> tuple[np.ndarr
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(f"{metric} requires finite values, got ({predicted[i]}, "
-                        f"{truth[i]}) for cascade {ids[i]!r}")
+                        f"{truth[i]}) for cascade {name_of(i)!r}")
     return t, p
 
 
-def _libm_log(values: np.ndarray) -> np.ndarray:
-    """libm's log of each value, in order, as a loop over records takes it:
-    numpy's vector log differs from it in the last bit for about one value
-    in a few thousand."""
-    return np.fromiter(map(math.log, values.tolist()), float, values.size)
-
-
-def _rmsle(ids: Sequence[str], truth, predicted, log_truth: np.ndarray | None = None) -> float:
-    """RMSLE, reusing ``log_truth`` when given: the truths' ``_libm_log``."""
-    t, p = _finite("rmsle", ids, truth, predicted)
+def _rmsle(name_of: Callable[[int], str], truth, predicted) -> float:
+    t, p = _finite("rmsle", name_of, truth, predicted)
     bad = (t <= 0) | (p <= 0)
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(
             f"rmsle requires positive values, got ({predicted[i]}, {truth[i]}) "
-            f"for cascade {ids[i]!r}"
+            f"for cascade {name_of(i)!r}"
         )
-    # and libm's pow, as the loop over records takes it
-    d = _libm_log(p) - (_libm_log(t) if log_truth is None else log_truth)
-    return math.sqrt(sum(map(pow, d.tolist(), repeat(2))) / t.size)
+    return math.sqrt(np.square(np.log(p) - np.log(t)).sum() / t.size)
 
 
 def _in_band(truth: np.ndarray, predicted: np.ndarray, sigma: float) -> np.ndarray:
@@ -108,8 +102,8 @@ def _in_band(truth: np.ndarray, predicted: np.ndarray, sigma: float) -> np.ndarr
         return (truth * (1.0 - sigma) <= predicted) & (predicted <= truth * (1.0 + sigma))
 
 
-def _sigma_precision(ids: Sequence[str], truth, predicted, sigma: float) -> float:
-    t, p = _finite("sigma_precision", ids, truth, predicted)
+def _sigma_precision(name_of: Callable[[int], str], truth, predicted, sigma: float) -> float:
+    t, p = _finite("sigma_precision", name_of, truth, predicted)
     return int(np.count_nonzero(_in_band(t, p, sigma))) / t.size  # a float for the CSV's repr
 
 
@@ -258,29 +252,23 @@ LOGLINEAR_SKIPPED = {
 }
 
 
-def _aggregate(scored: dict[tuple[str, object], list[tuple]], sigma: float,
-               precisions: dict[tuple[str, object], list[np.ndarray]]) -> list[dict]:
-    """One row per (model, sweep) from its batches of (cascade ids, truths,
-    predictions, the truths' ``_libm_log``). When ``precisions`` holds
+def _aggregate(cascades: Sequence[Cascade], scored: dict[tuple[str, object], list[tuple]],
+               sigma: float, precisions: dict[tuple[str, object], list[np.ndarray]]) -> list[dict]:
+    """One row per (model, sweep) from its batches of (each point's cascade
+    position in ``cascades``, truths, predictions). When ``precisions`` holds
     arrays of one value per process curve, ``n`` counts curves and
     ``precision`` is their mean."""
     rows = []
     for key in sorted(scored, key=lambda key: (key[0], str(key[1]))):
-        ids, truth, predicted, log_truth = zip(*scored[key])
-        columns = ([i for batch in ids for i in batch], np.concatenate(truth),
-                   np.concatenate(predicted))
+        where, truth, predicted = (np.concatenate(column) for column in zip(*scored[key]))
+        columns = (lambda i: cascades[where[i]].cascade_id, truth, predicted)
         if precisions:
             curves = np.concatenate(precisions[key])
             n, precision = len(curves), float(np.mean(curves))
         else:
-            n, precision = len(columns[0]), _sigma_precision(*columns, sigma)
-        rows.append({
-            "model": key[0],
-            "sweep": key[1],
-            "n": n,
-            "rmsle": _rmsle(*columns, np.concatenate(log_truth)),
-            "precision": precision,
-        })
+            n, precision = len(truth), _sigma_precision(*columns, sigma)
+        rows.append({"model": key[0], "sweep": key[1], "n": n, "rmsle": _rmsle(*columns),
+                     "precision": precision})
     return rows
 
 
@@ -326,6 +314,9 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
     on each observation's grid), plus one ``LogLinearModel.predict_final``
     per prefix size. True curves take one ``searchsorted`` per observation,
     and the curves' sigma-band precisions one array pass.
+
+    Each row is scored in one numpy pass; its points carry their cascades'
+    positions in ``cascades``, whose ids are read only to name a refused value.
     """
     if protocol not in PROTOCOLS:
         raise DataError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -337,10 +328,10 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
         for frac in early_fractions:
             if not 0.0 <= frac <= 1.0:  # also refuses NaN; infinities lie outside
                 raise DataError(f"early fraction {frac} is not a finite value in [0, 1]")
+        _check_count("grid_points", grid_points)
     else:
         for s in prefix_sizes:
-            if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1:
-                raise DataError(f"prefix size {s!r} is not an integer >= 1")
+            _check_count("prefix size", s)
     opts = options or FitOptions()
     cascades = list(cascades)
     n_nodes = net.n_nodes
@@ -354,8 +345,9 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             raise DataError(f"no cascade reaches the outbreak threshold {outbreak_threshold}")
         horizon = max(c.events[-1].t for c in cascades)
         sweeps = [s for s in prefix_sizes if s < outbreak_threshold]
-    # each split: training cascades, test cascades, and the training samples
-    # when they are not simply those of the training cascades
+    # each split: training cascades, test cascades, the test cascades'
+    # positions in ``cascades``, and the training samples when they are not
+    # simply those of the training cascades
     if protocol == "out_of_sample":
         every = CascadeArrays(cascades)
         all_samples = extract_subcascades(every)
@@ -368,24 +360,21 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
         hidden_set = set(hidden)
         visible = {u: s for u, s in all_samples.items() if u not in hidden_set}
         hidden_ids = intern(hidden, len(hidden))
-        splits = [(every, every, visible)]
+        splits = [(every, every, np.arange(len(cascades)), visible)]
     else:
-        splits = []
-        for fold in stratified_folds(cascades, folds, seed):
-            held = np.zeros(len(cascades), dtype=bool)
-            held[fold] = True
-            splits.append(([cascades[i] for i in np.flatnonzero(~held).tolist()],
-                           [cascades[i] for i in fold], None))
+        splits = [([cascades[i] for i in np.setdiff1d(np.arange(len(cascades)), fold).tolist()],
+                   [cascades[i] for i in fold], np.array(fold), None)
+                  for fold in stratified_folds(cascades, folds, seed)]
     sweep_grid = np.array(sweeps, dtype=float if protocol == "process" else np.intp)
 
-    def observe(test: CascadeArrays) -> tuple[Observations, np.ndarray]:
+    def observe(test: CascadeArrays) -> tuple[Observations, np.ndarray, np.ndarray]:
         """Every observation scored on the test cascades, in cascade then
-        sweep order, and the sweep column of each."""
+        sweep order, and the test cascade and sweep column of each."""
         first, last = test.times[test.starts], test.times[test.starts + test.sizes - 1]
         if protocol == "process":  # a curve needs a cascade that spans some time
             j, k = np.nonzero(np.broadcast_to((last > first)[:, None], (len(test), len(sweeps))))
             t_limits = first[j] + sweep_grid[k] * (last[j] - first[j])
-            return Observations.at_times(test.take(j), t_limits, n_nodes), k
+            return Observations.at_times(test.take(j), t_limits, n_nodes), j, k
         scored = test.sizes[:, None] > sweep_grid
         if protocol == "outbreak":
             scored &= (test.sizes >= outbreak_threshold)[:, None]
@@ -396,16 +385,17 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             last_seen = test.starts[:, None] + np.minimum(sweep_grid, test.sizes[:, None]) - 1
             scored &= seen[last_seen] > before[:, None]
         j, k = np.nonzero(scored)
-        return Observations.first_events(test.take(j), sweep_grid[k], n_nodes), k
+        return Observations.first_events(test.take(j), sweep_grid[k], n_nodes), j, k
 
     scores: dict[tuple[str, object], list[tuple]] = {}
     precisions: dict[tuple[str, object], list[np.ndarray]] = {}
 
-    def score(kind: str, sweep, ids: Sequence[str], truth, predicted, log_truth) -> None:
-        if len(ids):
-            scores.setdefault((kind, sweep), []).append((ids, truth, predicted, log_truth))
+    def score(kind: str, sweep, where: np.ndarray, truth, predicted) -> None:
+        if len(where):
+            scores.setdefault((kind, sweep), []).append((where, truth, predicted))
 
-    def score_split(train: Sequence[Cascade], test: Sequence[Cascade], samples) -> None:
+    def score_split(train: Sequence[Cascade], test: Sequence[Cascade], positions: np.ndarray,
+                    samples) -> None:
         """Fit on ``train``, score on ``test``. Each side is flattened once,
         and everything made here is let go before the next split."""
         train, test = CascadeArrays.of(train, whole=True), CascadeArrays.of(test, whole=True)
@@ -416,7 +406,7 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
                   for kind in kinds}
         loglinear = ({s: LogLinearModel.fit(train, s, net) for s in prefix_sizes}
                      if with_loglinear else {})
-        observations, sweep_of = observe(test)
+        observations, test_of, sweep_of = observe(test)
         if not len(observations):
             return
         batch = PrefixBatch(observations)
@@ -432,27 +422,26 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             truths = observed.times[observed.starts + outbreak_threshold - 1] - t0 + 1.0
         else:
             truths = observed.sizes.astype(float)
-        # per sweep value: its observations, their cascade ids, and their
-        # truths with logs, taken once for every model (each truth is a size
-        # or a time past the root plus 1 s, so at least 1)
+        # per sweep value: its observations, and its scored points' cascade
+        # positions and truths, taken once for every model
+        cascade_of = positions[test_of]
         by_sweep = {}
         for k, s in enumerate(sweeps):
             if s in by_sweep:
                 continue
             at = np.flatnonzero(sweep_grid[sweep_of] == sweep_grid[k])
-            ids = [observed[j].cascade_id for j in at.tolist()]
+            where = cascade_of[at]
             if protocol == "process":
-                ids = [cid for cid in ids for _ in range(grid_points)]
-            truth = truths[at].ravel()
-            by_sweep[s] = at, ids, truth, _libm_log(truth)
+                where = np.repeat(where, grid_points)
+            by_sweep[s] = at, where, truths[at].ravel()
         for kind, dyn in fitted.items():
             if protocol == "process":
                 curves = np.maximum.accumulate(batch.sizes_at(dyn, grids), axis=1)
                 hits = np.count_nonzero(_in_band(truths, curves, sigma), axis=1) / grid_points
-                for s, (at, ids, truth, log_truth) in by_sweep.items():
+                for s, (at, where, truth) in by_sweep.items():
                     if len(at):
                         precisions.setdefault((kind, s), []).append(hits[at])
-                    score(kind, s, ids, truth, curves[at].ravel(), log_truth)
+                    score(kind, s, where, truth, curves[at].ravel())
                 continue
             if protocol == "outbreak":
                 pred_t = batch.outbreak_times(dyn, outbreak_threshold, t_max)
@@ -461,12 +450,11 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             else:
                 predicted = batch.final_sizes(dyn)
                 _check_against_reference(batch, predicted, dyn)
-            for s, (at, ids, truth, log_truth) in by_sweep.items():
-                score(kind, s, ids, truth, predicted[at], log_truth)
+            for s, (at, where, truth) in by_sweep.items():
+                score(kind, s, where, truth, predicted[at])
         for s, model in loglinear.items():
-            at, ids, truth, log_truth = by_sweep[s]
-            score("loglinear", s, ids, truth, model.predict_final(observed.take(at), s, net),
-                  log_truth)
+            at, where, truth = by_sweep[s]
+            score("loglinear", s, where, truth, model.predict_final(observed.take(at), s, net))
 
     for split in splits:
         score_split(*split)
@@ -475,7 +463,7 @@ def run_experiment(protocol: str, cascades: Sequence[Cascade], net: Network,
             raise DataError("no test cascade contains a hidden user in its prefix")
         raise DataError(f"the {protocol} protocol scored no prediction on these cascades")
     return ExperimentReport(protocol=protocol, sigma=sigma,
-                            rows=_aggregate(scores, sigma, precisions), notes=notes)
+                            rows=_aggregate(cascades, scores, sigma, precisions), notes=notes)
 
 
 # ---------------------------------------------------------------------------

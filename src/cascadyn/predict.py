@@ -762,7 +762,15 @@ def write_predictions_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(line + "\n")
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)  # "NaN", "Infinity" and "1e999" parse, to non-finite values
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def read_predictions_jsonl(path) -> list[dict]:
+    """Records as ``write_predictions_jsonl`` writes them: NaN and infinities are refused."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -770,7 +778,8 @@ def read_predictions_jsonl(path) -> list[dict]:
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                out.append(json.loads(line, parse_float=_finite_number,
+                                      parse_constant=_finite_number))
+            except ValueError as exc:  # a JSONDecodeError too
                 raise DataError(f"{path}:{line_no}: bad prediction record: {exc}") from exc
     return out

@@ -281,6 +281,21 @@ class TestEvaluateCommand:
                    "--out", str(out)) == 1
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("curve", ["[[NaN, 1.0], [Infinity, 2.0]]", "[[1.0, -Infinity]]",
+                                       "[[1.0, 1e999]]"])
+    def test_non_finite_curve_point_rejected(self, sim_dir, tmp_path, capsys, curve):
+        cascade = read_cascades_jsonl(sim_dir / "cascades.jsonl")[0]
+        pred_path = tmp_path / "inf.jsonl"
+        pred_path.write_text(f'{{"cascade": {json.dumps(cascade.cascade_id)}, '
+                             f'"t_limit": {cascade.root.t!r}, "final": 3.0, '
+                             f'"outbreak_t": null, "curve": {curve}}}\n')
+        out = tmp_path / "report"
+        assert run("evaluate", "--pred", str(pred_path),
+                   "--truth", str(sim_dir / "cascades.jsonl"),
+                   "--out", str(out)) == 1
+        assert f"{pred_path}:1: bad prediction record: non-finite number" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_protocol_mode_writes_report(self, sim_dir, tmp_path):
         out = tmp_path / "proto"
         assert run("evaluate", "--protocol", "size",
