@@ -69,7 +69,8 @@ def _columns(records: Iterable[PredictionRecord]) -> tuple[Callable[[int], str],
             [r.predicted for r in records])
 
 
-def _finite(metric: str, name_of, truth, predicted) -> tuple[np.ndarray, np.ndarray]:
+def _finite(metric: str, name_of: Callable[[int], str], truth,
+            predicted) -> tuple[np.ndarray, np.ndarray]:
     """Truths and predictions as float arrays; refuses none at all and a NaN
     or infinite value, naming the first one's cascade as ``name_of(position)``."""
     t = np.asarray(truth, dtype=float)
