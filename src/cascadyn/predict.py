@@ -20,7 +20,7 @@ import json
 import math
 import operator
 from array import array
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import DataError
 from .features import DELAY_SHIFT, Cascade, CascadeArrays, CascadeEvent, _read_only
 from .fitting import FeatureMatrix, NewerModel, regress_params
 from .survival import WeibullParams, _survival
-from .userids import by_id, intern, lookup
+from .userids import by_id, intern, lookup, names_of
 
 __all__ = [
     "PartialCascade",
@@ -44,82 +44,118 @@ __all__ = [
     "DEFAULT_SEARCH_WINDOW",
 ]
 
-DEFAULT_SEARCH_WINDOW = 30 * 86400.0  # binary search horizon beyond t_limit
+DEFAULT_SEARCH_WINDOW = 30 * 86400.0  # outbreak search horizon beyond t_limit
+# ITP's constants (see _itp_probe): kappa1 is _ITP_K1 over the first log
+# width, and a search may take _ITP_N0 probes more than bisection would.
+# On the benchmark world's cuts at 10-50% of each lifetime and thresholds
+# 20-1000, 0.3 and 3 took 7.2-7.4 size evaluations per search, the one at
+# the window's end included (at most 10), against bisection's 22.4
+_ITP_K1 = 0.3
+_ITP_N0 = 3
 _CURVE_BLOCK = 1 << 16  # process-curve buffer entries (horizons x replying rows)
 # exp(-exp(x)) is at least exp(-708) ~ 3e-308, a normal float, for x up to
 # log 708, and every rate past it rounds to 1 all the same
 _RATE_CLAMP = math.log(708.0)
 
 
-@dataclass
 class PartialCascade:
     """The observed prefix of a cascade up to t_limit, plus the network size.
 
-    Built from an event list, the events are validated as a ``Cascade``.
-    ``from_cascade`` and ``first_events`` instead observe a time prefix of a
-    cascade already validated, which needs no second tree check: ``events``
-    is a slice of its events, and ``times``, ``parent_positions`` and
-    ``user_ids`` are read-only views of its arrays.
+    A partial cascade holds the ``Cascade`` it observes and how many of its
+    first events it sees. Built from an event list, that cascade is the list
+    validated as a ``Cascade``; ``from_cascade`` and ``first_events`` instead
+    observe a time prefix of a cascade already validated, which needs no
+    second tree check. ``events`` is a slice of the cascade's events, built
+    when read, and ``times``, ``parent_positions`` and ``user_ids`` are
+    read-only views of its arrays.
     """
 
-    cascade_id: str
-    events: list[CascadeEvent]
-    t_limit: float
-    network_size: int
-    _source: InitVar[Cascade | None] = None  # the cascade ``events`` is a time prefix of
+    __slots__ = ("t_limit", "network_size", "size", "_cascade", "_replynum")
 
-    def __post_init__(self, _source: Cascade | None):
-        if self.network_size < 1:
-            raise DataError("network size must be >= 1")
-        if not self.events:
-            raise DataError(f"partial cascade {self.cascade_id!r} has no events")
-        if _source is None:  # validate the tree; a time prefix of a cascade is valid
-            _source = Cascade(cascade_id=self.cascade_id, events=self.events)
-        self._cascade = _source
+    def __init__(self, cascade_id: str, events: list[CascadeEvent], t_limit: float,
+                 network_size: int):
+        _check_prefix(cascade_id, len(events), network_size)
+        self._observe(Cascade(cascade_id=cascade_id, events=events), len(events), t_limit,
+                      network_size)
+
+    @classmethod
+    def _prefix(cls, cascade: Cascade, count: int, t_limit: float,
+                network_size: int) -> "PartialCascade":
+        """The first ``count`` events of a validated cascade, observed up to
+        ``t_limit``."""
+        _check_prefix(cascade.cascade_id, count, network_size)
+        self = cls.__new__(cls)
+        self._observe(cascade, count, t_limit, network_size)
+        return self
+
+    def _observe(self, cascade: Cascade, count: int, t_limit: float, network_size: int):
+        self._cascade, self.size, self.t_limit, self.network_size = (cascade, count, t_limit,
+                                                                     network_size)
         self._replynum = None
-        if not math.isfinite(self.t_limit) or not self.t_limit >= self.events[-1].t:
+        if not math.isfinite(t_limit) or not t_limit >= cascade.events[count - 1].t:
             raise DataError(
-                f"partial cascade {self.cascade_id!r}: t_limit {self.t_limit} is not finite "
+                f"partial cascade {cascade.cascade_id!r}: t_limit {t_limit} is not finite "
                 f"or precedes the last event"
             )
 
+    def __eq__(self, other):
+        if not isinstance(other, PartialCascade):
+            return NotImplemented
+        return ((self.cascade_id, self.events, self.t_limit, self.network_size)
+                == (other.cascade_id, other.events, other.t_limit, other.network_size))
+
+    def __repr__(self) -> str:
+        return (f"PartialCascade({self.cascade_id!r}, size={self.size}, "
+                f"t_limit={self.t_limit!r}, network_size={self.network_size})")
+
     @property
-    def size(self) -> int:
-        return len(self.events)
+    def cascade_id(self) -> str:
+        return self._cascade.cascade_id
+
+    @property
+    def events(self) -> list[CascadeEvent]:
+        """The observed events: a new list at each read."""
+        return self._cascade.events[:self.size]
 
     @property
     def times(self) -> np.ndarray:
         """Join time of each observed event (float64, read-only)."""
-        return self._cascade.times[:len(self.events)]
+        return self._cascade.times[:self.size]
 
     @property
     def parent_positions(self) -> np.ndarray:
         """Position of each observed event's parent, -1 for the root (int32, read-only)."""
-        return self._cascade.parent_positions[:len(self.events)]
+        return self._cascade.parent_positions[:self.size]
 
     @property
     def user_ids(self) -> np.ndarray:
         """Interned id of each observed event's user (int32, read-only)."""
-        return self._cascade.user_ids[:len(self.events)]
+        return self._cascade.user_ids[:self.size]
 
     @property
     def replynum(self) -> np.ndarray:
         """Observed replies to each observed event (float64, read-only), built
         once and shared by every predictor on this cascade."""
         if self._replynum is None:
-            counts = np.bincount(self.parent_positions[1:], minlength=len(self.events))
+            counts = np.bincount(self.parent_positions[1:], minlength=self.size)
             self._replynum = _read_only(counts.astype(float))
         return self._replynum
 
     @classmethod
     def from_cascade(cls, cascade: Cascade, t_limit: float, network_size: int) -> "PartialCascade":
-        return cls(cascade.cascade_id, cascade.events[:_observed_count(cascade, t_limit)],
-                   t_limit, network_size, cascade)
+        return cls._prefix(cascade, _observed_count(cascade, t_limit), t_limit, network_size)
 
     @classmethod
     def first_events(cls, cascade: Cascade, count: int, network_size: int) -> "PartialCascade":
         return Observations.first_events(CascadeArrays([cascade]), np.array([count]),
                                          network_size)[0]
+
+
+def _check_prefix(cascade_id: str, count: int, network_size: int) -> None:
+    if network_size < 1:
+        raise DataError("network size must be >= 1")
+    if count < 1:
+        raise DataError(f"partial cascade {cascade_id!r} has no events")
 
 
 def _observed_count(cascade: Cascade, t_limit: float) -> int:
@@ -195,9 +231,8 @@ class Observations(Sequence[PartialCascade]):
         return len(self.lengths)
 
     def __getitem__(self, i: int) -> PartialCascade:
-        cascade = self.cascades[i]
-        return PartialCascade(cascade.cascade_id, cascade.events[:self.lengths[i]],
-                              self.t_limits.item(i), self.network_size, cascade)
+        return PartialCascade._prefix(self.cascades[i], self.lengths.item(i),
+                                      self.t_limits.item(i), self.network_size)
 
 
 @dataclass
@@ -384,12 +419,13 @@ def _rates(t0, shapes, log_scales, floor, t_e, out):
 class PrefixBatch:
     """The observed rows of many ``PartialCascade`` observations, laid out
     so that one array pass per dynamics table evaluates the basic model on
-    all of them; ``BasicPredictor`` is its one-cut view. One observation
-    reads its partial cascade's arrays and cached reply counts without a
-    copy. Many, given as ``Observations`` or as a list of partial cascades
-    (turned into ``Observations``), are gathered from their cascades' flat
-    arrays, so one ``bincount`` counts every row's replies. Only replying
-    rows are summed, as a row with no replies adds an exact zero.
+    all of them; ``BasicPredictor`` is its one-cut view, which reads its
+    partial cascade's arrays and cached reply counts without a copy. The
+    observations, given as ``Observations`` or as a list of partial
+    cascades (turned into ``Observations``, kept as ``observations``), are
+    gathered from their cascades' flat arrays, so one ``bincount`` counts
+    every row's replies. Only replying rows are summed, as a row with no
+    replies adds an exact zero.
 
     A query binds a ``ModelDynamics`` by user id (the last binding is kept).
     The deathrate is the rate the query kernel returns at t_limit, so each
@@ -400,46 +436,46 @@ class PrefixBatch:
     only, so an observation gets the same floats from any batch.
     """
 
+    # slots, not a __dict__: a batch is one container, however many arrays
+    # it holds, so predictors kept alive add little to the collector's work
+    __slots__ = ("observations", "size", "lengths", "t_limits", "floor", "_ids", "_obs_of",
+                 "_has_rows", "_starts", "_log0", "_times", "_t0", "_replynum",
+                 "_replying_ids", "_t_limit", "_bound_to", "_shapes", "_log_scales",
+                 "_deathrate", "_final")
+
     def __init__(self, observations: Sequence[PartialCascade]):
         if not isinstance(observations, Observations):
-            observations = list(observations)
+            observations = Observations.of(list(observations))
         self.observations = observations
+        self.size = n = len(observations)
+        self.lengths, self.t_limits = observations.lengths, observations.t_limits
+        source = observations.cascades
+        at = source.positions(self.lengths)
+        times, parents = source.times[at], source.parents[at]
+        child = parents >= 0
+        # parents index the source's arrays; shift them to these rows
+        local = parents[child] - (at[child] - np.flatnonzero(child))
+        replynum = np.bincount(local, minlength=len(times)).astype(float)
+        self._obs_of = np.repeat(np.arange(n), self.lengths)[replynum > 0.0]
+        counts = np.bincount(self._obs_of, minlength=n)
+        self._has_rows = np.flatnonzero(counts)  # observations with a replying row
+        self._starts = (np.cumsum(counts) - counts)[self._has_rows]
+        t_abs = max(-float(times.min()), float(self.t_limits.max())) if n else 0.0
+        self._lay_out(times, source.user_ids[at], replynum, t_abs, observations.network_size)
+
+    def _lay_out(self, times, ids, replynum, t_abs: float, network_size: int) -> None:
+        """Every row's times and user ids, and the replying rows' own arrays;
+        ``t_abs`` bounds the magnitude of every join time and t_limit."""
+        self.floor = 1.0 / network_size
         # every t_e >= t_join, so an elapsed time t_e - t0 of 0, whose log
         # warns, needs t0 == t_join: a shift below the spacing of floats
         # near some join time, which t_abs * 2**-52 bounds
-        if len(observations) == 1 and isinstance(observations, list):
-            (pc,) = observations
-            self.size, network_size = 1, pc.network_size
-            self.lengths, self.t_limits = np.array([pc.size]), np.array([pc.t_limit])
-            times, self._ids, replynum = pc.times, pc.user_ids, pc.replynum
-            t_abs = max(-float(times[0]), pc.t_limit)
-            self._obs_of = np.zeros(np.count_nonzero(replynum), dtype=np.intp)
-            self._has_rows = self._starts = self._obs_of[:1]
-        else:
-            if isinstance(observations, list):
-                observations = Observations.of(observations)
-            self.size = n = len(observations)
-            network_size = observations.network_size
-            self.lengths, self.t_limits = observations.lengths, observations.t_limits
-            source = observations.cascades
-            at = source.positions(self.lengths)
-            times, parents, self._ids = source.times[at], source.parents[at], source.user_ids[at]
-            child = parents >= 0
-            # parents index the source's arrays; shift them to these rows
-            local = parents[child] - (at[child] - np.flatnonzero(child))
-            replynum = np.bincount(local, minlength=len(times)).astype(float)
-            t_abs = max(-float(times.min()), float(self.t_limits.max())) if n else 0.0
-            self._obs_of = np.repeat(np.arange(n), self.lengths)[replynum > 0.0]
-            counts = np.bincount(self._obs_of, minlength=n)
-            self._has_rows = np.flatnonzero(counts)  # observations with a replying row
-            self._starts = (np.cumsum(counts) - counts)[self._has_rows]
-        self.floor = 1.0 / network_size
         self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
-        self._times = times
+        self._times, self._ids = times, ids
         replying = replynum > 0.0
         self._t0 = times[replying] - DELAY_SHIFT
         self._replynum = replynum[replying]
-        self._replying_ids = self._ids[replying]
+        self._replying_ids = ids[replying]
         self._t_limit = self._per_row(self.t_limits)
         self._bound_to = None
 
@@ -448,36 +484,32 @@ class PrefixBatch:
         return values if self.size == 1 else values[..., self._obs_of]
 
     def _user_at(self, row: int) -> str:
-        ends = np.cumsum(self.lengths)
-        j = int(np.searchsorted(ends, row, side="right"))
-        return self.observations[j].events[row - int(ends[j] - self.lengths[j])].user
+        return names_of(self._ids[row:row + 1])[0]
 
-    def _bind(self, dynamics: ModelDynamics) -> tuple[np.ndarray, ...]:
-        """The replying rows' shapes, log scales and deathrates, and every
-        final size less the root; refuses the first row whose user
-        ``dynamics`` lacks."""
+    def _bind(self, dynamics: ModelDynamics) -> None:
+        """Bind ``dynamics``: the replying rows' shapes, log scales and
+        deathrates, and every final size less the root; refuses the first
+        row whose user ``dynamics`` lacks."""
         if self._bound_to is not dynamics:
             dynamics._refuse_unserved(self._ids, self._user_at)
             params = dynamics._take(self._replying_ids)
-            shapes, log_scales = params[:, 1], params[:, 2]
-            deathrate = self._rates(shapes, log_scales, self._t_limit, np.empty_like(self._t0))
-            sums = np.bincount(self._obs_of, self._replynum / deathrate, self.size)
-            self._bound_to, self._bound = dynamics, (shapes, log_scales, deathrate, sums)
-        return self._bound
+            self._shapes, self._log_scales = params[:, 1], params[:, 2]
+            self._deathrate = self._rates(self._t_limit, np.empty_like(self._t0))
+            self._final = np.bincount(self._obs_of, self._replynum / self._deathrate, self.size)
+            self._bound_to = dynamics
 
-    def _rates(self, shapes, log_scales, t_e, out: np.ndarray) -> np.ndarray:
+    def _rates(self, t_e, out: np.ndarray) -> np.ndarray:
         if self._log0:
             with np.errstate(divide="ignore"):
-                return _rates(self._t0, shapes, log_scales, self.floor, t_e, out)
-        return _rates(self._t0, shapes, log_scales, self.floor, t_e, out)
+                return _rates(self._t0, self._shapes, self._log_scales, self.floor, t_e, out)
+        return _rates(self._t0, self._shapes, self._log_scales, self.floor, t_e, out)
 
-    def _sums(self, bound, t_e, out: np.ndarray) -> np.ndarray:
+    def _sums(self, t_e, out: np.ndarray) -> np.ndarray:
         """Sizes less the root at horizons ``t_e`` spread to the replying
         rows: one per observation, a row of them per horizon of a block."""
-        shapes, log_scales, deathrate, _ = bound
         # dividing the rates first makes the ratio exactly 1 at t_e == t_limit
-        ratio = self._rates(shapes, log_scales, t_e, out)
-        ratio /= deathrate
+        ratio = self._rates(t_e, out)
+        ratio /= self._deathrate
         ratio *= self._replynum
         if len(self._starts) == self.size:
             return np.add.reduceat(ratio, self._starts, axis=-1)
@@ -497,7 +529,8 @@ class PrefixBatch:
 
     def final_sizes(self, dynamics: ModelDynamics) -> np.ndarray:
         """Each observation's predicted final size, where every fdrate is 1."""
-        return 1.0 + self._bind(dynamics)[3]
+        self._bind(dynamics)
+        return 1.0 + self._final
 
     def sizes_at(self, dynamics: ModelDynamics, horizons) -> np.ndarray:
         """Each observation's predicted size at each of its horizons, none
@@ -510,12 +543,13 @@ class PrefixBatch:
             j, k = np.unravel_index(late.argmin(), late.shape)
             raise DataError(f"prediction horizon {float(horizons[j, k])} precedes "
                             f"t_limit {float(self.t_limits[j])}")
-        bound, out = self._bind(dynamics), np.empty_like(horizons)
+        self._bind(dynamics)
+        out = np.empty_like(horizons)
         block = max(1, _CURVE_BLOCK // max(1, len(self._t0)))
         buf = np.empty((min(block, horizons.shape[1]), len(self._t0)))
         for start in range(0, horizons.shape[1], block):
             t_e = horizons[:, start:start + block].T
-            sums = self._sums(bound, self._per_row(t_e), buf[:len(t_e)])
+            sums = self._sums(self._per_row(t_e), buf[:len(t_e)])
             np.add(sums.T, 1.0, out=out[:, start:start + len(t_e)])
         return out
 
@@ -524,14 +558,22 @@ class PrefixBatch:
         """Each observation's earliest integer-second time at which its
         predicted size reaches ``threshold``, NaN where it does not within
         [t_limit, t_max] (by default t_limit + ``DEFAULT_SEARCH_WINDOW``).
-        One bisection runs all searches: an ended one holds lo == hi, where
-        the size is known to reach the threshold, so more steps keep it."""
-        if threshold < 1:
-            raise DataError(f"outbreak threshold must be >= 1, got {threshold}")
-        if t_max is not None and not np.isfinite(t_max).all():
-            raise DataError(f"outbreak search horizon {t_max} is not finite")
-        bound = self._bind(dynamics)
-        if 1.0 + max(bound[3].tolist(), default=-math.inf) < threshold:  # nor observed sizes
+
+        Each search keeps an integer bracket (a, b] of seconds past t_limit,
+        the size short of the threshold at a and reaching it at b, and
+        probes where ``_itp_probe`` says: at most _ITP_N0 probes more than a
+        bisection, after one evaluation at the window's last second. The
+        size is monotone in time, so the search ends at the second a
+        bisection ends at. One observation is searched on plain floats and
+        ints; many share one array pass per probe, where an ended search
+        (b = a + 1) is projected onto its a, where the size is known to fall
+        short of the threshold, so more probes keep it."""
+        _check_search(threshold, t_max)
+        self._bind(dynamics)
+        if self.size == 1:
+            t_max = None if t_max is None else np.asarray(t_max).item()
+            return np.array([self._outbreak_time(threshold, t_max)])
+        if 1.0 + max(self._final.tolist(), default=-math.inf) < threshold:  # nor observed sizes
             return np.full(self.size, np.nan)
         t_limits, reached = self.t_limits, self.lengths >= threshold
         out = np.where(reached, t_limits, np.nan)
@@ -541,29 +583,124 @@ class PrefixBatch:
         hi = np.floor(ends - t_limits)
         hi -= t_limits + hi > ends
         hi += t_limits + (hi + 1.0) <= ends
-        search = (1.0 + bound[3] >= threshold) > reached  # reachable, not reached yet
+        search = (1.0 + self._final >= threshold) > reached  # reachable, not reached yet
         search &= hi >= 1.0
         if not search.any():
             return out
-        hi, buf = (hi * search).astype(np.int64), np.empty_like(self._t0)
-        search &= 1.0 + self._sums(bound, self._per_row(t_limits + hi), buf) >= threshold
-        hi *= search
-        lo = np.zeros_like(hi)
-        if self.size == 1:  # on plain ints, as array bookkeeping costs a step's sizes
-            (t_limit,), (low,), (high,) = t_limits.tolist(), lo.tolist(), hi.tolist()
-            while low < high:
-                mid = (low + high) // 2
-                if 1.0 + float(self._sums(bound, t_limit + mid, buf)[0]) >= threshold:
-                    high = mid
-                else:
-                    low = mid + 1
-            lo[0] = low
-        for _ in range(int(hi.max()).bit_length() if self.size > 1 else 0):
-            mid = (lo + hi) >> 1
-            hit = 1.0 + self._sums(bound, self._per_row(t_limits + mid), buf) >= threshold
-            hi, lo = np.where(hit, mid, hi), np.where(hit, lo, mid + 1)
-        np.copyto(out, t_limits + lo, where=search)
+        buf = np.empty_like(self._t0)
+        t_e = t_limits + hi * search
+        size = 1.0 + self._sums(self._per_row(t_e), buf)
+        search &= size >= threshold
+        (rows,) = np.nonzero(search)
+        t_limits, b, final = t_limits[rows], hi[rows], 1.0 + self._final[rows]
+        growth = final - self.lengths[rows]  # from the observed size, exact at t_limit
+        z_b, z_t = (_cloglog((final - v) / growth, _ARRAY) for v in (size[rows], threshold))
+        a, z_a = np.zeros_like(b), np.full_like(b, _Z_OBSERVED)
+        # ceil(log2 b) is the bit length of b - 1; 2^1023 is the largest float
+        bits = np.minimum(np.frexp(b - 1.0)[1] + _ITP_N0 - 1, 1023)
+        kappa, reach = _ITP_K1 / np.log(b + 1.0), np.ldexp(1.0, bits)
+        while (b - a > 1.0).any():
+            d = _itp_probe(a, b, z_a, z_b, z_t, kappa, reach, _ARRAY)
+            t_e[rows] = t_limits + d
+            size = 1.0 + self._sums(self._per_row(t_e), buf)[rows]
+            z, hit = _cloglog((final - size) / growth, _ARRAY), size >= threshold
+            a, z_a = np.where(hit, a, d), np.where(hit, z_a, z)
+            b, z_b = np.where(hit, d, b), np.where(hit, z, z_b)
+            reach *= 0.5
+        out[rows] = t_limits + b
         return out
+
+    def _outbreak_time(self, threshold: int, t_max: float | None) -> float:
+        """``outbreak_times`` of a one-observation batch on plain floats and
+        ints, NaN for none."""
+        final = 1.0 + self._final.item(0)
+        if final < threshold:
+            return math.nan
+        t_limit, observed = self.t_limits.item(0), self.lengths.item(0)
+        if observed >= threshold:
+            return t_limit
+        end = t_limit + DEFAULT_SEARCH_WINDOW if t_max is None else float(t_max)
+        hi = math.floor(end - t_limit)  # an int, found as in outbreak_times
+        hi -= t_limit + hi > end
+        hi += t_limit + (hi + 1) <= end
+        if hi < 1:
+            return math.nan
+        buf = np.empty_like(self._t0)
+        size = 1.0 + self._sums(t_limit + hi, buf).item(0)
+        if size < threshold:
+            return math.nan
+        growth = final - observed
+        a, b, z_a = 0, hi, _Z_OBSERVED
+        z_b, z_t = _cloglog((final - size) / growth), _cloglog((final - threshold) / growth)
+        kappa = _ITP_K1 / math.log(hi + 1.0)
+        reach = 2.0 ** min((hi - 1).bit_length() + _ITP_N0 - 1, 1023)
+        while b - a > 1:
+            d = _itp_probe(a, b, z_a, z_b, z_t, kappa, reach)
+            size = 1.0 + self._sums(t_limit + d, buf).item(0)
+            z = _cloglog((final - size) / growth)
+            if size >= threshold:
+                b, z_b = d, z
+            else:
+                a, z_a = d, z
+            reach *= 0.5
+        return t_limit + b
+
+
+def _check_search(threshold: int, t_max) -> None:
+    if threshold < 1:
+        raise DataError(f"outbreak threshold must be >= 1, got {threshold}")
+    if t_max is not None and not np.isfinite(t_max).all():
+        raise DataError(f"outbreak search horizon {t_max} is not finite")
+
+
+# log, elementwise max and elementwise min, for _cloglog and _itp_probe on
+# Python floats and on arrays
+_SCALAR = (math.log, max, min)
+_ARRAY = (np.log, np.maximum, np.minimum)
+_TINY = 2.0 ** -1000
+# the share of the growth still ahead, clipped so that its complementary
+# log-log is finite: from about -36.7 at the observed size to about 6.5
+_Q_RANGE = (_TINY, 1.0 - 2.0 ** -53)
+
+
+def _cloglog(q, ops=_SCALAR):
+    """log(-log q) of q clipped to ``_Q_RANGE``, nondecreasing as q falls."""
+    log, lower, upper = ops
+    return log(-log(upper(lower(q, _Q_RANGE[0]), _Q_RANGE[1])))
+
+
+_Z_OBSERVED = _cloglog(1.0)
+
+
+def _itp_probe(a, b, z_a, z_b, z_t, kappa, reach, ops=_SCALAR):
+    """The next probe of a search for the first integer d at which the size
+    reaches the threshold, in the bracket (a, b] with b - a >= 2: ITP's
+    probe (Oliveira & Takahashi 2021, ACM TOMS 47(1)) on u = log(d + 1) and
+    z = ``_cloglog`` of the share of the growth from the observed to the
+    final size still ahead. A Weibull CDF is a line in those coordinates,
+    so the size curve, steep near t_limit and flat across the window, is
+    nearly one. z is ``z_a`` at a, ``z_b`` at b and ``z_t`` at the threshold.
+
+    - interpolate: the regula falsi point between (u(a), z_a) and
+      (u(b), z_b);
+    - truncate: move it toward u's midpoint by at most kappa1 L^2, where
+      L = u(b) - u(a) and ``kappa`` is kappa1, _ITP_K1 over the first L;
+    - project: round it to an integer within ``reach`` of both a and b, and
+      strictly inside (a, b).
+
+    A search that starts with reach 2^(ceil(log2 b) + _ITP_N0 - 1) at a = 0
+    and halves it at each probe keeps b - a <= 2 reach, so it ends within
+    ceil(log2 b) + _ITP_N0 probes. ``ops`` is ``_SCALAR`` or ``_ARRAY``.
+    """
+    log, lower, upper = ops
+    ratio = (b + 1.0) / (a + 1.0)
+    # z_a <= z_t <= z_b; a difference that rounds to 0 gives share 0
+    share = (z_t - z_a) / lower(z_b - z_a, _TINY)
+    delta = kappa * log(ratio)  # kappa1 L^2 as a share of L
+    share = upper(lower(0.5, share - delta), share + delta)
+    x = (a + 1.0) * ratio ** share  # d + 1
+    reach = upper(reach, b - a - 1.0)
+    return upper(lower((x - 0.5) // 1.0, b - reach), a + reach)
 
 
 class BasicPredictor(PrefixBatch):
@@ -572,12 +709,20 @@ class BasicPredictor(PrefixBatch):
     names to ``WeibullParams`` (see ``ModelDynamics.of``), refusing here a
     user it cannot serve. Every query is the batch's own, so it equals a
     batch's answer for the same observation bit for bit, and a process
-    curve equals ``size_at`` at each of its horizons.
+    curve equals ``size_at`` at each of its horizons. It keeps no list of
+    observations: ``pc`` is its partial cascade.
     """
 
+    __slots__ = ("pc", "_dynamics")
+
     def __init__(self, pc: PartialCascade, dynamics):
-        super().__init__((pc,))
-        self.pc = pc
+        self.pc, self.size = pc, 1
+        self.lengths, self.t_limits = np.array([pc.size]), np.array([pc.t_limit])
+        times, replynum = pc.times, pc.replynum
+        self._obs_of = np.zeros(np.count_nonzero(replynum), dtype=np.intp)
+        self._has_rows = self._starts = self._obs_of[:1]
+        self._lay_out(times, pc.user_ids, replynum, max(-float(times[0]), pc.t_limit),
+                      pc.network_size)
         self._dynamics = ModelDynamics.of(dynamics)
         self._bind(self._dynamics)
 
@@ -598,16 +743,17 @@ class BasicPredictor(PrefixBatch):
         """Predicted cumulative size at horizon t_e >= t_limit."""
         if not t_e >= self.pc.t_limit:  # also refuses NaN
             raise DataError(f"prediction horizon {t_e} precedes t_limit {self.pc.t_limit}")
-        return 1.0 + float(self._sums(self._bound, t_e, np.empty_like(self._t0))[0])
+        return 1.0 + float(self._sums(t_e, np.empty_like(self._t0))[0])
 
     def final_size(self) -> float:
         """Predicted final size: horizon at infinity, so fdrate is 1."""
-        return 1.0 + float(self._bound[3][0])
+        return 1.0 + float(self._final[0])
 
     def outbreak_time(self, threshold_size: int, t_max: float | None = None) -> float | None:
         """Earliest integer-second time the predicted size reaches the
         threshold; None when it never does within [t_limit, t_max]."""
-        t = float(self.outbreak_times(self._dynamics, threshold_size, t_max)[0])
+        _check_search(threshold_size, t_max)
+        t = self._outbreak_time(threshold_size, t_max)
         return None if math.isnan(t) else t
 
     def process_curve(self, grid: Sequence[float]) -> ProcessCurve:
@@ -769,8 +915,18 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _float_range_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)  # what a reader of the record does with it
+    except OverflowError:
+        raise ValueError(f"integer of {len(text)} characters is beyond float range") from None
+    return value
+
+
 def read_predictions_jsonl(path) -> list[dict]:
-    """Records as ``write_predictions_jsonl`` writes them: NaN and infinities are refused."""
+    """Records as ``write_predictions_jsonl`` writes them: NaN, infinities
+    and integers beyond float range are refused."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -779,6 +935,7 @@ def read_predictions_jsonl(path) -> list[dict]:
                 continue
             try:
                 out.append(json.loads(line, parse_float=_finite_number,
+                                      parse_int=_float_range_int,
                                       parse_constant=_finite_number))
             except ValueError as exc:  # a JSONDecodeError too
                 raise DataError(f"{path}:{line_no}: bad prediction record: {exc}") from exc

@@ -296,6 +296,26 @@ class TestEvaluateCommand:
         assert f"{pred_path}:1: bad prediction record: non-finite number" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_integer_beyond_float_range_rejected(self, sim_dir, tmp_path):
+        # json reads it as an int, which scoring could not turn into a float;
+        # a process of its own shows what a user sees on stderr
+        cascade = read_cascades_jsonl(sim_dir / "cascades.jsonl")[0]
+        pred_path = tmp_path / "huge.jsonl"
+        pred_path.write_text(f'{{"cascade": {json.dumps(cascade.cascade_id)}, '
+                             f'"t_limit": {cascade.root.t!r}, "final": {"9" * 401}, '
+                             f'"outbreak_t": null, "curve": []}}\n')
+        out = tmp_path / "report"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "cascadyn.cli", "evaluate",
+                               "--pred", str(pred_path), "--truth", str(sim_dir / "cascades.jsonl"),
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 1
+        assert (f"{pred_path}:1: bad prediction record: integer of 401 characters is beyond "
+                f"float range") in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (out / "summary.json").exists()
+
     def test_protocol_mode_writes_report(self, sim_dir, tmp_path):
         out = tmp_path / "proto"
         assert run("evaluate", "--protocol", "size",

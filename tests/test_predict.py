@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import itertools
 import math
 
@@ -30,6 +32,7 @@ from cascadyn.predict import (
     PartialCascade,
     PrefixBatch,
     SamplingPredictor,
+    _ITP_N0,
     read_predictions_jsonl,
     write_predictions_jsonl,
 )
@@ -1021,3 +1024,122 @@ class TestSinglePath:
                 assert curve.sizes == np.maximum.accumulate(scan[j]).tolist()
                 assert one.outbreak_time(threshold, t_max[j]) == (
                     None if np.isnan(want) else want)
+
+
+def last_second(t_limit, t_max):
+    """The largest integer d with t_limit + d <= t_max in floats."""
+    d = math.floor(t_max - t_limit) + 1
+    while t_limit + d > t_max:
+        d -= 1
+    return d
+
+
+@contextlib.contextmanager
+def counted_sums():
+    """A list that gets one entry per size evaluation (``PrefixBatch._sums``
+    call) while the context is open."""
+    calls, sums = [], PrefixBatch._sums
+
+    def counting(self, t_e, out):
+        calls.append(t_e)
+        return sums(self, t_e, out)
+
+    PrefixBatch._sums = counting
+    try:
+        yield calls
+    finally:
+        PrefixBatch._sums = sums
+
+
+class TestOutbreakSearch:
+    """The search evaluates the size at most bisection's count plus _ITP_N0
+    times, plus once at the window's last second, and ends where a scan of
+    every second does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), share=st.floats(0.0, 1.2),
+           log_span=st.floats(0.0, 5.3))
+    def test_one_cut_within_step_bound_and_at_scan(self, seed, share, log_span):
+        rng = np.random.default_rng(seed)
+        pc, dyn = random_partial_cascade(rng, n_users=int(rng.integers(1, 25)),
+                                         network_size=int(rng.integers(30, 300)))
+        table = ModelDynamics.of(dyn)
+        predictor = BasicPredictor(pc, table)
+        threshold = max(1, int(pc.size + share * (predictor.final_size() - pc.size)))
+        t_max = pc.t_limit + 10.0 ** log_span
+        hi = last_second(pc.t_limit, t_max)
+        with counted_sums() as calls:
+            got = predictor.outbreak_time(threshold, t_max)
+        assert len(calls) <= hi.bit_length() + _ITP_N0 + 1
+        scan = predictor.sizes_at(table, pc.t_limit + np.arange(hi + 1.0)[None, :])[0]
+        first = np.flatnonzero(scan >= threshold)
+        assert got == (pc.t_limit + first[0] if first.size else None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=observation_batches())
+    def test_batch_within_step_bound_and_at_scan(self, batch):
+        observations, dynamics, threshold, span = batch
+        table = ModelDynamics.of(dynamics)
+        prefixes = PrefixBatch(observations)
+        t_limits = np.array([pc.t_limit for pc in observations])
+        t_max = t_limits + span
+        with counted_sums() as calls:
+            got = prefixes.outbreak_times(table, threshold, t_max)
+        hi = max(map(last_second, t_limits.tolist(), t_max.tolist()), default=0)
+        assert len(calls) <= hi.bit_length() + _ITP_N0 + 1
+        scan = prefixes.sizes_at(table, t_limits[:, None] + np.arange(span + 1.0))
+        for j, last in enumerate(map(last_second, t_limits.tolist(), t_max.tolist())):
+            first = np.flatnonzero(scan[j, :last + 1] >= threshold)
+            np.testing.assert_equal(got[j], t_limits[j] + first[0] if first.size else np.nan)
+
+
+    def test_window_past_int64_seconds(self):
+        # a finite t_max whose whole-second span overflows int64 or makes
+        # 2**(bit length) overflow a float still ends at the first crossing
+        events = [CascadeEvent("r", None, 0.0), CascadeEvent("a", "r", 10.0),
+                  CascadeEvent("b", "r", 20.0)]
+        table = ModelDynamics.of({u: WeibullParams(1e6, 0.5) for u in "rab"})
+        pc = PartialCascade("c", events, 20.0, 100)
+        batch = PrefixBatch([pc, PartialCascade("c", events[:2], 10.0, 100)])
+        want = [BasicPredictor(pc, table).outbreak_time(4, 1e15),
+                batch.outbreak_times(table, 4, 1e15)]
+        assert want[0] == want[1][0] and not np.isnan(want[1]).any()
+        for t_max in (1e200, float(np.finfo(float).max)):
+            with np.errstate(all="raise"):
+                assert BasicPredictor(pc, table).outbreak_time(4, t_max) == want[0]
+                np.testing.assert_equal(batch.outbreak_times(table, 4, t_max), want[1])
+
+class TestForecastFootprint:
+    def test_one_forecast_leaves_two_tracked_objects(self):
+        # a forecast keeps its partial cascade and its predictor, each one
+        # container however many arrays it holds, so predictors kept alive
+        # add little to the collector's young generation
+        pc, dyn = random_partial_cascade(np.random.default_rng(3), n_users=40)
+        cascade, table = Cascade("footprint", pc.events), ModelDynamics.of(dyn)
+        t_limit = float(cascade.times[20])
+        grid = np.linspace(t_limit, t_limit + 5000.0, 20).tolist()
+
+        def forecast():
+            pc = PartialCascade.from_cascade(cascade, t_limit, 1000)
+            predictor = BasicPredictor(pc, table)
+            predictor.final_size()
+            predictor.outbreak_time(pc.size + 3)
+            predictor.process_curve(grid)
+            return predictor
+
+        warm = forecast()  # the cascade's arrays are built on first use
+        assert warm.outbreak_time(warm.pc.size + 3) > t_limit  # the search runs
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = gc.get_objects(0)  # kept alive, so no id is reused
+            seen = {id(o) for o in before}
+            kept = forecast()
+            after = gc.get_objects(0)
+            new = [type(o).__name__ for o in after
+                   if id(o) not in seen and all(o is not x for x in (before, seen, after))]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(new) <= 2, new
+        assert kept.pc.events == cascade.events[:kept.pc.size]
