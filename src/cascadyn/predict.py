@@ -564,10 +564,11 @@ class PrefixBatch:
         probes where ``_itp_probe`` says: at most _ITP_N0 probes more than a
         bisection, after one evaluation at the window's last second. The
         size is monotone in time, so the search ends at the second a
-        bisection ends at. One observation is searched on plain floats and
-        ints; many share one array pass per probe, where an ended search
-        (b = a + 1) is projected onto its a, where the size is known to fall
-        short of the threshold, so more probes keep it."""
+        bisection ends at. One observation is searched on Python floats and
+        ints, as is each window past 2^53 seconds, where floats skip
+        integers; the others share one array pass per probe, where an ended
+        search (b = a + 1) is projected onto its a, where the size is known
+        to fall short of the threshold, so more probes keep it."""
         _check_search(threshold, t_max)
         self._bind(dynamics)
         if self.size == 1:
@@ -577,14 +578,15 @@ class PrefixBatch:
             return np.full(self.size, np.nan)
         t_limits, reached = self.t_limits, self.lengths >= threshold
         out = np.where(reached, t_limits, np.nan)
-        ends = t_limits + DEFAULT_SEARCH_WINDOW if t_max is None else t_max
-        # the largest integer d with t_limit + d <= t_max in floats, which a
-        # rounded t_max - t_limit can miss by one either way
-        hi = np.floor(ends - t_limits)
-        hi -= t_limits + hi > ends
-        hi += t_limits + (hi + 1.0) <= ends
+        ends = np.broadcast_to(t_limits + DEFAULT_SEARCH_WINDOW if t_max is None else t_max,
+                               t_limits.shape)
+        hi = _last_second(t_limits, ends, _ARRAY)
         search = (1.0 + self._final >= threshold) > reached  # reachable, not reached yet
         search &= hi >= 1.0
+        for j in np.flatnonzero(search & (hi >= _EXACT_SPAN)).tolist():
+            one = PrefixBatch((self.observations[j],))
+            out[j] = one.outbreak_times(dynamics, threshold, ends[j])[0]
+        search &= hi < _EXACT_SPAN
         if not search.any():
             return out
         buf = np.empty_like(self._t0)
@@ -596,9 +598,8 @@ class PrefixBatch:
         growth = final - self.lengths[rows]  # from the observed size, exact at t_limit
         z_b, z_t = (_cloglog((final - v) / growth, _ARRAY) for v in (size[rows], threshold))
         a, z_a = np.zeros_like(b), np.full_like(b, _Z_OBSERVED)
-        # ceil(log2 b) is the bit length of b - 1; 2^1023 is the largest float
-        bits = np.minimum(np.frexp(b - 1.0)[1] + _ITP_N0 - 1, 1023)
-        kappa, reach = _ITP_K1 / np.log(b + 1.0), np.ldexp(1.0, bits)
+        # ceil(log2 b) is the bit length of b - 1
+        kappa, reach = _ITP_K1 / np.log(b + 1.0), np.ldexp(1.0, np.frexp(b - 1.0)[1] + _ITP_N0 - 1)
         while (b - a > 1.0).any():
             d = _itp_probe(a, b, z_a, z_b, z_t, kappa, reach, _ARRAY)
             t_e[rows] = t_limits + d
@@ -611,7 +612,7 @@ class PrefixBatch:
         return out
 
     def _outbreak_time(self, threshold: int, t_max: float | None) -> float:
-        """``outbreak_times`` of a one-observation batch on plain floats and
+        """``outbreak_times`` of a one-observation batch on Python floats and
         ints, NaN for none."""
         final = 1.0 + self._final.item(0)
         if final < threshold:
@@ -619,10 +620,8 @@ class PrefixBatch:
         t_limit, observed = self.t_limits.item(0), self.lengths.item(0)
         if observed >= threshold:
             return t_limit
-        end = t_limit + DEFAULT_SEARCH_WINDOW if t_max is None else float(t_max)
-        hi = math.floor(end - t_limit)  # an int, found as in outbreak_times
-        hi -= t_limit + hi > end
-        hi += t_limit + (hi + 1) <= end
+        hi = _last_second(t_limit, t_limit + DEFAULT_SEARCH_WINDOW if t_max is None
+                          else float(t_max))
         if hi < 1:
             return math.nan
         buf = np.empty_like(self._t0)
@@ -632,8 +631,7 @@ class PrefixBatch:
         growth = final - observed
         a, b, z_a = 0, hi, _Z_OBSERVED
         z_b, z_t = _cloglog((final - size) / growth), _cloglog((final - threshold) / growth)
-        kappa = _ITP_K1 / math.log(hi + 1.0)
-        reach = 2.0 ** min((hi - 1).bit_length() + _ITP_N0 - 1, 1023)
+        kappa, reach = _ITP_K1 / math.log(hi + 1.0), 1 << (hi - 1).bit_length() + _ITP_N0 - 1
         while b - a > 1:
             d = _itp_probe(a, b, z_a, z_b, z_t, kappa, reach)
             size = 1.0 + self._sums(t_limit + d, buf).item(0)
@@ -642,7 +640,7 @@ class PrefixBatch:
                 b, z_b = d, z
             else:
                 a, z_a = d, z
-            reach *= 0.5
+            reach >>= 1
         return t_limit + b
 
 
@@ -653,10 +651,12 @@ def _check_search(threshold: int, t_max) -> None:
         raise DataError(f"outbreak search horizon {t_max} is not finite")
 
 
-# log, elementwise max and elementwise min, for _cloglog and _itp_probe on
-# Python floats and on arrays
-_SCALAR = (math.log, max, min)
-_ARRAY = (np.log, np.maximum, np.minimum)
+# log, elementwise max, elementwise min and floor, for _cloglog, _itp_probe
+# and _last_second on Python floats and ints and on arrays
+_SCALAR = (math.log, max, min, math.floor)
+_ARRAY = (np.log, np.maximum, np.minimum, np.floor)
+_FLOAT_MAX = float(np.finfo(float).max)
+_EXACT_SPAN = 2.0 ** 53  # from here on, floats skip integers
 _TINY = 2.0 ** -1000
 # the share of the growth still ahead, clipped so that its complementary
 # log-log is finite: from about -36.7 at the observed size to about 6.5
@@ -665,11 +665,22 @@ _Q_RANGE = (_TINY, 1.0 - 2.0 ** -53)
 
 def _cloglog(q, ops=_SCALAR):
     """log(-log q) of q clipped to ``_Q_RANGE``, nondecreasing as q falls."""
-    log, lower, upper = ops
+    log, lower, upper, _ = ops
     return log(-log(upper(lower(q, _Q_RANGE[0]), _Q_RANGE[1])))
 
 
 _Z_OBSERVED = _cloglog(1.0)
+
+
+def _last_second(t_limit, end, ops=_SCALAR):
+    """The largest integer d with t_limit + d <= end in floats, which a
+    rounded end - t_limit can miss by one either way; a span past the
+    largest float is cut to it. An int on ``_SCALAR``."""
+    _, _, upper, floor = ops
+    d = floor(upper(end - t_limit, _FLOAT_MAX))
+    d -= t_limit + d > end
+    d += t_limit + (d + 1) <= end
+    return d
 
 
 def _itp_probe(a, b, z_a, z_b, z_t, kappa, reach, ops=_SCALAR):
@@ -685,22 +696,25 @@ def _itp_probe(a, b, z_a, z_b, z_t, kappa, reach, ops=_SCALAR):
       (u(b), z_b);
     - truncate: move it toward u's midpoint by at most kappa1 L^2, where
       L = u(b) - u(a) and ``kappa`` is kappa1, _ITP_K1 over the first L;
-    - project: round it to an integer within ``reach`` of both a and b, and
-      strictly inside (a, b).
+    - project: round it down to an integer within ``reach`` of both a and
+      b, and strictly inside (a, b).
 
     A search that starts with reach 2^(ceil(log2 b) + _ITP_N0 - 1) at a = 0
     and halves it at each probe keeps b - a <= 2 reach, so it ends within
-    ceil(log2 b) + _ITP_N0 probes. ``ops`` is ``_SCALAR`` or ``_ARRAY``.
+    ceil(log2 b) + _ITP_N0 probes. ``ops`` is ``_SCALAR``, on which a, b
+    and reach are ints and so is the probe, or ``_ARRAY``, on which they
+    are floats, exact below 2^53.
     """
-    log, lower, upper = ops
+    log, lower, upper, floor = ops
     ratio = (b + 1.0) / (a + 1.0)
     # z_a <= z_t <= z_b; a difference that rounds to 0 gives share 0
     share = (z_t - z_a) / lower(z_b - z_a, _TINY)
     delta = kappa * log(ratio)  # kappa1 L^2 as a share of L
     share = upper(lower(0.5, share - delta), share + delta)
     x = (a + 1.0) * ratio ** share  # d + 1
-    reach = upper(reach, b - a - 1.0)
-    return upper(lower((x - 0.5) // 1.0, b - reach), a + reach)
+    # a live search has 2 <= b - a <= 2 reach, so the bounds meet; an ended
+    # one (b = a + 1) gets a
+    return floor(upper(lower(x - 0.5, lower(b - reach, a + 1)), upper(a + reach, b - 1)))
 
 
 class BasicPredictor(PrefixBatch):
@@ -743,16 +757,19 @@ class BasicPredictor(PrefixBatch):
         """Predicted cumulative size at horizon t_e >= t_limit."""
         if not t_e >= self.pc.t_limit:  # also refuses NaN
             raise DataError(f"prediction horizon {t_e} precedes t_limit {self.pc.t_limit}")
+        self._bind(self._dynamics)  # a batch query may have bound another table
         return 1.0 + float(self._sums(t_e, np.empty_like(self._t0))[0])
 
     def final_size(self) -> float:
         """Predicted final size: horizon at infinity, so fdrate is 1."""
+        self._bind(self._dynamics)
         return 1.0 + float(self._final[0])
 
     def outbreak_time(self, threshold_size: int, t_max: float | None = None) -> float | None:
         """Earliest integer-second time the predicted size reaches the
         threshold; None when it never does within [t_limit, t_max]."""
         _check_search(threshold_size, t_max)
+        self._bind(self._dynamics)
         t = self._outbreak_time(threshold_size, t_max)
         return None if math.isnan(t) else t
 

@@ -1035,13 +1035,15 @@ def last_second(t_limit, t_max):
 
 
 @contextlib.contextmanager
-def counted_sums():
+def counted_sums(limit=math.inf):
     """A list that gets one entry per size evaluation (``PrefixBatch._sums``
-    call) while the context is open."""
+    call) while the context is open; the evaluation past ``limit`` fails,
+    so a search that would not end fails instead."""
     calls, sums = [], PrefixBatch._sums
 
     def counting(self, t_e, out):
         calls.append(t_e)
+        assert len(calls) <= limit, f"more than {limit} size evaluations"
         return sums(self, t_e, out)
 
     PrefixBatch._sums = counting
@@ -1108,6 +1110,52 @@ class TestOutbreakSearch:
             with np.errstate(all="raise"):
                 assert BasicPredictor(pc, table).outbreak_time(4, t_max) == want[0]
                 np.testing.assert_equal(batch.outbreak_times(table, 4, t_max), want[1])
+
+    @pytest.mark.parametrize("shape,threshold,t_max", [
+        (0.01, 8, 1e300),  # crossing near 1.2e28 s
+        (0.02, 9, 9e18),  # crossing near 7.7e18 s, just short of 2**63
+        (0.01, 8, float(np.finfo(float).max)),
+    ])
+    def test_crossing_past_2_53_seconds(self, shape, threshold, t_max):
+        # floats there skip integers, so a search on them could stall with
+        # b - a > 1 and no float strictly between; the search runs on ints
+        events = [CascadeEvent("r", None, 0.0)] + [
+            CascadeEvent(f"u{i}", "r", float(i + 1)) for i in range(5)]
+        table = ModelDynamics.of({e.user: WeibullParams(1e9, shape) for e in events})
+        pc = PartialCascade("c", events, 5.0, 100)
+        predictor = BasicPredictor(pc, table)
+        bound = last_second(pc.t_limit, t_max).bit_length() + _ITP_N0 + 1
+        with counted_sums(bound):
+            got = predictor.outbreak_time(threshold, t_max)
+        assert got > 2.0 ** 53
+        assert predictor.size_at(got) >= threshold > predictor.size_at(np.nextafter(got, 0.0))
+        batch = PrefixBatch([pc, PartialCascade("c", events[:4], 3.0, 100)])
+        with counted_sums(2 * bound):
+            np.testing.assert_equal(batch.outbreak_times(table, threshold, t_max)[0], got)
+
+
+class TestOwnDynamics:
+    def test_one_cut_queries_use_the_predictors_table(self):
+        # a batch query binds the table it is given; the one-cut queries
+        # answer with the predictor's own table all the same
+        pc, dyn = random_partial_cascade(np.random.default_rng(11), n_users=25)
+        other = ModelDynamics.of({u: WeibullParams(p.scale * 7.0, p.shape)
+                                  for u, p in dyn.items()})
+        predictor = BasicPredictor(pc, dyn)
+        t_e = pc.t_limit + 300.0
+
+        def queries():
+            return (predictor.final_size(), predictor.size_at(t_e),
+                    predictor.outbreak_time(pc.size + 2, pc.t_limit + 1e7),
+                    predictor.process_curve([pc.t_limit, t_e]))
+
+        want = queries()
+        for batch_query in (lambda: predictor.sizes_at(other, [[t_e]]),
+                            lambda: predictor.final_sizes(other),
+                            lambda: predictor.outbreak_times(other, pc.size + 2)):
+            batch_query()
+            assert queries() == want
+
 
 class TestForecastFootprint:
     def test_one_forecast_leaves_two_tracked_objects(self):
