@@ -42,6 +42,7 @@ from .fitting import (
     write_subcascades_jsonl,
 )
 from .predict import (
+    DEFAULT_SEARCH_WINDOW,
     BasicPredictor,
     ModelDynamics,
     PartialCascade,
@@ -345,12 +346,15 @@ def _cmd_evaluate(args) -> int:
             raise CascadynError(f"prediction for unknown cascade {rec['cascade']!r}")
         size_records.append(PredictionRecord(
             cascade.cascade_id, float(cascade.size), float(rec["final"])))
-        if rec.get("outbreak_t") is not None and cascade.size >= args.threshold:
+        if "outbreak_t" in rec and cascade.size >= args.threshold:
             t0 = cascade.root.t
             true_t = cascade.events[args.threshold - 1].t
+            pred_t = rec["outbreak_t"]
+            if pred_t is None:  # "never" is capped at the window predict searched
+                pred_t = float(rec["t_limit"]) + DEFAULT_SEARCH_WINDOW
             outbreak_records.append(PredictionRecord(
-                cascade.cascade_id, true_t - t0 + 1.0,
-                float(rec["outbreak_t"]) - t0 + 1.0, task="outbreak"))
+                cascade.cascade_id, true_t - t0 + 1.0, float(pred_t) - t0 + 1.0,
+                task="outbreak"))
         for t, s in rec.get("curve") or []:
             process_records.append(PredictionRecord(
                 cascade.cascade_id, float(cascade.size_at(t)), float(s),

@@ -53,6 +53,7 @@ DEFAULT_SEARCH_WINDOW = 30 * 86400.0  # outbreak search horizon beyond t_limit
 _ITP_K1 = 0.3
 _ITP_N0 = 3
 _CURVE_BLOCK = 1 << 16  # process-curve buffer entries (horizons x replying rows)
+_ONE_START = _read_only(np.zeros(1, dtype=np.intp))  # a one-cut's one sum starts at row 0
 # exp(-exp(x)) is at least exp(-708) ~ 3e-308, a normal float, for x up to
 # log 708, and every rate past it rounds to 1 all the same
 _RATE_CLAMP = math.log(708.0)
@@ -70,7 +71,7 @@ class PartialCascade:
     read-only views of its arrays.
     """
 
-    __slots__ = ("t_limit", "network_size", "size", "_cascade", "_replynum")
+    __slots__ = ("t_limit", "network_size", "size", "_cascade")
 
     def __init__(self, cascade_id: str, events: list[CascadeEvent], t_limit: float,
                  network_size: int):
@@ -91,7 +92,6 @@ class PartialCascade:
     def _observe(self, cascade: Cascade, count: int, t_limit: float, network_size: int):
         self._cascade, self.size, self.t_limit, self.network_size = (cascade, count, t_limit,
                                                                      network_size)
-        self._replynum = None
         if not math.isfinite(t_limit) or not t_limit >= cascade.events[count - 1].t:
             raise DataError(
                 f"partial cascade {cascade.cascade_id!r}: t_limit {t_limit} is not finite "
@@ -135,11 +135,9 @@ class PartialCascade:
     @property
     def replynum(self) -> np.ndarray:
         """Observed replies to each observed event (float64, read-only), built
-        once and shared by every predictor on this cascade."""
-        if self._replynum is None:
-            counts = np.bincount(self.parent_positions[1:], minlength=self.size)
-            self._replynum = _read_only(counts.astype(float))
-        return self._replynum
+        at each read."""
+        counts = np.bincount(self.parent_positions[1:], minlength=self.size)
+        return _read_only(counts.astype(float))
 
     @classmethod
     def from_cascade(cls, cascade: Cascade, t_limit: float, network_size: int) -> "PartialCascade":
@@ -249,6 +247,14 @@ class ProcessCurve:
             raise DataError("curve times must be sorted")
         if any(map(operator.lt, self.sizes[1:], self.sizes)):
             raise DataError("curve sizes must be nondecreasing")
+
+    @classmethod
+    def _checked(cls, times: list[float], sizes: list[float]) -> "ProcessCurve":
+        """A curve whose caller has made its times sorted and its sizes
+        nondecreasing, one of each per horizon, so not checked again."""
+        curve = cls.__new__(cls)
+        curve.times, curve.sizes = times, sizes
+        return curve
 
 
 def _no_dynamics(user: str) -> DataError:
@@ -420,12 +426,12 @@ class PrefixBatch:
     """The observed rows of many ``PartialCascade`` observations, laid out
     so that one array pass per dynamics table evaluates the basic model on
     all of them; ``BasicPredictor`` is its one-cut view, which reads its
-    partial cascade's arrays and cached reply counts without a copy. The
-    observations, given as ``Observations`` or as a list of partial
-    cascades (turned into ``Observations``, kept as ``observations``), are
-    gathered from their cascades' flat arrays, so one ``bincount`` counts
-    every row's replies. Only replying rows are summed, as a row with no
-    replies adds an exact zero.
+    partial cascade's arrays without a copy. The observations, given as
+    ``Observations`` or as a list of partial cascades (turned into
+    ``Observations``, kept as ``observations``), are gathered from their
+    cascades' flat arrays, so one ``bincount`` counts every row's replies.
+    Only replying rows are summed, as a row with no replies adds an exact
+    zero.
 
     A query binds a ``ModelDynamics`` by user id (the last binding is kept).
     The deathrate is the rate the query kernel returns at t_limit, so each
@@ -455,29 +461,32 @@ class PrefixBatch:
         child = parents >= 0
         # parents index the source's arrays; shift them to these rows
         local = parents[child] - (at[child] - np.flatnonzero(child))
-        replynum = np.bincount(local, minlength=len(times)).astype(float)
-        self._obs_of = np.repeat(np.arange(n), self.lengths)[replynum > 0.0]
+        t_abs = max(-float(times.min()), float(self.t_limits.max())) if n else 0.0
+        self._times, self._ids = times, source.user_ids[at]
+        rows = self._lay_out(times, self._ids, local, t_abs, observations.network_size)
+        self._obs_of = np.repeat(np.arange(n), self.lengths)[rows]
         counts = np.bincount(self._obs_of, minlength=n)
         self._has_rows = np.flatnonzero(counts)  # observations with a replying row
         self._starts = (np.cumsum(counts) - counts)[self._has_rows]
-        t_abs = max(-float(times.min()), float(self.t_limits.max())) if n else 0.0
-        self._lay_out(times, source.user_ids[at], replynum, t_abs, observations.network_size)
+        self._t_limit = self._per_row(self.t_limits)
 
-    def _lay_out(self, times, ids, replynum, t_abs: float, network_size: int) -> None:
-        """Every row's times and user ids, and the replying rows' own arrays;
+    def _lay_out(self, times, ids, parents, t_abs: float, network_size: int) -> np.ndarray:
+        """Count each row's replies from ``parents``, the row of each reply's
+        parent, and keep the join times, reply counts and user ids (read from
+        ``times`` and ``ids``) of the rows with any, which it returns;
         ``t_abs`` bounds the magnitude of every join time and t_limit."""
         self.floor = 1.0 / network_size
         # every t_e >= t_join, so an elapsed time t_e - t0 of 0, whose log
         # warns, needs t0 == t_join: a shift below the spacing of floats
         # near some join time, which t_abs * 2**-52 bounds
         self._log0 = not DELAY_SHIFT > t_abs * 2.0 ** -52
-        self._times, self._ids = times, ids
-        replying = replynum > 0.0
-        self._t0 = times[replying] - DELAY_SHIFT
-        self._replynum = replynum[replying]
-        self._replying_ids = ids[replying]
-        self._t_limit = self._per_row(self.t_limits)
+        replynum = np.bincount(parents)
+        rows = replynum.nonzero()[0]
+        self._t0 = times[rows] - DELAY_SHIFT
+        self._replynum = replynum[rows].astype(float)
+        self._replying_ids = ids[rows]
         self._bound_to = None
+        return rows
 
     def _per_row(self, values: np.ndarray) -> np.ndarray:
         """Per-observation values (last axis) spread to the replying rows."""
@@ -495,7 +504,11 @@ class PrefixBatch:
             params = dynamics._take(self._replying_ids)
             self._shapes, self._log_scales = params[:, 1], params[:, 2]
             self._deathrate = self._rates(self._t_limit, np.empty_like(self._t0))
-            self._final = np.bincount(self._obs_of, self._replynum / self._deathrate, self.size)
+            terms = self._replynum / self._deathrate
+            if self.size != 1:
+                self._final = np.bincount(self._obs_of, terms, self.size)
+            else:  # bincount's sum, in row order, without its bins
+                self._final = np.add.accumulate(terms)[-1:] if len(terms) else np.zeros(1)
             self._bound_to = dynamics
 
     def _rates(self, t_e, out: np.ndarray) -> np.ndarray:
@@ -544,10 +557,19 @@ class PrefixBatch:
             raise DataError(f"prediction horizon {float(horizons[j, k])} precedes "
                             f"t_limit {float(self.t_limits[j])}")
         self._bind(dynamics)
+        return self._sizes_at(horizons)
+
+    def _sizes_at(self, horizons: np.ndarray) -> np.ndarray:
+        """``sizes_at`` on checked horizons with the table bound: one size
+        evaluation per block of horizons, so one for most grids."""
+        n_horizons, n_rows = horizons.shape[1], len(self._t0)
+        block = max(1, _CURVE_BLOCK // max(1, n_rows))
+        if n_horizons <= block:
+            sums = self._sums(self._per_row(horizons.T), np.empty((n_horizons, n_rows)))
+            return np.add(sums.T, 1.0)
         out = np.empty_like(horizons)
-        block = max(1, _CURVE_BLOCK // max(1, len(self._t0)))
-        buf = np.empty((min(block, horizons.shape[1]), len(self._t0)))
-        for start in range(0, horizons.shape[1], block):
+        buf = np.empty((block, n_rows))
+        for start in range(0, n_horizons, block):
             t_e = horizons[:, start:start + block].T
             sums = self._sums(self._per_row(t_e), buf[:len(t_e)])
             np.add(sums.T, 1.0, out=out[:, start:start + len(t_e)])
@@ -721,24 +743,35 @@ class BasicPredictor(PrefixBatch):
     """The basic model on one partial cascade: the one-cut ``PrefixBatch``
     bound to one dynamics table, a ``ModelDynamics`` or a mapping of user
     names to ``WeibullParams`` (see ``ModelDynamics.of``), refusing here a
-    user it cannot serve. Every query is the batch's own, so it equals a
-    batch's answer for the same observation bit for bit, and a process
-    curve equals ``size_at`` at each of its horizons. It keeps no list of
-    observations: ``pc`` is its partial cascade.
+    user it cannot serve. Its queries run the batch's kernel on the same
+    rows, so each equals a batch's answer for the same observation bit for
+    bit, and a process curve equals ``size_at`` at each of its horizons.
+
+    It keeps only what its own queries read: ``pc``, its partial cascade,
+    the replying rows laid out from one count of the prefix's parent
+    positions, and the table bound at t_limit, a Python float. The batch's
+    bookkeeping is left out; ``lengths`` and ``t_limits`` are built when a
+    batch method reads them.
     """
 
     __slots__ = ("pc", "_dynamics")
+    size = 1  # observations
 
     def __init__(self, pc: PartialCascade, dynamics):
-        self.pc, self.size = pc, 1
-        self.lengths, self.t_limits = np.array([pc.size]), np.array([pc.t_limit])
-        times, replynum = pc.times, pc.replynum
-        self._obs_of = np.zeros(np.count_nonzero(replynum), dtype=np.intp)
-        self._has_rows = self._starts = self._obs_of[:1]
-        self._lay_out(times, pc.user_ids, replynum, max(-float(times[0]), pc.t_limit),
-                      pc.network_size)
+        self.pc = pc
+        cascade = pc._cascade  # its rows past the prefix are never read
+        rows = self._lay_out(cascade.times, cascade.user_ids,
+                             cascade.parent_positions[1:pc.size],
+                             max(-cascade.times.item(0), pc.t_limit), pc.network_size)
+        self._starts = _ONE_START[:len(rows)]
+        self._t_limit = pc.t_limit
         self._dynamics = ModelDynamics.of(dynamics)
         self._bind(self._dynamics)
+
+    lengths = property(lambda self: np.array([self.pc.size]))
+    t_limits = property(lambda self: np.array([self.pc.t_limit]))
+    _times = property(lambda self: self.pc.times)
+    _ids = property(lambda self: self.pc.user_ids)
 
     @property
     def replynum(self) -> np.ndarray:
@@ -774,11 +807,21 @@ class BasicPredictor(PrefixBatch):
         return None if math.isnan(t) else t
 
     def process_curve(self, grid: Sequence[float]) -> ProcessCurve:
-        """Predicted sizes at the sorted horizons of ``grid``."""
+        """Predicted sizes at the sorted horizons of ``grid``, none before
+        t_limit: one size evaluation over the grid as a column."""
         times = np.array(grid, dtype=float)
+        points = times.tolist()
+        before = self.pc.t_limit
+        for t in points:
+            if not t >= before:  # also refuses NaN
+                what = (f"the one before it, {before}" if t >= self.pc.t_limit
+                        else f"t_limit {self.pc.t_limit}")
+                raise DataError(f"prediction horizon {t} precedes {what}")
+            before = t
+        self._bind(self._dynamics)
         # the estimator is monotone; the running maximum guards float wobble
-        sizes = np.maximum.accumulate(self.sizes_at(self._dynamics, times[None, :])[0])
-        return ProcessCurve(times=times.tolist(), sizes=sizes.tolist())
+        sizes = np.maximum.accumulate(self._sizes_at(times[None, :])[0])
+        return ProcessCurve._checked(points, sizes.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -908,18 +951,17 @@ class SamplingPredictor:
 # ---------------------------------------------------------------------------
 
 def write_predictions_jsonl(path, records: Iterable[dict]) -> None:
-    """One record per cascade:
-    {"cascade", "t_limit", "final", "outbreak_t", "curve"}."""
+    """One record per cascade: {"cascade", "t_limit", "final", "outbreak_t",
+    "curve"}, where "outbreak_t" is written only when the record has it, so
+    that a null there means "never" and a missing key "not predicted"."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
+            out = {"cascade": rec["cascade"], "t_limit": rec["t_limit"], "final": rec["final"]}
+            if "outbreak_t" in rec:
+                out["outbreak_t"] = rec["outbreak_t"]
+            out["curve"] = rec.get("curve", [])
             try:
-                line = json.dumps({
-                    "cascade": rec["cascade"],
-                    "t_limit": rec["t_limit"],
-                    "final": rec["final"],
-                    "outbreak_t": rec.get("outbreak_t"),
-                    "curve": rec.get("curve", []),
-                }, allow_nan=False)
+                line = json.dumps(out, allow_nan=False)
             except ValueError as exc:
                 raise DataError(f"prediction for cascade {rec['cascade']!r}: {exc}") from None
             fh.write(line + "\n")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import cascadyn.cli as cli
 from cascadyn.cli import main
 from cascadyn.fitting import FitOptions
 from cascadyn.features import read_cascades_jsonl
-from cascadyn.predict import read_predictions_jsonl
+from cascadyn.predict import DEFAULT_SEARCH_WINDOW, read_predictions_jsonl
 
 
 def run(*argv):
@@ -268,6 +269,36 @@ class TestEvaluateCommand:
         size_row = next(r for r in rows if r["task"] == "size")
         assert float(size_row["rmsle"]) == 0.0
         assert float(size_row["precision"]) == 1.0
+
+    def scored_outbreak_rows(self, sim_dir, tmp_path, cascade, extra, threshold):
+        pred_path = tmp_path / "outbreak.jsonl"
+        pred_path.write_text(json.dumps({"cascade": cascade.cascade_id,
+                                         "t_limit": cascade.root.t,
+                                         "final": float(cascade.size), **extra,
+                                         "curve": []}) + "\n")
+        out = tmp_path / "report"
+        assert run("evaluate", "--pred", str(pred_path),
+                   "--truth", str(sim_dir / "cascades.jsonl"),
+                   "--threshold", str(threshold), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        return [row for row in summary["rows"] if row["task"] == "outbreak"]
+
+    def test_outbreak_predicted_never_is_a_capped_miss(self, sim_dir, tmp_path):
+        # a null outbreak time was asked for and is "never": a miss at the
+        # end of the window predict searched, t_limit + DEFAULT_SEARCH_WINDOW
+        cascade = max(read_cascades_jsonl(sim_dir / "cascades.jsonl"), key=lambda c: c.size)
+        threshold = cascade.size  # reached at its last event
+        rows = self.scored_outbreak_rows(sim_dir, tmp_path, cascade, {"outbreak_t": None},
+                                         threshold)
+        truth = cascade.events[threshold - 1].t - cascade.root.t + 1.0
+        assert [row["n"] for row in rows] == [1]
+        assert rows[0]["rmsle"] == pytest.approx(
+            abs(math.log(DEFAULT_SEARCH_WINDOW + 1.0) - math.log(truth)), rel=1e-12)
+        assert rows[0]["precision"] == 0.0
+
+    def test_outbreak_not_predicted_is_not_scored(self, sim_dir, tmp_path):
+        cascade = max(read_cascades_jsonl(sim_dir / "cascades.jsonl"), key=lambda c: c.size)
+        assert self.scored_outbreak_rows(sim_dir, tmp_path, cascade, {}, cascade.size) == []
 
     def test_nan_prediction_rejected(self, sim_dir, tmp_path):
         cascade = read_cascades_jsonl(sim_dir / "cascades.jsonl")[0]

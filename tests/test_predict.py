@@ -32,6 +32,7 @@ from cascadyn.predict import (
     PartialCascade,
     PrefixBatch,
     SamplingPredictor,
+    _CURVE_BLOCK,
     _ITP_N0,
     read_predictions_jsonl,
     write_predictions_jsonl,
@@ -240,6 +241,40 @@ class TestProcessCurve:
         pc, dyn = worked_example()
         with pytest.raises(DataError):
             BasicPredictor(pc, dyn).process_curve([pc.t_limit + 10, pc.t_limit])
+
+    @pytest.mark.parametrize("bad_at", [0, 2])
+    def test_refuses_a_grid_point_before_t_limit_naming_it(self, bad_at):
+        pc, dyn = worked_example()
+        grid = [pc.t_limit, pc.t_limit + 1.0, pc.t_limit + 2.0]
+        grid[bad_at] = pc.t_limit - 0.5
+        with pytest.raises(DataError, match=rf"horizon {pc.t_limit - 0.5} precedes"):
+            BasicPredictor(pc, dyn).process_curve(grid)
+
+    def test_refuses_nan_mid_grid_naming_it(self):
+        pc, dyn = worked_example()
+        grid = np.array([pc.t_limit, pc.t_limit + 1.0, np.nan, pc.t_limit + 3.0])
+        with pytest.raises(DataError, match="horizon nan"):
+            BasicPredictor(pc, dyn).process_curve(grid)
+
+    def test_cut_without_replies_is_flat_at_the_observed_size(self):
+        # the root alone has no replying row: every size is the observed one
+        pc, dyn = worked_example()
+        root = PartialCascade("root", pc.events[:1], 0.5, 1000)
+        predictor = BasicPredictor(root, dyn)
+        curve = predictor.process_curve([0.5, 10.0, 1e6])
+        assert curve.sizes == [1.0, 1.0, 1.0]
+        assert predictor.final_size() == 1.0
+        assert predictor.outbreak_time(1) == 0.5
+        assert predictor.outbreak_time(2) is None
+
+    def test_grid_past_one_block_equals_size_at(self):
+        pc, dyn = random_partial_cascade(np.random.default_rng(8), n_users=40)
+        predictor = BasicPredictor(pc, dyn)
+        rows = int(np.count_nonzero(pc.replynum))
+        grid = np.linspace(pc.t_limit, pc.t_limit + 1e4, _CURVE_BLOCK // rows + 7)
+        assert len(grid) * rows > _CURVE_BLOCK  # two blocks of horizons
+        sizes = [predictor.size_at(t) for t in grid.tolist()]
+        assert predictor.process_curve(grid).sizes == np.maximum.accumulate(sizes).tolist()
 
 
 def replay_stream(events, dynamics, network_size, epsilon, query_times, rng):
@@ -810,13 +845,16 @@ class TestPredictionFiles:
             {"cascade": "c1", "t_limit": 5.0, "final": 12.5,
              "outbreak_t": 99.0, "curve": [[5.0, 4.0], [10.0, 8.0]]},
             {"cascade": "c2", "t_limit": 1.0, "final": 1.0},
+            {"cascade": "c3", "t_limit": 1.0, "final": 1.0, "outbreak_t": None},
         ]
         path = tmp_path / "pred.jsonl"
         write_predictions_jsonl(path, records)
         loaded = read_predictions_jsonl(path)
         assert loaded[0]["cascade"] == "c1"
         assert loaded[0]["curve"] == [[5.0, 4.0], [10.0, 8.0]]
-        assert loaded[1]["outbreak_t"] is None
+        # an outbreak time not predicted stays absent; "never" stays null
+        assert "outbreak_t" not in loaded[1]
+        assert loaded[2]["outbreak_t"] is None
         assert loaded[1]["curve"] == []
 
     def test_non_finite_value_refused(self, tmp_path):
